@@ -139,15 +139,6 @@ class FiniteAbelianGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def element(self, index: int) -> "GroupElement":
-        if not 0 <= index < self.order:
-            raise ValueError(f"element index {index} out of range")
-        return GroupElement(self, index)
-
-    @property
-    def zero(self) -> "GroupElement":
-        return GroupElement(self, 0)
-
     def add_rows(self) -> tuple[tuple[int, ...], ...]:
         """The full addition table, row a giving a + b for each b.  Cached."""
         if self._rows is None:
@@ -186,35 +177,6 @@ def make_group(invariant_factors=()) -> FiniteAbelianGroup:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """An element of a FiniteAbelianGroup, with operator sugar."""
-
-    group: FiniteAbelianGroup
-    index: int
-
-    def _check(self, other: "GroupElement") -> None:
-        if self.group != other.group:
-            raise ValueError("elements belong to different groups")
-
-    def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group, self.group.add(self.index, other.index))
-
-    def __neg__(self) -> "GroupElement":
-        return GroupElement(self.group, self.group.neg(self.index))
-
-    def __sub__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
-        return GroupElement(self.group, self.group.sub(self.index, other.index))
-
-    def __rmul__(self, n: int) -> "GroupElement":
-        return GroupElement(self.group, self.group.scale(n, self.index))
-
-    def order(self) -> int:
-        return self.group.order_of(self.index)
-
-
-@dataclass(frozen=True)
 class PermutationGroup:
     degree: int
     elements: frozenset[Perm]
@@ -229,17 +191,6 @@ class PermutationGroup:
     def __iter__(self):
         return iter(sorted(self.elements))
 
-    def is_closed(self) -> bool:
-        if identity_perm(self.degree) not in self.elements:
-            return False
-        for p in self.elements:
-            if invert_perm(p) not in self.elements:
-                return False
-            for q in self.elements:
-                if compose_perms(p, q) not in self.elements:
-                    return False
-        return True
-
 
 def closure(degree: int, generators) -> PermutationGroup:
     """Subgroup of Sym(degree) generated by the given permutations."""
@@ -251,19 +202,7 @@ def closure(degree: int, generators) -> PermutationGroup:
                 f"{g!r} is not a permutation of {degree} points"
             )
         gens.append(g)
-    ident = identity_perm(degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose_perms(g, p)
-                if q not in elems:
-                    elems.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return PermutationGroup(degree, frozenset(elems))
+    return PermutationGroup(degree, _generated_subgroup(degree, gens))
 
 
 def _generated_subgroup(degree: int, seed) -> frozenset[Perm]:

@@ -12,7 +12,9 @@ additive automorphisms.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .abelian import (
     FiniteAbelianGroup,
@@ -20,8 +22,6 @@ from .abelian import (
     abelian_group_types,
     abelian_structure,
     automorphism_group,
-    compose_perms,
-    identity_perm,
     invert_perm,
     make_group,
 )
@@ -30,6 +30,9 @@ from .errors import InternalCheckError, ResourceLimitError
 
 DEFAULT_ORDER_BOUND = 16
 SLOW_ORDERS = frozenset((36, 45))
+# census tables hold elements as byte values, and translate tables have
+# 256 entries, so no order above this can be searched
+MAX_TABLE_ORDER = 256
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,11 @@ def enumerate_braces(
 ) -> BraceCensus:
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
+    if order > MAX_TABLE_ORDER:
+        raise ResourceLimitError(
+            f"order {order} above {MAX_TABLE_ORDER}, the largest order"
+            " whose tables fit in bytes"
+        )
     bound = DEFAULT_ORDER_BOUND if max_order is None else max_order
     if order > bound and not (slow and order in SLOW_ORDERS):
         allowed = ", ".join(str(o) for o in sorted(SLOW_ORDERS))
@@ -87,97 +95,116 @@ def enumerate_braces(
 def _regular_circle_tables(
     group: FiniteAbelianGroup, auts: list[Perm]
 ) -> list[bytes]:
-    """All circle tables of braces on the group, one per regular subgroup."""
-    n = group.order
-    add = group.add_rows()
-    candidate_cache: dict[int, list[Perm]] = {}
+    """All circle tables of braces on the group, one per regular subgroup.
 
-    def candidates(t: int) -> list[Perm]:
+    Permutations are bytes, and p after q is q.translate(p + padding).  A
+    search node is a subgroup H whose members move 0 to distinct points; it
+    carries its members, their set, the covered images of 0 and its
+    generators.  Extending H by h builds <H, h> as a union of left cosets
+    y o H (Dimino), and gives up as soon as one coset's images of 0 meet
+    the covered points.  It accepts exactly the extensions whose closure
+    has distinct images of 0 and order dividing n, so it finds the same
+    subgroups in the same order as closing under all pairwise products.
+    """
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    add = group.add_rows()
+    aut_bytes = [bytes(g) for g in auts]
+    candidate_cache: dict[int, list[bytes]] = {}
+
+    def candidates(t: int) -> list[bytes]:
         # holomorph elements moving 0 to t: x -> g(x) + t over all automorphisms
         cached = candidate_cache.get(t)
         if cached is None:
-            row = add[t]
-            cached = [tuple(row[v] for v in g) for g in auts]
+            row = bytes(add[t]) + pad
+            cached = [g.translate(row) for g in aut_bytes]
             candidate_cache[t] = cached
         return cached
 
+    Node = tuple[list[bytes], set[bytes], set[int], list[bytes]]
+
+    def close(node: Node, images0: bytes, h: bytes) -> Node | None:
+        base, base_set, base_covered, base_gens = node
+        # most candidates fail on their first coset: test it before copying
+        if not base_covered.isdisjoint(images0.translate(h + pad)):
+            return None
+        members, member_set, covered = list(base), set(base_set), set(base_covered)
+        gens = base_gens + [h + pad]
+        reps: list[bytes] = []
+
+        def add_coset(y: bytes) -> bool:
+            # y o H; images disjoint from the covered points keep |G| <= n
+            table = y + pad
+            images = images0.translate(table)
+            if not covered.isdisjoint(images):
+                return False
+            coset = [x.translate(table) for x in base]
+            members.extend(coset)
+            member_set.update(coset)
+            covered.update(images)
+            reps.append(y)
+            return True
+
+        add_coset(h)
+        for r in reps:  # grows while walked, so every representative is visited
+            for s in gens:
+                y = r.translate(s)
+                if y not in member_set and not add_coset(y):
+                    return None
+        if n % len(members):
+            return None
+        return members, member_set, covered, gens
+
     results: list[bytes] = []
 
-    def emit(members: frozenset[Perm]) -> None:
-        rows = {p[0]: p for p in members}
-        flat = bytearray(n * n)
-        for a in range(n):
-            row = rows[a]
-            flat[a * n : (a + 1) * n] = bytes(row)
-        results.append(bytes(flat))
-
-    def extend(members: frozenset[Perm], covered: frozenset[int]) -> None:
+    def extend(node: Node) -> None:
+        members, _, covered, _ = node
         if len(members) == n:
-            emit(members)
+            # first bytes are distinct, so sorting orders the rows by a = p(0)
+            results.append(b"".join(sorted(members)))
             return
-        target = min(set(range(n)) - covered)
+        images0 = bytes(x[0] for x in members)
+        target = next(t for t in range(n) if t not in covered)
         for h in candidates(target):
-            closed = _close(members, h, n)
-            if closed is None:
-                continue
-            images = {p[0] for p in closed}
-            if len(images) != len(closed) or n % len(closed) != 0:
-                continue
-            extend(closed, frozenset(images))
+            child = close(node, images0, h)
+            if child is not None:
+                extend(child)
 
-    ident = identity_perm(n)
-    extend(frozenset((ident,)), frozenset((0,)))
+    ident = bytes(range(n))
+    extend(([ident], {ident}, {0}, []))
     return results
 
 
-def _close(members: frozenset[Perm], extra: Perm, n: int) -> frozenset[Perm] | None:
-    """Subgroup closure of members plus extra, or None once it exceeds n.
+def _relabeler(phi: Sequence[int], n: int) -> Callable[[bytes], bytes]:
+    """Relabeling of flat n x n tables along the bijection phi.
 
-    Every newly inserted element is composed with a snapshot of all current
-    elements in both orders; pairs among later insertions are handled when
-    the later one is processed.
+    Entry (phi a, phi b) of the result is phi of entry (a, b): values go
+    through translate, and each row is gathered by phi^-1.
     """
-    if extra in members:
-        return members
-    elems = set(members)
-    elems.add(extra)
-    queue = [extra]
-    while queue:
-        x = queue.pop()
-        for y in tuple(elems):
-            for z in (compose_perms(x, y), compose_perms(y, x)):
-                if z not in elems:
-                    if len(elems) == n:
-                        return None
-                    elems.add(z)
-                    queue.append(z)
-    return frozenset(elems)
+    inv = invert_perm(phi)
+    values = bytes(phi) + bytes(MAX_TABLE_ORDER - n)
+    starts = [i * n for i in inv]
+    # itemgetter with a single index returns a scalar, not a tuple
+    columns = itemgetter(*inv) if n > 1 else bytes
 
+    def relabel(flat: bytes) -> bytes:
+        mapped = flat.translate(values)
+        return b"".join([bytes(columns(mapped[s : s + n])) for s in starts])
 
-def _relabel(flat: bytes, phi: Perm, phi_inv: Perm, n: int) -> bytes:
-    out = bytearray(n * n)
-    for a in range(n):
-        src = phi_inv[a]
-        row = flat[src * n : (src + 1) * n]
-        base = a * n
-        for b in range(n):
-            out[base + b] = phi[row[phi_inv[b]]]
-    return bytes(out)
+    return relabel
 
 
 def _orbit_representatives(
     tables: list[bytes], auts: list[Perm], n: int
 ) -> list[bytes]:
     """Lexicographically minimal table of each relabeling orbit, sorted."""
-    inverses = [invert_perm(g) for g in auts]
+    relabelers = [_relabeler(g, n) for g in auts]
     seen: set[bytes] = set()
     reps: list[bytes] = []
     for flat in tables:
         if flat in seen:
             continue
-        orbit = {
-            _relabel(flat, g, g_inv, n) for g, g_inv in zip(auts, inverses)
-        }
+        orbit = {relabel(flat) for relabel in relabelers}
         if flat not in orbit:
             raise InternalCheckError("identity relabeling missing from orbit")
         seen |= orbit
@@ -193,14 +220,9 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
         return False
     canon = []
     for brace in (first, second):
-        factors, relabel = abelian_structure(n, brace.additive.add)
-        flat = bytearray(n * n)
-        for a in range(n):
-            ra = relabel[a]
-            row = brace.circle_table[a]
-            for b in range(n):
-                flat[ra * n + relabel[b]] = relabel[row[b]]
-        canon.append((factors, bytes(flat)))
+        factors, to_canonical = abelian_structure(n, brace.additive.add)
+        flat = bytes(v for row in brace.circle_table for v in row)
+        canon.append((factors, _relabeler(to_canonical, n)(flat)))
     (f1, t1), (f2, t2) = canon
     if f1 != f2:
         return False
@@ -210,7 +232,4 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
         return True
     group = make_group(f1)
     auts = sorted(automorphism_group(group, max_order=max(n, 1)).elements)
-    for g in auts:
-        if _relabel(t1, g, invert_perm(g), n) == t2:
-            return True
-    return False
+    return any(_relabeler(g, n)(t1) == t2 for g in auts)

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success or all checks pass, 1 a validation or theorem check
-failed, 2 usage or document parse error, 3 resource limit exceeded.
+failed, 2 usage or document parse error, 3 resource limit exceeded, 4 an
+internal consistency check failed.
 Documents are printed to stdout so commands can be piped into files;
 human-facing summaries for those commands go to stderr.
 """
@@ -30,6 +31,7 @@ from .errors import (
     ActionError,
     BraceValidationError,
     DocumentError,
+    InternalCheckError,
     ResourceLimitError,
     SolutionValidationError,
     WitnessedError,
@@ -47,6 +49,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 ENV_MAX_ORDER = "BRACELAB_MAX_ORDER"
 
@@ -317,6 +320,9 @@ def main(argv=None) -> int:
             detail += f" [witness {exc.witness}]"
         print(detail, file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except InternalCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

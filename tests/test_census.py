@@ -14,10 +14,16 @@ from math import prod
 
 import pytest
 
-from bracelab.abelian import make_group
+from bracelab.abelian import abelian_group_types, automorphism_group, make_group
 from bracelab.brace import LeftBrace
-from bracelab.census import are_isomorphic, enumerate_braces
+from bracelab.census import (
+    _orbit_representatives,
+    _regular_circle_tables,
+    are_isomorphic,
+    enumerate_braces,
+)
 from bracelab.errors import ResourceLimitError
+from census_oracle import oracle_orbit_representatives, oracle_regular_circle_tables
 from conftest import cyclic_brace
 
 # hand-listed abelian groups per order, invariant-factor form
@@ -132,6 +138,49 @@ class TestAgainstOracle:
         assert len(census(order)) == ORACLE_COUNTS[order]
 
 
+# class counts past the default bound; 27 is the count in the literature
+LARGE_ORDER_COUNTS = {18: 8, 20: 11, 24: 96, 27: 37, 36: 46, 45: 4}
+
+
+def assert_matches_tuple_search(order):
+    """The search, the orbit step and the census equal the tuple oracle's."""
+    census = enumerate_braces(order, slow=True, max_order=order)
+    expected = []
+    for factors in abelian_group_types(order):
+        group = make_group(factors)
+        auts = sorted(automorphism_group(group, max_order=order).elements)
+        tables = oracle_regular_circle_tables(group, auts)
+        assert _regular_circle_tables(group, auts) == tables, factors
+        reps = oracle_orbit_representatives(tables, auts, order)
+        assert _orbit_representatives(tables, auts, order) == reps, factors
+        expected.extend((factors, flat) for flat in reps)
+    got = [
+        (e.invariant_factors, bytes(v for row in e.brace.circle_table for v in row))
+        for e in census.entries
+    ]
+    assert got == expected
+    if order in LARGE_ORDER_COUNTS:
+        assert len(census) == LARGE_ORDER_COUNTS[order]
+
+
+@pytest.mark.parametrize("order", list(range(1, 16)) + [18, 20, 45])
+def test_byte_identical_to_tuple_search(order):
+    assert_matches_tuple_search(order)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [24, 36])
+def test_byte_identical_to_tuple_search_slow(order):
+    assert_matches_tuple_search(order)
+
+
+@pytest.mark.slow
+def test_order_twenty_seven_count():
+    """Order 27 = 3^3, past the reach of the tuple oracle."""
+    census = enumerate_braces(27, max_order=27)
+    assert len(census) == LARGE_ORDER_COUNTS[27]
+
+
 class TestCensusBehavior:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
@@ -144,6 +193,11 @@ class TestCensusBehavior:
             enumerate_braces(36)
         with pytest.raises(ResourceLimitError):
             enumerate_braces(45, slow=False)
+
+    def test_order_past_byte_tables(self):
+        # rejected before any search, whatever the bound says
+        with pytest.raises(ResourceLimitError, match="256"):
+            enumerate_braces(257, slow=True, max_order=300)
 
     def test_deterministic(self):
         first = enumerate_braces(8)

@@ -20,8 +20,10 @@ from bracelab import (
     serialize_solution_document,
     SolutionDocument,
 )
+from bracelab import cli
 from bracelab.cli import main
 from bracelab.census import enumerate_braces
+from bracelab.errors import InternalCheckError
 from bracelab.solutions import from_brace
 
 
@@ -154,6 +156,26 @@ class TestEnumerate:
         monkeypatch.setenv("BRACELAB_MAX_ORDER", "5")
         assert main(["enumerate", "--order", "6"]) == 3
         assert capsys.readouterr().err.startswith("resource limit:")
+
+    def test_order_past_byte_tables_is_resource_limit(self, monkeypatch, capsys):
+        # the bound admits 257, but census tables hold elements as bytes
+        monkeypatch.setenv("BRACELAB_MAX_ORDER", "300")
+        assert main(["enumerate", "--order", "257"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:")
+        assert "256" in err
+
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalCheckError("identity relabeling missing from orbit")
+
+        monkeypatch.setattr(cli, "enumerate_braces", broken)
+        assert main(["enumerate", "--order", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "internal error: identity relabeling missing from orbit\n"
+        )
+        assert captured.out == ""
 
     def test_env_bound_must_be_integer(self, monkeypatch, capsys):
         monkeypatch.setenv("BRACELAB_MAX_ORDER", "abc")

@@ -142,6 +142,13 @@ class LeftBrace:
         circle group, and invariant under every lambda map; any failure
         means a corrupted brace and raises InternalCheckError.
         """
+        return BraceSubset(self, self._socle, is_subgroup=True, is_ideal=True)
+
+    # The invariants are computed once per brace.  A cached value must not
+    # hold the brace itself (BraceSubset does), or each brace would sit in
+    # a reference cycle until the cyclic collector runs.
+    @cached_property
+    def _socle(self) -> frozenset[int]:
         n = self.order
         add = self.additive.add_rows()
         zero_row = (0,) * n
@@ -165,7 +172,7 @@ class LeftBrace:
                     raise InternalCheckError(
                         f"socle not lambda-invariant at ({a}, {s})"
                     )
-        return BraceSubset(self, members, is_subgroup=True, is_ideal=True)
+        return members
 
     def retract_quotient(self) -> "LeftBrace":
         """Quotient brace by the socle, relabeled onto a canonical group.
@@ -219,6 +226,10 @@ class LeftBrace:
         products of the previous stage with arbitrary right factors.  Returns
         None when the chain stabilizes above zero.
         """
+        return self._radical_chain_index
+
+    @cached_property
+    def _radical_chain_index(self) -> int | None:
         add = self.additive.add_rows()
         current = frozenset(range(self.order))
         index = 1
@@ -242,6 +253,10 @@ class LeftBrace:
         Also recomputes finiteness through the radical chain and insists the
         two verdicts agree.
         """
+        return self._multipermutation_level
+
+    @cached_property
+    def _multipermutation_level(self) -> int | None:
         level = 0
         stage = self
         while stage.order > 1:
@@ -260,6 +275,10 @@ class LeftBrace:
 
     def sylow_components(self) -> list["SylowComponent"]:
         """One sub-brace per prime divisor, on the p-power-order elements."""
+        return list(self._sylow_components)
+
+    @cached_property
+    def _sylow_components(self) -> tuple["SylowComponent", ...]:
         n = self.order
         out = []
         covered = 1
@@ -304,7 +323,7 @@ class LeftBrace:
             covered *= size
         if covered != n:
             raise InternalCheckError("prime components do not cover the brace")
-        return out
+        return tuple(out)
 
     def canonical_form(self) -> "LeftBrace":
         """The same brace relabeled so the additive factors form a chain d1 | d2 | ...
@@ -325,6 +344,10 @@ class LeftBrace:
         return validate_brace(make_group(new_factors), table, max_order=n)
 
     def classify(self) -> "BraceTraits":
+        return self._classify
+
+    @cached_property
+    def _classify(self) -> "BraceTraits":
         n = self.order
         add = self.additive.add_rows()
         neg = [self.additive.neg(a) for a in range(n)]

@@ -218,6 +218,11 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
     n = first.order
     if n != second.order:
         return False
+    if n > MAX_TABLE_ORDER:
+        raise ResourceLimitError(
+            f"order {n} above {MAX_TABLE_ORDER}, the largest order"
+            " whose tables fit in bytes"
+        )
     canon = []
     for brace in (first, second):
         factors, to_canonical = abelian_structure(n, brace.additive.add)

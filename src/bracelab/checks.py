@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .brace import LeftBrace, e_combination
+from .brace import LeftBrace
 from .census import enumerate_braces
 from .errors import InternalCheckError
 from .fqpoly import annihilation_exponent
@@ -294,60 +294,88 @@ def check_odd_minus_rule(brace: LeftBrace, subject: str = "") -> CheckReport:
     return _report(name, subject, PASS)
 
 
+def _multiples(group) -> list[list[int]]:
+    """Row x lists 0, x, 2x, ... up to the additive order of x, exclusive."""
+    add = group.add_rows()
+    out = []
+    for x in range(group.order):
+        row = [0]
+        acc = x
+        while acc != 0:
+            row.append(acc)
+            acc = add[acc][x]
+        out.append(row)
+    return out
+
+
 def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     """The binomial expansions of circle powers, their vanishing equivalence
-    at prime powers, and the coprime square-kill implication."""
+    at prime powers, and the coprime square-kill implication.
+
+    The circle power a^m is checked against the literal sum of C(m, i)
+    copies of the left powers of a.  The dotted expansion
+    a^m . b = sum_i C(m, i) e_i(a, b) is checked through its Pascal
+    recurrence B_m = B_{m-1} + a.B_{m-1} + a.b, which needs only left
+    distributivity; validate_brace has already checked that.
+    """
     name = "power-identities"
     n = brace.order
     add = brace.additive.add_rows()
-    scale = brace.additive.scale
     dot = brace.dot_table
+    multiples = _multiples(brace.additive)
+    binomials = [[math.comb(m, i) for i in range(m + 1)] for m in range(n + 1)]
+    prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
 
     for a in range(n):
         powers = [0]
         row = brace.circle_table[a]
         for _ in range(n):
             powers.append(row[powers[-1]])
+        drow = dot[a]
         lefts = [None, a]
         for _ in range(n - 1):
-            lefts.append(dot[a][lefts[-1]])
+            lefts.append(drow[lefts[-1]])
         for m in range(1, n + 1):
+            coeffs = binomials[m]
             acc = 0
             for i in range(1, m + 1):
-                acc = add[acc][scale(math.comb(m, i), lefts[i])]
+                mult = multiples[lefts[i]]
+                acc = add[acc][mult[coeffs[i] % len(mult)]]
             if acc != powers[m]:
                 return _report(
                     name, subject, FAIL, witness=(a, m),
                     notes=("circle power binomial expansion fails",),
                 )
         for b in range(n):
-            seq = brace.e_sequence(a, b, n)
+            ab = drow[b]
+            acc = 0
             for m in range(1, n + 1):
-                acc = 0
-                for i in range(1, m + 1):
-                    acc = add[acc][scale(math.comb(m, i), seq[i])]
-                if _prime_power(m) is not None and (dot[powers[m]][b] == 0) != (acc == 0):
+                acc = add[add[acc][drow[acc]]][ab]
+                target = dot[powers[m]][b]
+                if prime_power_m[m] and (target == 0) != (acc == 0):
                     return _report(
                         name, subject, FAIL, witness=(a, b, m),
                         notes=("vanishing equivalence fails at a prime power",),
                     )
-                if acc != dot[powers[m]][b]:
+                if acc != target:
                     return _report(
                         name, subject, FAIL, witness=(a, b, m),
                         notes=("dotted binomial expansion fails",),
                     )
 
+    additive_pp = [_prime_power(len(multiples[b])) for b in range(n)]
     for a in range(n):
         pa = _prime_power(brace.circle_order(a))
         if pa is None and a != 0:
             continue
+        drow = dot[a]
         for b in range(n):
-            qb = _prime_power(brace.additive.order_of(b))
+            qb = additive_pp[b]
             if qb is None:
                 continue
             if pa is not None and pa[0] == qb[0]:
                 continue
-            if dot[a][dot[a][b]] == 0 and dot[a][b] != 0:
+            if drow[drow[b]] == 0 and drow[b] != 0:
                 return _report(
                     name, subject, FAIL, witness=(a, b),
                     notes=("square kill without product kill across primes",),

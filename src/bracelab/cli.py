@@ -38,6 +38,7 @@ from .errors import (
 )
 from .products import make_action, semidirect, trivial_action, wreath
 from .solutions import (
+    SetTheoreticSolution,
     from_brace,
     mpl_solution,
     permutation_group_order,
@@ -54,7 +55,7 @@ EXIT_INTERNAL = 4
 ENV_MAX_ORDER = "BRACELAB_MAX_ORDER"
 
 
-def _env_bound(default: int) -> int:
+def _env_bound(default: int | None) -> int | None:
     raw = os.environ.get(ENV_MAX_ORDER)
     if raw is None:
         return default
@@ -73,7 +74,12 @@ def _read_text(path: str) -> str:
 
 def _load_brace(path: str) -> LeftBrace:
     doc = parse_brace_document(_read_text(path))
-    return doc.to_brace()
+    return doc.to_brace(max_order=_env_bound(None))
+
+
+def _load_solution(path: str) -> SetTheoreticSolution:
+    doc = parse_solution_document(_read_text(path))
+    return doc.to_solution(max_size=_env_bound(None))
 
 
 def _print_document(text: str) -> None:
@@ -155,8 +161,7 @@ def cmd_solution_from_brace(args: argparse.Namespace) -> int:
 
 
 def cmd_solution_check(args: argparse.Namespace) -> int:
-    doc = parse_solution_document(_read_text(args.file))
-    solution = doc.to_solution()
+    solution = _load_solution(args.file)
     group_order = permutation_group_order(solution)
     print(
         f"valid involutive solution of size {solution.size},"
@@ -166,8 +171,7 @@ def cmd_solution_check(args: argparse.Namespace) -> int:
 
 
 def cmd_solution_retract(args: argparse.Namespace) -> int:
-    doc = parse_solution_document(_read_text(args.file))
-    solution = doc.to_solution()
+    solution = _load_solution(args.file)
     if args.tower:
         sizes = retraction_tower_sizes(solution)
         print(" -> ".join(str(s) for s in sizes))

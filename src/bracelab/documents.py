@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .abelian import is_permutation, make_group
 from .brace import LeftBrace, validate_brace
-from .errors import DocumentError
+from .errors import DocumentError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
 
 BRACE_OPERATIONS = ("circle_table", "lambda_table")
@@ -42,6 +42,11 @@ class BraceDocument:
         )
 
     def to_brace(self, max_order: int | None = None) -> LeftBrace:
+        """The validated brace; a document above max_order is refused first."""
+        if max_order is not None and self.order > max_order:
+            raise ResourceLimitError(
+                f"brace order {self.order} above configured bound {max_order}"
+            )
         group = make_group(self.invariant_factors)
         if self.operation == "circle_table":
             rows = self.table
@@ -50,8 +55,7 @@ class BraceDocument:
             rows = tuple(
                 tuple(add[a][v] for v in row) for a, row in enumerate(self.table)
             )
-        bound = max_order if max_order is not None else max(self.order, 1)
-        return validate_brace(group, rows, max_order=max(bound, self.order))
+        return validate_brace(group, rows, max_order=self.order)
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,12 @@ class SolutionDocument:
     def from_solution(cls, solution: SetTheoreticSolution) -> "SolutionDocument":
         return cls(size=solution.size, sigma=solution.sigma, tau=solution.tau)
 
-    def to_solution(self) -> SetTheoreticSolution:
+    def to_solution(self, max_size: int | None = None) -> SetTheoreticSolution:
+        """The validated solution; a document above max_size is refused first."""
+        if max_size is not None and self.size > max_size:
+            raise ResourceLimitError(
+                f"solution size {self.size} above configured bound {max_size}"
+            )
         return validate_solution(self.size, self.sigma, self.tau)
 
 

@@ -1,6 +1,8 @@
 """Core brace structure: laws, invariants, towers, Sylow pieces, traits."""
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,63 @@ class TestSylow:
                             == brace.circle(lift[i], lift[j])
                         )
                         assert lift[sub.add(i, j)] == brace.add(lift[i], lift[j])
+
+
+class TestInvariantMemo:
+    @staticmethod
+    def fresh(census, order, idx):
+        # a copy the census does not hold, so nothing else keeps it alive
+        entry = census(order).entries[idx].brace
+        return validate_brace(entry.additive, entry.circle_table, max_order=order)
+
+    @staticmethod
+    def all_invariants(brace):
+        return (
+            brace.classify(),
+            brace.socle(),
+            brace.sylow_components(),
+            brace.multipermutation_level(),
+            brace.radical_chain_index(),
+        )
+
+    def test_computed_once(self, census, monkeypatch):
+        import bracelab.brace as brace_module
+
+        calls = []
+        real = brace_module.is_nilpotent_group
+
+        def counting(group):
+            calls.append(group.degree)
+            return real(group)
+
+        monkeypatch.setattr(brace_module, "is_nilpotent_group", counting)
+        brace = self.fresh(census, 12, 0)
+        first = self.all_invariants(brace)
+        second = self.all_invariants(brace)
+        assert first == second
+        assert brace.classify() is first[0]
+        assert calls == [12]
+
+    def test_sylow_components_returns_a_fresh_list(self, census):
+        brace = self.fresh(census, 12, 3)
+        comps = brace.sylow_components()
+        comps.clear()
+        assert [c.prime for c in brace.sylow_components()] == [2, 3]
+        assert brace.sylow_components() is not brace.sylow_components()
+
+    @pytest.mark.parametrize("order, idx", [(6, 0), (8, 7), (12, 9)])
+    def test_memo_makes_no_reference_cycle(self, census, order, idx):
+        # with the cyclic collector off, a brace must still be freed as soon
+        # as its last reference goes, whatever invariants it has cached
+        gc.disable()
+        try:
+            brace = self.fresh(census, order, idx)
+            self.all_invariants(brace)
+            ref = weakref.ref(brace)
+            del brace
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestCanonicalForm:

@@ -258,6 +258,11 @@ class TestAreIsomorphic:
         )
         assert not are_isomorphic(b4, LeftBrace.trivial(make_group((2,))))
 
+    def test_order_past_byte_tables(self):
+        big = LeftBrace.trivial(make_group((300,)))
+        with pytest.raises(ResourceLimitError, match="256"):
+            are_isomorphic(big, big)
+
     def test_census_entries_pairwise_distinct(self, census):
         entries = census(9).entries
         for i, left in enumerate(entries):

@@ -5,11 +5,13 @@ are true), so the fail paths are exercised by stubbing one ingredient at a
 time and watching the checker catch the inconsistency.
 """
 
+import hashlib
 from types import SimpleNamespace
 
 import pytest
 
-from bracelab.brace import BraceSubset, BraceTraits, LeftBrace
+from bracelab.abelian import make_group
+from bracelab.brace import BraceSubset, BraceTraits, LeftBrace, validate_brace
 from bracelab.checks import (
     ALL_CHECKS,
     FAIL,
@@ -29,6 +31,26 @@ from bracelab.checks import (
     run_census_checks,
 )
 from bracelab.errors import InternalCheckError
+from checks_oracle import oracle_power_identities
+
+
+def with_dot_entries(brace, entries):
+    """The brace with some dot products overwritten, circle table untouched.
+
+    dot_table is a cached property, so an entry in the instance dictionary
+    takes its place; the result is deliberately not a brace.
+    """
+    dot = [list(row) for row in brace.dot_table]
+    for (a, b), value in entries.items():
+        dot[a][b] = value
+    brace.__dict__["dot_table"] = tuple(tuple(row) for row in dot)
+    return brace
+
+
+def s3_brace() -> LeftBrace:
+    """The brace on Z6 with a o b = a + (-1)^a b; its circle group is S3."""
+    table = [[(a + (-1) ** a * b) % 6 for b in range(6)] for a in range(6)]
+    return validate_brace(make_group((6,)), table, max_order=6)
 
 
 class TestReportShape:
@@ -173,6 +195,64 @@ class TestForcedFailures:
         assert report.notes == ("zero socle",)
 
 
+class TestPowerIdentityDrills:
+    """Each fail note of check_power_identities, fired on a corrupted dot
+    table, with the same report from the literal-sum oracle."""
+
+    @pytest.mark.parametrize(
+        "order, entries, witness, note",
+        [
+            # 1 . 1 = 1 expands 1 o 1 to 2.1 + 1 . 1 = 3, but 1 o 1 = 2
+            (4, {(1, 1): 1}, (1, 2), "circle power binomial expansion fails"),
+            # 0 . 1 = 2 and 0 . 2 = 0 expand (0 o 0) . 1 = 2 to 2.2 + 0 = 0
+            (4, {(0, 1): 2}, (0, 1, 2), "vanishing equivalence fails at a prime power"),
+            # 0 . 3 = 1 and 0 . 1 = 0 expand (0 o 0) . 3 = 1 to 2.1 + 0 = 2
+            (4, {(0, 3): 1}, (0, 3, 2), "dotted binomial expansion fails"),
+            # the sixth circle power of 1 is 0, so 0 . 3 = 3 should expand
+            # from the zero row of 1; m = 6 is no prime power, so the zero
+            # on one side only is an inequality, not a vanishing failure
+            (6, {(0, 3): 3}, (1, 3, 6), "dotted binomial expansion fails"),
+        ],
+    )
+    def test_expansion_notes(self, order, entries, witness, note):
+        brace = with_dot_entries(LeftBrace.trivial(make_group((order,))), entries)
+        for checker in (check_power_identities, oracle_power_identities):
+            report = checker(brace)
+            assert report.verdict == FAIL
+            assert report.witness == witness
+            assert report.notes == (note,)
+
+    def test_square_kill_note(self):
+        # 1 has circle order 2 and 2 has additive order 3.  Setting
+        # 1 . 2 = 3 (order 2) and 1 . 5 = 0 keeps every binomial expansion
+        # true, but 1 . (1 . 2) = 1 . 3 = 0 while 1 . 2 != 0.
+        genuine = s3_brace()
+        assert genuine.dot_table[1] == (0, 4, 2, 0, 4, 2)
+        assert check_power_identities(genuine).verdict == PASS
+        brace = with_dot_entries(
+            LeftBrace(genuine.additive, genuine.circle_table), {(1, 2): 3, (1, 5): 0}
+        )
+        for checker in (check_power_identities, oracle_power_identities):
+            report = checker(brace)
+            assert report.verdict == FAIL
+            assert report.witness == (1, 2)
+            assert report.notes == ("square kill without product kill across primes",)
+
+
+class TestPowerIdentityOracle:
+    @pytest.mark.parametrize("order", range(1, 13))
+    def test_reports_equal_literal_sums(self, census, order):
+        for idx, entry in enumerate(census(order).entries):
+            subject = f"{order}:{idx}"
+            assert check_power_identities(entry.brace, subject) == (
+                oracle_power_identities(entry.brace, subject)
+            )
+
+    def test_non_cyclic_circle_group(self):
+        brace = s3_brace()
+        assert check_power_identities(brace) == oracle_power_identities(brace)
+
+
 class TestRunners:
     def test_run_brace_checks_covers_all(self, b4):
         reports = run_brace_checks(b4, subject="fixture")
@@ -196,3 +276,23 @@ class TestRunners:
         ordered = [(r.subject, r.check) for r in reports]
         assert ordered == sorted(ordered)
         assert not any(r.failed for r in reports)
+
+    def test_verify_45_verdicts_are_pinned(self):
+        # the verdicts, witnesses and notes of the whole suite over the
+        # censuses of orders 1..15, 18, 20 and 45; a faster checker must
+        # reproduce them exactly
+        orders = list(range(1, 16)) + [18, 20, 45]
+        reports = run_census_checks(orders, max_order=45)
+        counts = tuple(
+            sum(r.verdict == v for r in reports)
+            for v in (PASS, FAIL, HYPOTHESIS_NOT_MET)
+        )
+        assert len(reports) == 574
+        assert counts == (403, 0, 171)
+        lines = sorted(
+            repr((r.subject, r.check, r.verdict, r.witness, r.notes)) for r in reports
+        )
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "79a8941545f6d69e0ce5d0c76be8a580492ac02415809b644e1a6db5da38908c"
+        )

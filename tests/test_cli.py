@@ -20,7 +20,7 @@ from bracelab import (
     serialize_solution_document,
     SolutionDocument,
 )
-from bracelab import cli
+from bracelab import cli, documents
 from bracelab.cli import main
 from bracelab.census import enumerate_braces
 from bracelab.errors import InternalCheckError
@@ -303,6 +303,67 @@ class TestProductCommands:
         t2 = brace_file(tmp_path, LeftBrace.trivial(make_group((2,))), "t2.json")
         assert main(["product", "wreath", t2, t2]) == 3
         assert capsys.readouterr().err.startswith("resource limit:")
+
+
+class TestInputBound:
+    """BRACELAB_MAX_ORDER, when set, refuses larger input files unvalidated."""
+
+    @pytest.fixture
+    def files(self, tmp_path, census):
+        brace = census(8).entries[5].brace
+        solution = tmp_path / "s8.json"
+        solution.write_text(
+            serialize_solution_document(SolutionDocument.from_solution(from_brace(brace)))
+        )
+        return brace_file(tmp_path, brace, "b8.json"), str(solution)
+
+    @pytest.fixture
+    def no_validation(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("validated a file above the bound")
+
+        monkeypatch.setattr(documents, "validate_brace", never)
+        monkeypatch.setattr(documents, "validate_solution", never)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{b}"],
+            ["analyze", "{b}"],
+            ["analyze", "--json", "{b}"],
+            ["solution", "from-brace", "{b}"],
+            ["solution", "check", "{s}"],
+            ["solution", "retract", "{s}"],
+            ["solution", "retract", "--tower", "{s}"],
+            ["product", "semidirect", "{b}", "{b}"],
+            ["product", "wreath", "{b}", "{b}"],
+        ],
+    )
+    def test_file_above_bound_exits_3(
+        self, files, no_validation, monkeypatch, capsys, argv
+    ):
+        monkeypatch.setenv("BRACELAB_MAX_ORDER", "4")
+        b, s = files
+        assert main([arg.format(b=b, s=s) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resource limit:")
+        assert "8 above configured bound 4" in captured.err
+        assert captured.out == ""
+
+    def test_unset_bound_admits_the_same_files(self, files, monkeypatch, capsys):
+        monkeypatch.delenv("BRACELAB_MAX_ORDER", raising=False)
+        b, s = files
+        assert main(["validate", b]) == 0
+        assert main(["solution", "check", s]) == 0
+        out = capsys.readouterr().out
+        assert "valid brace of order 8" in out
+        assert "valid involutive solution of size 8" in out
+
+    def test_file_at_bound_is_admitted(self, files, monkeypatch, capsys):
+        monkeypatch.setenv("BRACELAB_MAX_ORDER", "8")
+        b, s = files
+        assert main(["validate", b]) == 0
+        assert main(["solution", "retract", "--tower", s]) == 0
 
 
 class TestVerify:

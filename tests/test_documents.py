@@ -22,8 +22,13 @@ from bracelab import (
     serialize_solution_document,
     wreath,
 )
+from bracelab import documents
 from bracelab.brace import LeftBrace
-from bracelab.errors import BraceValidationError, SolutionValidationError
+from bracelab.errors import (
+    BraceValidationError,
+    ResourceLimitError,
+    SolutionValidationError,
+)
 
 
 def doc_of(brace, operation="circle_table"):
@@ -178,11 +183,19 @@ class TestBraceParseErrors:
         with pytest.raises(BraceValidationError):
             doc.to_brace()
 
-    def test_to_brace_ignores_undersized_bound(self, census):
-        # the document's own order always wins over a smaller cap, so a
-        # parsed file never trips the resource guard against itself
+    def test_to_brace_refuses_undersized_bound(self, census, monkeypatch):
+        # the bound binds, and it is applied before any validation work
         doc = doc_of(census(8).entries[0].brace)
-        assert doc.to_brace(max_order=2).order == 8
+
+        def never(*args, **kwargs):
+            raise AssertionError("validated a document above the bound")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(documents, "validate_brace", never)
+            with pytest.raises(ResourceLimitError, match="8 above configured bound 4"):
+                doc.to_brace(max_order=4)
+        assert doc.to_brace(max_order=8).order == 8
+        assert doc.to_brace().order == 8
 
 
 class TestSolutionDocuments:
@@ -219,6 +232,18 @@ class TestSolutionDocuments:
         doc = parse_solution_document(text)
         with pytest.raises(SolutionValidationError):
             doc.to_solution()
+
+    def test_to_solution_refuses_undersized_bound(self, b4, monkeypatch):
+        doc = SolutionDocument.from_solution(from_brace(b4))
+
+        def never(*args, **kwargs):
+            raise AssertionError("validated a document above the bound")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(documents, "validate_solution", never)
+            with pytest.raises(ResourceLimitError, match="4 above configured bound 3"):
+                doc.to_solution(max_size=3)
+        assert doc.to_solution(max_size=4).size == 4
 
 
 class TestActionDocuments:

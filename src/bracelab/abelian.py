@@ -320,22 +320,14 @@ def additive_closure(add_rows, seed) -> frozenset[int]:
     return frozenset(members)
 
 
-def _cyclic_closure(add_rows, x: int) -> frozenset[int]:
-    members = {0}
+def multiples_of(add_rows, x: int) -> list[int]:
+    """0, x, 2x, ... up to the additive order of x, exclusive."""
+    out = [0]
     acc = x
     while acc != 0:
-        members.add(acc)
+        out.append(acc)
         acc = add_rows[acc][x]
-    return frozenset(members)
-
-
-def _element_order(add_rows, x: int) -> int:
-    k = 1
-    acc = x
-    while acc != 0:
-        acc = add_rows[acc][x]
-        k += 1
-    return k
+    return out
 
 
 def _p_group_basis(add_rows, component: list[int]) -> list[int]:
@@ -347,10 +339,10 @@ def _p_group_basis(add_rows, component: list[int]) -> list[int]:
     """
     if len(component) == 1:
         return []
-    orders = {x: _element_order(add_rows, x) for x in component}
+    orders = {x: len(multiples_of(add_rows, x)) for x in component}
     best = max(orders.values())
     x = min(e for e in component if orders[e] == best)
-    gen = _cyclic_closure(add_rows, x)
+    gen = frozenset(multiples_of(add_rows, x))
     comp: frozenset[int] = frozenset((0,))
     for y in sorted(component):
         if y in comp:
@@ -397,7 +389,7 @@ def abelian_structure(order: int, add) -> tuple[tuple[int, ...], list[int]]:
                 f"torsion component for prime {p} has size {len(component)}, expected {pa}"
             )
         basis = _p_group_basis(rows, component)
-        per_prime[p] = [(b, _element_order(rows, b)) for b in basis]
+        per_prime[p] = [(b, len(multiples_of(rows, b))) for b in basis]
 
     width = max(len(v) for v in per_prime.values())
     # slot j of the canonical chain, counted from the largest factor

@@ -192,12 +192,8 @@ class LeftBrace:
             for y in coset:
                 coset_rep[y] = rep
         reps = sorted(set(coset_rep.values()))
-        local = {rep: i for i, rep in enumerate(reps)}
-        m = len(reps)
-
-        circ = [[0] * m for _ in range(m)]
-        for i, x in enumerate(reps):
-            for j, y in enumerate(reps):
+        for x in reps:
+            for y in reps:
                 value = coset_rep[self.circle_table[x][y]]
                 for s in soc:
                     for t in soc:
@@ -206,18 +202,8 @@ class LeftBrace:
                                 "induced circle table depends on coset representatives"
                                 f" at ({x}, {y})"
                             )
-                circ[i][j] = local[value]
-
-        def local_add(i: int, j: int) -> int:
-            return local[coset_rep[add[reps[i]][reps[j]]]]
-
-        factors, relabel = abelian_structure(m, local_add)
-        group = make_group(factors)
-        table = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(m):
-                table[relabel[i]][relabel[j]] = relabel[circ[i][j]]
-        return validate_brace(group, table, max_order=max(m, 1))
+        local = {rep: i for i, rep in enumerate(reps)}
+        return self._induced(reps, [local[coset_rep[x]] for x in range(n)])[0]
 
     def radical_chain_index(self) -> int | None:
         """Smallest n with the n-th right-multiplication span chain zero.
@@ -290,25 +276,14 @@ class LeftBrace:
                     f"torsion component for prime {p} has wrong size {len(members)}"
                 )
             local = {x: i for i, x in enumerate(members)}
-            size = len(members)
             for x in members:
                 for y in members:
                     if self.circle_table[x][y] not in local:
                         raise InternalCheckError(
                             f"prime component not circle-closed at ({x}, {y})"
                         )
-
-            def local_add(i: int, j: int, _members=members, _local=local) -> int:
-                return _local[self.additive.add(_members[i], _members[j])]
-
-            factors, relabel = abelian_structure(size, local_add)
-            group = make_group(factors)
-            table = [[0] * size for _ in range(size)]
-            for i, x in enumerate(members):
-                for j, y in enumerate(members):
-                    table[relabel[i]][relabel[j]] = relabel[local[self.circle_table[x][y]]]
-            brace = validate_brace(group, table, max_order=max(size, 1))
-            to_parent = [0] * size
+            brace, relabel = self._induced(members, local)
+            to_parent = [0] * pa
             for i, x in enumerate(members):
                 to_parent[relabel[i]] = x
             out.append(
@@ -320,7 +295,7 @@ class LeftBrace:
                     to_parent=tuple(to_parent),
                 )
             )
-            covered *= size
+            covered *= pa
         if covered != n:
             raise InternalCheckError("prime components do not cover the brace")
         return tuple(out)
@@ -335,13 +310,29 @@ class LeftBrace:
         factors = self.additive.factors
         if all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)):
             return self
-        n = self.order
-        new_factors, relabel = abelian_structure(n, self.additive.add)
-        table = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                table[relabel[a]][relabel[b]] = relabel[self.circle_table[a][b]]
-        return validate_brace(make_group(new_factors), table, max_order=n)
+        return self._induced(range(self.order), range(self.order))[0]
+
+    def _induced(self, reps, cls) -> tuple["LeftBrace", list[int]]:
+        """The brace that self induces on reps, moved onto canonical coordinates.
+
+        reps lists parent elements, and cls sends each sum and circle product
+        of two of them to a position in reps (its coset's, or its own).
+        Returns the validated brace and the relabeling from positions in
+        reps to its element indices.
+        """
+        m = len(reps)
+        add = self.additive.add_rows()
+        factors, relabel = abelian_structure(
+            m, lambda i, j: cls[add[reps[i]][reps[j]]]
+        )
+        table = [[0] * m for _ in range(m)]
+        for i, x in enumerate(reps):
+            row = table[relabel[i]]
+            circle_row = self.circle_table[x]
+            for j, y in enumerate(reps):
+                row[relabel[j]] = relabel[cls[circle_row[y]]]
+        brace = validate_brace(make_group(factors), table, max_order=max(m, 1))
+        return brace, relabel
 
     def classify(self) -> "BraceTraits":
         return self._classify

@@ -20,7 +20,6 @@ from .abelian import (
     FiniteAbelianGroup,
     Perm,
     abelian_group_types,
-    abelian_structure,
     automorphism_group,
     invert_perm,
     make_group,
@@ -223,18 +222,13 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
             f"order {n} above {MAX_TABLE_ORDER}, the largest order"
             " whose tables fit in bytes"
         )
-    canon = []
-    for brace in (first, second):
-        factors, to_canonical = abelian_structure(n, brace.additive.add)
-        flat = bytes(v for row in brace.circle_table for v in row)
-        canon.append((factors, _relabeler(to_canonical, n)(flat)))
-    (f1, t1), (f2, t2) = canon
-    if f1 != f2:
+    first, second = first.canonical_form(), second.canonical_form()
+    if first.additive != second.additive:
         return False
     if first.adjoint_order_profile() != second.adjoint_order_profile():
         return False
+    t1, t2 = (b"".join(map(bytes, b.circle_table)) for b in (first, second))
     if t1 == t2:
         return True
-    group = make_group(f1)
-    auts = sorted(automorphism_group(group, max_order=max(n, 1)).elements)
+    auts = sorted(automorphism_group(first.additive, max_order=max(n, 1)).elements)
     return any(_relabeler(g, n)(t1) == t2 for g in auts)

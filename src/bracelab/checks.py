@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .abelian import multiples_of
 from .brace import LeftBrace
 from .census import enumerate_braces
 from .errors import InternalCheckError
@@ -72,17 +73,14 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
                 continue
             q, m = right.prime, right.exponent
             k = 0
-            divides_some = False
             for t in range(1, m + 1):
                 v = q**t - 1
-                if v % p == 0:
-                    divides_some = True
                 s = 0
                 while v % p == 0:
                     v //= p
                     s += 1
                 k = max(k, s)
-            if not divides_some:
+            if k == 0:
                 for a in left.members:
                     for b in right.members:
                         if dot[a][b] != 0:
@@ -135,25 +133,23 @@ def check_cubefree_socle(brace: LeftBrace, subject: str = "") -> CheckReport:
     return _report(name, subject, PASS)
 
 
+def _divides_residue(p: int, q: int, m: int) -> bool:
+    """Whether p divides q^t - 1 for some 1 <= t <= m."""
+    return any((q**t - 1) % p == 0 for t in range(1, m + 1))
+
+
 def _socle_lift_hypothesis(brace: LeftBrace, components) -> list[int]:
     """Indices of components whose socle lifts: nonzero component socle and
     the component prime divides no p_j^i - 1 over all component primes."""
-    out = []
-    for idx, comp in enumerate(components):
-        p = comp.prime
-        if comp.brace.socle().is_zero():
-            continue
-        clean = True
-        for other in components:
-            for i in range(1, other.exponent + 1):
-                if (other.prime**i - 1) % p == 0:
-                    clean = False
-                    break
-            if not clean:
-                break
-        if clean:
-            out.append(idx)
-    return out
+    return [
+        idx
+        for idx, comp in enumerate(components)
+        if not comp.brace.socle().is_zero()
+        and not any(
+            _divides_residue(comp.prime, other.prime, other.exponent)
+            for other in components
+        )
+    ]
 
 
 def _ordering_hypothesis(components) -> bool:
@@ -163,17 +159,11 @@ def _ordering_hypothesis(components) -> bool:
     remaining = list(components)
     while remaining:
         for idx, comp in enumerate(remaining):
-            ok = True
-            for other in remaining:
-                if other is comp:
-                    continue
-                for t in range(1, other.exponent + 1):
-                    if (other.prime**t - 1) % comp.prime == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if not any(
+                _divides_residue(comp.prime, other.prime, other.exponent)
+                for other in remaining
+                if other is not comp
+            ):
                 remaining.pop(idx)
                 break
         else:
@@ -294,20 +284,6 @@ def check_odd_minus_rule(brace: LeftBrace, subject: str = "") -> CheckReport:
     return _report(name, subject, PASS)
 
 
-def _multiples(group) -> list[list[int]]:
-    """Row x lists 0, x, 2x, ... up to the additive order of x, exclusive."""
-    add = group.add_rows()
-    out = []
-    for x in range(group.order):
-        row = [0]
-        acc = x
-        while acc != 0:
-            row.append(acc)
-            acc = add[acc][x]
-        out.append(row)
-    return out
-
-
 def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     """The binomial expansions of circle powers, their vanishing equivalence
     at prime powers, and the coprime square-kill implication.
@@ -322,7 +298,7 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     n = brace.order
     add = brace.additive.add_rows()
     dot = brace.dot_table
-    multiples = _multiples(brace.additive)
+    multiples = [multiples_of(add, x) for x in range(n)]
     binomials = [[math.comb(m, i) for i in range(m + 1)] for m in range(n + 1)]
     prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
 

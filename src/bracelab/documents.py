@@ -91,6 +91,10 @@ def _load(text: str) -> dict:
         raise DocumentError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise DocumentError("not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise DocumentError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentError("top level must be an object")
     return payload

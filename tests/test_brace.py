@@ -1,6 +1,7 @@
 """Core brace structure: laws, invariants, towers, Sylow pieces, traits."""
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -10,15 +11,17 @@ from hypothesis import strategies as st
 
 from bracelab.abelian import make_group
 from bracelab.brace import LeftBrace, e_combination, sylow_decompose, validate_brace
-from bracelab.census import are_isomorphic
+from bracelab.census import are_isomorphic, enumerate_braces
 from bracelab.errors import (
     CircleAssociativityError,
     CircleIdentityError,
     CircleInverseError,
     CompatibilityError,
+    InternalCheckError,
     InvalidPresentationError,
     ResourceLimitError,
 )
+from bracelab.products import semidirect, wreath
 from conftest import cyclic_brace
 
 
@@ -303,3 +306,72 @@ def test_binomial_transfer_property(params, data):
     combo = e_combination(brace, a, b, coeffs)
     expect = brace.additive.add(brace.dot(brace.circle_power(a, m), b), b)
     assert combo == expect
+
+
+def derived_brace_lines(brace):
+    """Canonical form, retraction tower and Sylow components of one brace."""
+
+    def key(b):
+        return b.additive.factors, b.circle_table
+
+    lines = [("canonical", *key(brace.canonical_form()))]
+    stage = brace
+    while stage.order > 1:
+        quotient = stage.retract_quotient()
+        lines.append(("quotient", *key(quotient)))
+        if quotient.order == stage.order:
+            break
+        stage = quotient
+    for comp in brace.sylow_components():
+        lines.append(
+            ("sylow", comp.prime, comp.exponent, comp.members, comp.to_parent,
+             *key(comp.brace))
+        )
+    return [repr(line) for line in lines]
+
+
+def test_derived_braces_are_pinned(census):
+    # every census class of orders 1..15, 18, 20 and 45, then products whose
+    # additive factors mostly do not form a chain (a nontrivial action in
+    # the wreath products); on the last four, types (4, 6), (2, 4, 2) and
+    # (8, 2), a Sylow component is relabeled, so to_parent is not members.
+    # The digest was taken before the derived braces shared one constructor
+    subjects = []
+    for order in list(range(1, 16)) + [18, 20, 45]:
+        subjects.extend(enumerate_braces(order, max_order=45).classes)
+    two, three, four, six, eight = (census(o).classes for o in (2, 3, 4, 6, 8))
+    subjects.extend(semidirect(three[0], top) for top in four)
+    subjects.append(wreath(three[0], two[0]))
+    subjects.extend(
+        semidirect(six[i], eight[j]) for i, j in ((0, 5), (1, 7), (1, 16))
+    )
+    subjects.extend(semidirect(eight[i], eight[j]) for i, j in ((3, 11), (20, 26)))
+    subjects.extend(wreath(two[0], four[k]) for k in (1, 3))
+    subjects.extend(semidirect(four[k], six[i]) for k, i in ((2, 0), (3, 1)))
+    subjects.extend(semidirect(eight[k], two[0]) for k in (12, 24))
+    assert len(subjects) == 82 + 16
+    lines = [line for brace in subjects for line in derived_brace_lines(brace)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "666ddb331d8b0a6fa06eae610967a745dd209a65e7521a1642010a87d7dbcc64"
+    )
+
+
+class TestDerivedBraceDrills:
+    def test_sylow_component_not_circle_closed(self):
+        # Z/6 addition conjugated by the swap of 1 and 3, unvalidated: the
+        # 2-torsion {0, 3} is not closed under it
+        swap = [0, 3, 2, 1, 4, 5]
+        table = tuple(
+            tuple(swap[(swap[a] + swap[b]) % 6] for b in range(6)) for a in range(6)
+        )
+        brace = LeftBrace(make_group((6,)), table)
+        with pytest.raises(InternalCheckError, match=r"not circle-closed at \(3, 3\)"):
+            brace.sylow_components()
+
+    def test_quotient_depends_on_representatives(self, census):
+        entry = census(4).entries[1].brace
+        brace = LeftBrace(entry.additive, entry.circle_table)
+        brace.__dict__["_socle"] = frozenset({0, 2})
+        with pytest.raises(InternalCheckError, match="depends on coset representatives"):
+            brace.retract_quotient()

@@ -1,12 +1,14 @@
 """End-to-end command tests driven through main(argv).
 
-Everything runs in-process against tmp_path files; one subprocess smoke
-test at the end checks that module execution propagates exit codes.
+Everything runs in-process against tmp_path files; the subprocess tests
+at the end check that module execution propagates exit codes.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,16 @@ from bracelab.cli import main
 from bracelab.census import enumerate_braces
 from bracelab.errors import InternalCheckError
 from bracelab.solutions import from_brace
+
+
+def run_module(*args):
+    """python -m bracelab.cli in a child that imports this same package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "bracelab.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def brace_file(tmp_path, brace, name):
@@ -399,9 +411,19 @@ class TestParserBehavior:
         assert "bracelab" in capsys.readouterr().out
 
     def test_subprocess_exit_code(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "bracelab.cli", "enumerate", "--order", "36"],
-            capture_output=True, text=True,
-        )
+        proc = run_module("enumerate", "--order", "36")
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource limit:")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 200000 + "]" * 200000, '{"order": ' + "9" * 5000 + "}"],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_hostile_json_exits_2_without_traceback(self, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        proc = run_module("validate", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: not valid JSON")
+        assert "Traceback" not in proc.stderr

@@ -126,6 +126,22 @@ class TestBraceParseErrors:
         with pytest.raises(DocumentError, match=r"line 2, column"):
             parse_brace_document('{\n  "type": "brace",,\n}')
 
+    @pytest.mark.parametrize(
+        "parse",
+        [parse_brace_document, parse_solution_document, parse_action_document],
+    )
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 200000 + "]" * 200000, "nested too deeply"),
+            ('{"order": ' + "9" * 5000 + "}", "digits"),
+        ],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_hostile_json_is_a_document_error(self, parse, text, message):
+        with pytest.raises(DocumentError, match=message):
+            parse(text)
+
     def test_top_level_must_be_object(self):
         with pytest.raises(DocumentError, match="top level"):
             parse_brace_document("[1, 2]")

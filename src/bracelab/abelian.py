@@ -26,6 +26,11 @@ Perm = tuple[int, ...]
 
 DEFAULT_GROUP_BOUND = 64
 
+# Tables of at most this order hold their elements as byte values, so a
+# permutation is a bytes row and p after q is q.translate(p + padding).  The
+# census search and the law checks of brace and solutions work on such rows.
+MAX_TABLE_ORDER = 256
+
 # Full add tables and digit caches are only built for groups small enough to
 # matter here; anything past this is a misuse of the package.
 _TABLE_LIMIT = 4096
@@ -139,6 +144,10 @@ class FiniteAbelianGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def generators(self) -> tuple[int, ...]:
+        """The canonical generators: digit 1 in one slot and 0 elsewhere."""
+        return self._strides
+
     def add_rows(self) -> tuple[tuple[int, ...], ...]:
         """The full addition table, row a giving a + b for each b.  Cached."""
         if self._rows is None:
@@ -224,25 +233,34 @@ def _generated_subgroup(degree: int, seed) -> frozenset[Perm]:
 
 
 def is_nilpotent_group(group: PermutationGroup) -> bool:
-    """Lower central series test: nilpotent iff the series reaches {id}."""
-    elems = group.elements
-    ident = identity_perm(group.degree)
-    inverses = {p: invert_perm(p) for p in elems}
-    current = elems
-    while True:
-        commutators = set()
-        for a in current:
-            a_inv = inverses[a]
-            for b in elems:
-                c = compose_perms(
-                    compose_perms(a, b), compose_perms(a_inv, inverses[b])
-                )
-                if c != ident:
-                    commutators.add(c)
-        nxt = _generated_subgroup(group.degree, commutators)
-        if nxt == current:
-            return current == frozenset((ident,))
-        current = nxt
+    """Nilpotent iff, for each prime p, the p-elements number |G|_p.
+
+    The elements of p-power order fill exactly |G|_p places when the Sylow
+    p-subgroup is normal, and more when there are several; a finite group
+    is nilpotent iff every Sylow subgroup is normal.
+    """
+    orders = [_perm_order(p) for p in group.elements]
+    for p, a in prime_factorization(group.order).items():
+        pa = p**a
+        if sum(1 for k in orders if pa % k == 0) != pa:
+            return False
+    return True
+
+
+def _perm_order(p: Perm) -> int:
+    """The lcm of the cycle lengths of p."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
 
 
 _AUT_CACHE: dict[tuple[int, ...], tuple[Perm, ...]] = {}

@@ -9,11 +9,12 @@ with an order x order circle table.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product as iter_product
 
 from .abelian import (
+    MAX_TABLE_ORDER,
     FiniteAbelianGroup,
     Perm,
     PermutationGroup,
@@ -344,18 +345,14 @@ class LeftBrace:
         neg = [self.additive.neg(a) for a in range(n)]
         dot = self.dot_table
 
-        two_sided = True
-        for a in range(n):
-            for b in range(n):
-                ab = add[a][b]
-                for c in range(n):
-                    if dot[ab][c] != add[dot[a][c]][dot[b][c]]:
-                        two_sided = False
-                        break
-                if not two_sided:
-                    break
-            if not two_sided:
-                break
+        # the b with (a + b) . c = a . c + b . c for all a and c form a
+        # subgroup, so the canonical additive generators decide two-sidedness
+        gens = self.additive.generators()
+        two_sided = all(
+            dot[add[a][g]] == tuple(add[u][v] for u, v in zip(dot[a], dot[g]))
+            for g in gens
+            for a in range(n)
+        )
 
         minus_rule = all(
             dot[neg[a]][b] == neg[dot[a][b]] for a in range(n) for b in range(n)
@@ -381,15 +378,15 @@ class LeftBrace:
 
         ring_nilpotent: bool | None = None
         if two_sided:
-            for a in range(n):
-                for b in range(n):
-                    ab = dot[a][b]
-                    for c in range(n):
-                        if dot[ab][c] != dot[a][dot[b][c]]:
-                            raise InternalCheckError(
-                                "two-sided brace with non-associative dot product"
-                                f" at ({a}, {b}, {c})"
-                            )
+            # the dot product is biadditive now, so both sides of
+            # (a . b) . c = a . (b . c) are additive in each argument
+            for a, b, c in iter_product(gens, repeat=3):
+                if dot[dot[a][b]][c] != dot[a][dot[b][c]]:
+                    _scan_dot_associativity(dot)
+                    raise InternalCheckError(
+                        "dot product fails associativity on the generators"
+                        f" ({a}, {b}, {c}), but every triple passes"
+                    )
             ring_nilpotent = self.radical_chain_index() is not None
 
         return BraceTraits(
@@ -399,6 +396,19 @@ class LeftBrace:
             minus_rule=minus_rule,
             ring_nilpotent=ring_nilpotent,
         )
+
+
+def _scan_dot_associativity(dot) -> None:
+    n = len(dot)
+    for a in range(n):
+        for b in range(n):
+            ab = dot[a][b]
+            for c in range(n):
+                if dot[ab][c] != dot[a][dot[b][c]]:
+                    raise InternalCheckError(
+                        "two-sided brace with non-associative dot product"
+                        f" at ({a}, {b}, {c})"
+                    )
 
 
 @dataclass(frozen=True)
@@ -445,10 +455,13 @@ class BraceTraits:
 def validate_brace(
     group: FiniteAbelianGroup, circle_table, max_order: int = DEFAULT_BRACE_BOUND
 ) -> LeftBrace:
-    """Check the brace laws on every triple and return the validated brace.
+    """Check the brace laws exactly and return the validated brace.
 
     Raises CircleIdentityError, CircleInverseError, CircleAssociativityError
-    or CompatibilityError with the first offending tuple as witness.
+    or CompatibilityError with the first offending tuple as witness.  Up to
+    order MAX_TABLE_ORDER the two laws on triples are decided by composing
+    byte rows; only a table they reject, or a larger one, is scanned triple
+    by triple, and that scan names the witness.
     """
     n = group.order
     if n > max_order:
@@ -486,6 +499,84 @@ def validate_brace(
                 f"element {a} has no circle inverse", witness=(a,)
             )
 
+    if n > MAX_TABLE_ORDER:
+        _scan_brace_laws(group, table)
+    else:
+        failure = _brace_row_failure(group, table)
+        if failure is not None:
+            _scan_brace_laws(group, table)
+            raise InternalCheckError(
+                f"row check fails {failure}, but every triple passes"
+            )
+    return LeftBrace(group, table)
+
+
+def _brace_row_failure(group: FiniteAbelianGroup, table) -> str | None:
+    """Where the circle table fails associativity or compatibility, or None.
+
+    Both laws are checked exactly by composing byte rows, for a table with
+    the two-sided identity 0.  Associativity follows Light's test: the g
+    with (x o g) o y = x o (g o y) for all x and y form a submagma, so
+    generators of A as a magma suffice, and for each of them the law is
+    rows[x o g] == rows[g] composed with rows[x].  Compatibility says that
+    lambda_a(b) = -a + a o b is additive; the b with
+    lambda_a(b + c) = lambda_a(b) + lambda_a(c) for all c form a subgroup,
+    so the canonical additive generators suffice.
+    """
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    rows = [bytes(row) for row in table]
+    lookups = [row + pad for row in rows]
+    for g in _magma_generators(table):
+        gen_row = rows[g]
+        for x, row_x in enumerate(table):
+            if rows[row_x[g]] != gen_row.translate(lookups[x]):
+                return f"associativity at generator {g} with {x} on the left"
+    add = group.add_rows()
+    add_lookups = [bytes(row) + pad for row in add]
+    shifts = [(g, bytes(add[g])) for g in group.generators()]
+    for a, row_a in enumerate(rows):
+        lam = row_a.translate(add_lookups[add[a].index(0)])
+        lam_lookup = lam + pad
+        for g, shift in shifts:
+            if shift.translate(lam_lookup) != lam.translate(add_lookups[lam[g]]):
+                return f"compatibility at {a} with additive generator {g}"
+    return None
+
+
+def _magma_generators(table) -> list[int]:
+    """A greedy generating set of the table's magma, 0 left out.
+
+    The closure takes every product of two members in both orders, so it
+    assumes neither associativity nor inverses.
+    """
+    n = len(table)
+    covered = [False] * n
+    covered[0] = True
+    members = [0]
+    gens = []
+    for t in range(1, n):
+        if covered[t]:
+            continue
+        gens.append(t)
+        covered[t] = True
+        members.append(t)
+        i = len(members) - 1
+        while i < len(members):
+            z = members[i]
+            row_z = table[z]
+            for c in members[: i + 1]:
+                for v in (row_z[c], table[c][z]):
+                    if not covered[v]:
+                        covered[v] = True
+                        members.append(v)
+            i += 1
+    return gens
+
+
+def _scan_brace_laws(group: FiniteAbelianGroup, table) -> None:
+    """Associativity, then compatibility, triple by triple: the witnesses."""
+    n = group.order
     for a in range(n):
         row_a = table[a]
         for b in range(n):
@@ -512,18 +603,7 @@ def validate_brace(
                         witness=(a, b, c),
                     )
 
-    return LeftBrace(group, table)
-
 
 def sylow_decompose(brace: LeftBrace) -> list[LeftBrace]:
     return [component.brace for component in brace.sylow_components()]
 
-
-def e_combination(brace: LeftBrace, a: int, b: int, coeffs) -> int:
-    """sum_i coeffs[i] . e_i(a, b), with integer coefficients of any size."""
-    coeffs = list(coeffs)
-    seq = brace.e_sequence(a, b, max(len(coeffs) - 1, 0))
-    acc = 0
-    for c, e in zip(coeffs, seq):
-        acc = brace.additive.add(acc, brace.additive.scale(c, e))
-    return acc

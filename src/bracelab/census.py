@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .abelian import (
+    MAX_TABLE_ORDER,
     FiniteAbelianGroup,
     Perm,
     abelian_group_types,
@@ -29,9 +30,6 @@ from .errors import InternalCheckError, ResourceLimitError
 
 DEFAULT_ORDER_BOUND = 16
 SLOW_ORDERS = frozenset((36, 45))
-# census tables hold elements as byte values, and translate tables have
-# 256 entries, so no order above this can be searched
-MAX_TABLE_ORDER = 256
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,43 @@
-"""The power-identity check as bracelab first ran it, kept as a reference.
+"""Literal versions of bracelab's checks, kept as references.
 
-Every binomial sum is written out literally: each term pays a
-decode/encode ``scale`` and each (a, b) pair rebuilds its e-sequence, so
-one brace costs O(n^4).  It is slow but simple enough to trust, so
-``checks.check_power_identities`` must return an equal report on every
-brace it is compared on.
+Each is slow but simple enough to trust, and the faster route in the
+package must answer as it does on every input it is compared on:
+
+- the power-identity check writes every binomial sum out literally: each
+  term pays a decode/encode ``scale`` and each (a, b) pair rebuilds its
+  e-sequence, so one brace costs O(n^4);
+- the brace and solution validators check every law on every triple and
+  raise the same exception class, message and witness as the package;
+- adjoint nilpotency is decided by the lower central series, and
+  two-sidedness on every triple.
+
+``e_combination`` is a helper of the brace tests; the package never
+needed it.
 """
 
 import math
 
+from bracelab.abelian import (
+    _generated_subgroup,
+    compose_perms,
+    identity_perm,
+    invert_perm,
+    is_permutation,
+)
+from bracelab.brace import LeftBrace
 from bracelab.checks import FAIL, PASS, _prime_power, _report
+from bracelab.errors import (
+    BraidRelationError,
+    CircleAssociativityError,
+    CircleIdentityError,
+    CircleInverseError,
+    CompatibilityError,
+    InvalidPresentationError,
+    InvolutivityError,
+    NonDegeneracyError,
+    ResourceLimitError,
+)
+from bracelab.solutions import SetTheoreticSolution
 
 
 def oracle_power_identities(brace, subject: str = ""):
@@ -71,3 +99,158 @@ def oracle_power_identities(brace, subject: str = ""):
                     notes=("square kill without product kill across primes",),
                 )
     return _report(name, subject, PASS)
+
+
+def oracle_validate_brace(group, circle_table, max_order: int = 64):
+    """validate_brace with both laws scanned on every triple."""
+    n = group.order
+    if n > max_order:
+        raise ResourceLimitError(
+            f"brace order {n} above configured bound {max_order}"
+        )
+    table = tuple(tuple(row) for row in circle_table)
+    if len(table) != n or any(len(row) != n for row in table):
+        raise InvalidPresentationError(
+            f"circle table must be {n}x{n}"
+        )
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                raise InvalidPresentationError(
+                    f"circle table entry [{a}][{b}] = {v!r} out of range"
+                )
+
+    for b in range(n):
+        if table[0][b] != b:
+            raise CircleIdentityError(
+                f"0 o {b} = {table[0][b]}, but 0 must be a left identity",
+                witness=(0, b),
+            )
+    for a in range(n):
+        if table[a][0] != a:
+            raise CircleIdentityError(
+                f"{a} o 0 = {table[a][0]}, but 0 must be a right identity",
+                witness=(a, 0),
+            )
+
+    for a in range(n):
+        if 0 not in table[a]:
+            raise CircleInverseError(
+                f"element {a} has no circle inverse", witness=(a,)
+            )
+
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    raise CircleAssociativityError(
+                        f"({a} o {b}) o {c} != {a} o ({b} o {c})",
+                        witness=(a, b, c),
+                    )
+
+    add = group.add_rows()
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if add[table[a][add[b][c]]][a] != add[table[a][b]][table[a][c]]:
+                    raise CompatibilityError(
+                        f"a o (b + c) + a != a o b + a o c at ({a}, {b}, {c})",
+                        witness=(a, b, c),
+                    )
+
+    return LeftBrace(group, table)
+
+
+def oracle_validate_solution(size: int, sigma, tau):
+    """validate_solution with the braid relation checked on every triple."""
+    sigma = tuple(tuple(row) for row in sigma)
+    tau = tuple(tuple(row) for row in tau)
+    if len(sigma) != size or len(tau) != size:
+        raise InvalidPresentationError(f"tables must have {size} rows")
+    for name, rows in (("sigma", sigma), ("tau", tau)):
+        for x, row in enumerate(rows):
+            if len(row) != size:
+                raise InvalidPresentationError(
+                    f"{name} row {x} must have {size} entries"
+                )
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < size:
+                    raise InvalidPresentationError(
+                        f"{name} row {x} has out-of-range entry {v!r}"
+                    )
+
+    for name, rows in (("sigma", sigma), ("tau", tau)):
+        for x, row in enumerate(rows):
+            if not is_permutation(row, size):
+                raise NonDegeneracyError(
+                    f"{name} map of {x} is not a bijection", witness=(x,)
+                )
+
+    sol = SetTheoreticSolution(size, sigma, tau)
+    for x in range(size):
+        for y in range(size):
+            u, v = sol.r(x, y)
+            if sol.r(u, v) != (x, y):
+                raise InvolutivityError(
+                    f"r is not involutive at ({x}, {y})", witness=(x, y)
+                )
+
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                a, b = sol.r(x, y)
+                b, c = sol.r(b, z)
+                lhs = (*sol.r(a, b), c)
+                b, c = sol.r(y, z)
+                a, b = sol.r(x, b)
+                rhs = (a, *sol.r(b, c))
+                if lhs != rhs:
+                    raise BraidRelationError(
+                        f"braid relation fails at ({x}, {y}, {z})",
+                        witness=(x, y, z),
+                    )
+    return sol
+
+
+def oracle_is_nilpotent_group(group) -> bool:
+    """Lower central series test: nilpotent iff the series reaches {id}."""
+    elems = group.elements
+    ident = identity_perm(group.degree)
+    inverses = {p: invert_perm(p) for p in elems}
+    current = elems
+    while True:
+        commutators = set()
+        for a in current:
+            a_inv = inverses[a]
+            for b in elems:
+                c = compose_perms(
+                    compose_perms(a, b), compose_perms(a_inv, inverses[b])
+                )
+                if c != ident:
+                    commutators.add(c)
+        nxt = _generated_subgroup(group.degree, commutators)
+        if nxt == current:
+            return current == frozenset((ident,))
+        current = nxt
+
+
+def oracle_is_two_sided(brace) -> bool:
+    """(a + b) . c = a . c + b . c on every triple."""
+    n = brace.order
+    add, dot = brace.additive.add_rows(), brace.dot_table
+    return all(
+        dot[add[a][b]][c] == add[dot[a][c]][dot[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def e_combination(brace, a: int, b: int, coeffs) -> int:
+    """sum_i coeffs[i] . e_i(a, b), with integer coefficients of any size."""
+    coeffs = list(coeffs)
+    seq = brace.e_sequence(a, b, max(len(coeffs) - 1, 0))
+    acc = 0
+    for c, e in zip(coeffs, seq):
+        acc = brace.additive.add(acc, brace.additive.scale(c, e))
+    return acc

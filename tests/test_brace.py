@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracelab.abelian import make_group
-from bracelab.brace import LeftBrace, e_combination, sylow_decompose, validate_brace
+from bracelab.brace import LeftBrace, sylow_decompose, validate_brace
 from bracelab.census import are_isomorphic, enumerate_braces
 from bracelab.errors import (
     CircleAssociativityError,
@@ -22,6 +22,7 @@ from bracelab.errors import (
     ResourceLimitError,
 )
 from bracelab.products import semidirect, wreath
+from checks_oracle import e_combination
 from conftest import cyclic_brace
 
 

@@ -1,0 +1,294 @@
+"""The exact row checks of the laws against the literal scans they replaced.
+
+validate_brace and validate_solution decide the laws on triples by
+composing byte rows, and scan triple by triple only to name a witness.
+Adjoint nilpotency is read off element orders, and classify decides
+two-sidedness on additive generators.  Each is compared here with its
+literal version in tests/checks_oracle.py: the validators must give the
+same exception class, message and witness, or the same validated object.
+"""
+
+import random
+from collections import Counter
+from itertools import permutations, product
+
+import pytest
+
+import bracelab.brace as brace_module
+import bracelab.solutions as solutions_module
+from bracelab.abelian import MAX_TABLE_ORDER, is_nilpotent_group, make_group
+from bracelab.brace import validate_brace
+from bracelab.census import enumerate_braces
+from bracelab.errors import (
+    BraceLabError,
+    BraidRelationError,
+    CircleAssociativityError,
+    CompatibilityError,
+    InternalCheckError,
+    InvolutivityError,
+)
+from bracelab.products import semidirect, wreath
+from bracelab.solutions import from_brace, validate_solution
+from checks_oracle import (
+    oracle_is_nilpotent_group,
+    oracle_is_two_sided,
+    oracle_validate_brace,
+    oracle_validate_solution,
+)
+
+# sigma of an involutive non-degenerate map of size 3 that fails the braid
+# relation first at (0, 0, 1)
+BAD_SIGMA = ((0, 2, 1), (0, 2, 1), (1, 2, 0))
+
+VERIFY_ORDERS = list(range(1, 16)) + [18, 20, 45]
+
+
+def outcome(validate, *args, **kwargs):
+    try:
+        result = validate(*args, **kwargs)
+    except BraceLabError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return "valid", result
+
+
+def assert_same_brace_outcome(group, table, max_order):
+    got = outcome(validate_brace, group, table, max_order=max_order)
+    assert got == outcome(oracle_validate_brace, group, table, max_order=max_order)
+    return got[0]
+
+
+def assert_same_solution_outcome(size, sigma, tau):
+    got = outcome(validate_solution, size, sigma, tau)
+    assert got == outcome(oracle_validate_solution, size, sigma, tau)
+    return got[0]
+
+
+def relabeled(table, pi):
+    """The table moved along the bijection pi: (pi a) o' (pi b) = pi(a o b)."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            out[pi[a]][pi[b]] = pi[v]
+    return out
+
+
+def derived_tau(sigma):
+    """The only tau that can make r involutive: tau_y(x) = sigma_{sigma_x(y)}^-1(x)."""
+    n = len(sigma)
+    inverse = [[0] * n for _ in range(n)]
+    for x, row in enumerate(sigma):
+        for y, v in enumerate(row):
+            inverse[x][v] = y
+    tau = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            tau[y][x] = inverse[sigma[x][y]][x]
+    return tau
+
+
+def flip_union(first, second):
+    """sigma of the union of two maps, with r(x, y) = (y, x) across them."""
+    m = len(first)
+    n = m + len(second)
+    sigma = [list(range(n)) for _ in range(n)]
+    for x, row in enumerate(first):
+        sigma[x][:m] = row
+    for x, row in enumerate(second):
+        sigma[m + x][m:] = [m + v for v in row]
+    return sigma
+
+
+@pytest.fixture(scope="module")
+def products():
+    """Products of order 48 to 64 built as the file benchmark builds them."""
+    two, four, six, eight = (enumerate_braces(o).classes for o in (2, 4, 6, 8))
+    out = [semidirect(eight[2 * i], eight[2 * i + 1]) for i in range(9)]
+    out += [semidirect(six[i % 2], eight[18 + i]) for i in range(9)]
+    out += [wreath(two[0], four[k]) for k in (1, 3)]
+    return out
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_every_single_entry_mutation_agrees(census, order):
+    seen = Counter()
+    for brace in census(order).classes:
+        table = [list(row) for row in brace.circle_table]
+        for a, b in product(range(order), repeat=2):
+            old = table[a][b]
+            for v in range(order):
+                if v != old:
+                    table[a][b] = v
+                    seen[assert_same_brace_outcome(brace.additive, table, order)] += 1
+            table[a][b] = old
+    assert seen[CircleAssociativityError] > 0
+    assert "valid" not in seen
+
+
+@pytest.mark.parametrize("order", [8, 12])
+def test_every_transposed_relabeling_agrees(census, order):
+    # relabeling keeps the circle group but not, in general, compatibility
+    seen = Counter()
+    for brace in census(order).classes:
+        for i in range(1, order):
+            for j in range(i + 1, order):
+                pi = list(range(order))
+                pi[i], pi[j] = j, i
+                table = relabeled(brace.circle_table, pi)
+                seen[assert_same_brace_outcome(brace.additive, table, order)] += 1
+    assert seen[CompatibilityError] > 0
+
+
+def test_light_test_needs_every_generator():
+    # a o b = a + c_a b on Z/5 is compatible for any units c_a, and it is
+    # associative only if c is multiplicative; times Z/2 the first greedy
+    # generator, (0, 1), passes Light's test and the second one does not
+    c = (1, 2, 1, 1, 1)
+    table = [
+        [2 * ((l1 + c[l1] * l2) % 5) + (z1 + z2) % 2 for l2 in range(5) for z2 in (0, 1)]
+        for l1 in range(5)
+        for z1 in (0, 1)
+    ]
+    got = assert_same_brace_outcome(make_group((5, 2)), table, 10)
+    assert got is CircleAssociativityError
+
+
+def test_every_involutive_map_up_to_size_three_agrees():
+    seen = Counter()
+    for n in (1, 2, 3):
+        for sigma in product(permutations(range(n)), repeat=n):
+            seen[assert_same_solution_outcome(n, sigma, derived_tau(sigma))] += 1
+    assert seen[BraidRelationError] == 12 and seen["valid"] == 15
+
+
+def test_braid_failure_seen_only_from_the_last_point():
+    # the pairs that break the cycle-set identity are (1, 3) and (2, 3)
+    sigma = ((0, 1, 2, 3), (2, 1, 0, 3), (0, 1, 2, 3), (0, 2, 1, 3))
+    got = assert_same_solution_outcome(4, sigma, derived_tau(sigma))
+    assert got is BraidRelationError
+
+
+def test_seeded_random_solution_tables_agree():
+    rng = random.Random(20151221)
+    seen = Counter()
+    for _ in range(5000):
+        n = rng.randint(2, 4)
+        sigma = [rng.sample(range(n), n) for _ in range(n)]
+        kind = rng.random()
+        if kind < 0.8:
+            tau = derived_tau(sigma)
+        elif kind < 0.95:
+            tau = [rng.sample(range(n), n) for _ in range(n)]
+        else:
+            tau = derived_tau(sigma)
+            tau[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+        seen[assert_same_solution_outcome(n, sigma, tau)] += 1
+    assert seen[BraidRelationError] >= 50
+    assert seen[InvolutivityError] > 0 and seen["valid"] > 0
+
+
+class TestDrills:
+    """One failure per law on a product of order 48, where the rows decide."""
+
+    @staticmethod
+    def product48():
+        return semidirect(enumerate_braces(6).classes[1], enumerate_braces(8).classes[7])
+
+    def test_associativity(self):
+        brace = self.product48()
+        table = [list(row) for row in brace.circle_table]
+        table[5][7], table[5][9] = table[5][9], table[5][7]
+        with pytest.raises(CircleAssociativityError) as info:
+            validate_brace(brace.additive, table, max_order=48)
+        assert str(info.value) == "(1 o 5) o 7 != 1 o (5 o 7)"
+        assert info.value.witness == (1, 5, 7)
+        assert_same_brace_outcome(brace.additive, table, 48)
+
+    def test_compatibility(self):
+        brace = self.product48()
+        pi = list(range(48))
+        pi[1], pi[2] = 2, 1
+        table = relabeled(brace.circle_table, pi)
+        with pytest.raises(CompatibilityError) as info:
+            validate_brace(brace.additive, table, max_order=48)
+        assert str(info.value) == "a o (b + c) + a != a o b + a o c at (1, 4, 8)"
+        assert info.value.witness == (1, 4, 8)
+        assert_same_brace_outcome(brace.additive, table, 48)
+
+    def test_braid_relation(self):
+        sigma = flip_union(from_brace(self.product48()).sigma, BAD_SIGMA)
+        tau = derived_tau(sigma)
+        with pytest.raises(BraidRelationError) as info:
+            validate_solution(51, sigma, tau)
+        assert str(info.value) == "braid relation fails at (48, 48, 49)"
+        assert info.value.witness == (48, 48, 49)
+        assert_same_solution_outcome(51, sigma, tau)
+
+
+class TestRowCheckDisagreement:
+    """A row check that rejects what every triple passes is an internal fault."""
+
+    def test_brace(self, b4, monkeypatch):
+        monkeypatch.setattr(
+            brace_module, "_brace_row_failure", lambda group, table: "at generator 1"
+        )
+        with pytest.raises(InternalCheckError, match="row check fails at generator 1"):
+            validate_brace(b4.additive, b4.circle_table, max_order=4)
+
+    def test_solution(self, b4, monkeypatch):
+        sol = from_brace(b4)
+        monkeypatch.setattr(solutions_module, "_cycle_set_failure", lambda sigma: "at (0, 1)")
+        with pytest.raises(InternalCheckError, match=r"identity fails at \(0, 1\)"):
+            validate_solution(sol.size, sol.sigma, sol.tau)
+
+
+class TestAboveTableOrder:
+    """Past MAX_TABLE_ORDER rows do not fit in bytes, and the scans decide."""
+
+    n = MAX_TABLE_ORDER + 1
+
+    @pytest.fixture(autouse=True)
+    def no_row_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("row check ran above MAX_TABLE_ORDER")
+
+        monkeypatch.setattr(brace_module, "_brace_row_failure", refuse)
+        monkeypatch.setattr(solutions_module, "_cycle_set_failure", refuse)
+
+    def test_brace(self):
+        n = self.n
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        table[2][1], table[2][2] = table[2][2], table[2][1]
+        with pytest.raises(CircleAssociativityError) as info:
+            validate_brace(make_group((n,)), table, max_order=n)
+        assert info.value.witness == (1, 1, 1)
+
+    def test_solution(self):
+        sigma = flip_union(BAD_SIGMA, [list(range(self.n - 3))] * (self.n - 3))
+        with pytest.raises(BraidRelationError) as info:
+            validate_solution(self.n, sigma, derived_tau(sigma))
+        assert info.value.witness == (0, 0, 1)
+
+
+def test_nilpotency_from_element_orders_agrees(products):
+    braces = [b for o in VERIFY_ORDERS for b in enumerate_braces(o, max_order=45).classes]
+    braces += products
+    verdicts = Counter()
+    for brace in braces:
+        group = brace.adjoint_group()
+        verdict = is_nilpotent_group(group)
+        assert verdict == oracle_is_nilpotent_group(group)
+        verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_two_sided_on_generators_agrees(products):
+    braces = [b for o in range(1, 16) for b in enumerate_braces(o).classes]
+    braces += products
+    seen = Counter()
+    for brace in braces:
+        traits = brace.classify()
+        assert traits.is_two_sided == oracle_is_two_sided(brace)
+        assert (traits.ring_nilpotent is None) == (not traits.is_two_sided)
+        seen[traits.is_two_sided] += 1
+    assert seen[True] > 0 and seen[False] > 0

@@ -24,15 +24,13 @@ from .numutil import partitions, prime_factorization
 
 Perm = tuple[int, ...]
 
-DEFAULT_GROUP_BOUND = 64
-
 # Tables of at most this order hold their elements as byte values, so a
 # permutation is a bytes row and p after q is q.translate(p + padding).  The
 # census search and the law checks of brace and solutions work on such rows.
 MAX_TABLE_ORDER = 256
 
-# Full add tables and digit caches are only built for groups small enough to
-# matter here; anything past this is a misuse of the package.
+# Full add tables are only built for groups small enough to matter here;
+# anything past this is a misuse of the package.
 _TABLE_LIMIT = 4096
 
 
@@ -70,7 +68,7 @@ class FiniteAbelianGroup:
     of groups can be formed by concatenating factor lists.
     """
 
-    __slots__ = ("factors", "order", "exponent", "_strides", "_digits", "_rows")
+    __slots__ = ("factors", "order", "exponent", "_strides", "_rows")
 
     def __init__(self, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
@@ -80,10 +78,7 @@ class FiniteAbelianGroup:
                     f"invariant factor {d} is below 2"
                 )
         self.factors = factors
-        order = 1
-        for d in factors:
-            order *= d
-        self.order = order
+        self.order = math.prod(factors)
         self.exponent = math.lcm(*factors) if factors else 1
         strides = []
         acc = 1
@@ -91,23 +86,12 @@ class FiniteAbelianGroup:
             strides.append(acc)
             acc *= d
         self._strides = tuple(reversed(strides))
-        self._digits: tuple[tuple[int, ...], ...] | None = None
         self._rows: tuple[tuple[int, ...], ...] | None = None
-        if order <= _TABLE_LIMIT:
-            self._digits = tuple(self._decode_raw(e) for e in range(order))
-
-    def _decode_raw(self, e: int) -> tuple[int, ...]:
-        out = []
-        for d, s in zip(self.factors, self._strides):
-            out.append((e // s) % d)
-        return tuple(out)
 
     def decode(self, e: int) -> tuple[int, ...]:
         if not 0 <= e < self.order:
             raise ValueError(f"element index {e} out of range for order {self.order}")
-        if self._digits is not None:
-            return self._digits[e]
-        return self._decode_raw(e)
+        return tuple((e // s) % d for d, s in zip(self.factors, self._strides))
 
     def encode(self, digits) -> int:
         if len(digits) != len(self.factors):
@@ -155,20 +139,17 @@ class FiniteAbelianGroup:
                 raise ResourceLimitError(
                     f"addition table of order {self.order} exceeds limit {_TABLE_LIMIT}"
                 )
-            digits = self._digits
-            assert digits is not None
-            factors = self.factors
-            strides = self._strides
-            rows = []
-            for da in digits:
-                row = []
-                for db in digits:
-                    e = 0
-                    for x, y, d, s in zip(da, db, factors, strides):
-                        e += ((x + y) % d) * s
-                    row.append(e)
-                rows.append(tuple(row))
-            self._rows = tuple(rows)
+            # fold in one factor at a time, least significant first: the table
+            # of Z/d x H has entry ((a + b) % d) * |H| + (h + h') at row a|H| + h
+            rows: tuple[tuple[int, ...], ...] = ((0,),)
+            for d in reversed(self.factors):
+                m = len(rows)
+                rows = tuple(
+                    tuple(((a + b) % d) * m + v for b in range(d) for v in hrow)
+                    for a in range(d)
+                    for hrow in rows
+                )
+            self._rows = rows
         return self._rows
 
     def __eq__(self, other) -> bool:
@@ -265,9 +246,27 @@ def _perm_order(p: Perm) -> int:
 
 _AUT_CACHE: dict[tuple[int, ...], tuple[Perm, ...]] = {}
 
+# The most generator-image tuples the automorphism brute force may try;
+# (2,2,2,2), the costliest additive type of order 16, needs exactly this many.
+MAX_AUT_CANDIDATES = 2**16
+
+
+def check_automorphism_work(factors) -> None:
+    """Refuse a type whose brute force tries more than MAX_AUT_CANDIDATES tuples.
+
+    It tries prod_i |A[d_i]| = prod_{i,j} gcd(d_i, d_j) tuples, a bound on
+    |Aut(A)|, which is the number of candidates at each census search node.
+    """
+    work = math.prod(math.gcd(d, e) for d in factors for e in factors)
+    if work > MAX_AUT_CANDIDATES:
+        raise ResourceLimitError(
+            f"{'x'.join(map(str, factors))} needs {work} automorphism"
+            f" candidates, above the limit {MAX_AUT_CANDIDATES}"
+        )
+
 
 def automorphism_group(
-    group: FiniteAbelianGroup, max_order: int = DEFAULT_GROUP_BOUND
+    group: FiniteAbelianGroup, max_order: int | None = None
 ) -> PermutationGroup:
     """All additive automorphisms of the group, as index permutations.
 
@@ -275,10 +274,11 @@ def automorphism_group(
     digit 1 in slot i must map to an element killed by d_i, and any such
     choice extends linearly; keep the bijective ones.
     """
-    if group.order > max_order:
+    if max_order is not None and group.order > max_order:
         raise ResourceLimitError(
             f"automorphism search above order bound {max_order} (order {group.order})"
         )
+    check_automorphism_work(group.factors)
     cached = _AUT_CACHE.get(group.factors)
     if cached is None:
         cached = _compute_automorphisms(group)

@@ -22,14 +22,12 @@ from .abelian import (
     Perm,
     abelian_group_types,
     automorphism_group,
+    check_automorphism_work,
     invert_perm,
     make_group,
 )
 from .brace import LeftBrace, validate_brace
 from .errors import InternalCheckError, ResourceLimitError
-
-DEFAULT_ORDER_BOUND = 16
-SLOW_ORDERS = frozenset((36, 45))
 
 
 @dataclass(frozen=True)
@@ -52,32 +50,36 @@ class BraceCensus:
         return tuple(entry.brace for entry in self.entries)
 
 
-def enumerate_braces(
-    order: int, *, slow: bool = False, max_order: int | None = None
-) -> BraceCensus:
-    if order < 1:
-        raise ValueError(f"order must be positive, got {order}")
+def check_table_order(order: int) -> None:
     if order > MAX_TABLE_ORDER:
         raise ResourceLimitError(
             f"order {order} above {MAX_TABLE_ORDER}, the largest order"
             " whose tables fit in bytes"
         )
-    bound = DEFAULT_ORDER_BOUND if max_order is None else max_order
-    if order > bound and not (slow and order in SLOW_ORDERS):
-        allowed = ", ".join(str(o) for o in sorted(SLOW_ORDERS))
-        raise ResourceLimitError(
-            f"order {order} above bound {bound}"
-            f" (orders {allowed} are reachable with the slow flag)"
-        )
+
+
+def check_census_order(order: int, max_order: int | None = None) -> None:
+    """Refuse an order before any search.  Census cost follows the additive
+    types, not the order: every search node scans Aut(A), so every type
+    must pass the automorphism guard."""
+    if order < 1:
+        raise ValueError(f"order must be positive, got {order}")
+    check_table_order(order)
+    if max_order is not None and order > max_order:
+        raise ResourceLimitError(f"order {order} above bound {max_order}")
+    for factors in abelian_group_types(order):
+        check_automorphism_work(factors)
+
+
+def enumerate_braces(order: int, *, max_order: int | None = None) -> BraceCensus:
+    check_census_order(order, max_order)
     entries: list[CensusEntry] = []
     for factors in abelian_group_types(order):
         group = make_group(factors)
-        auts = sorted(automorphism_group(group, max_order=order).elements)
+        auts = sorted(automorphism_group(group).elements)
         tables = _regular_circle_tables(group, auts)
         for flat in _orbit_representatives(tables, auts, order):
-            rows = [
-                [flat[a * order + b] for b in range(order)] for a in range(order)
-            ]
+            rows = [flat[a : a + order] for a in range(0, order * order, order)]
             brace = validate_brace(group, rows, max_order=order)
             entries.append(
                 CensusEntry(
@@ -215,11 +217,7 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
     n = first.order
     if n != second.order:
         return False
-    if n > MAX_TABLE_ORDER:
-        raise ResourceLimitError(
-            f"order {n} above {MAX_TABLE_ORDER}, the largest order"
-            " whose tables fit in bytes"
-        )
+    check_table_order(n)
     first, second = first.canonical_form(), second.canonical_form()
     if first.additive != second.additive:
         return False
@@ -228,5 +226,5 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
     t1, t2 = (b"".join(map(bytes, b.circle_table)) for b in (first, second))
     if t1 == t2:
         return True
-    auts = sorted(automorphism_group(first.additive, max_order=max(n, 1)).elements)
+    auts = sorted(automorphism_group(first.additive).elements)
     return any(_relabeler(g, n)(t1) == t2 for g in auts)

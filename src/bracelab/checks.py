@@ -394,9 +394,7 @@ def run_brace_checks(brace: LeftBrace, subject: str = "") -> list[CheckReport]:
     return [check(brace, subject) for check in ALL_CHECKS]
 
 
-def run_census_checks(
-    orders, *, slow: bool = False, max_order: int | None = None
-) -> list[CheckReport]:
+def run_census_checks(orders, *, max_order: int | None = None) -> list[CheckReport]:
     """Run every checker over the censuses of the given orders.
 
     Subjects are labeled order:factors:index so reports stay stable across
@@ -404,7 +402,7 @@ def run_census_checks(
     """
     reports: list[CheckReport] = []
     for order in orders:
-        census = enumerate_braces(order, slow=slow, max_order=max_order)
+        census = enumerate_braces(order, max_order=max_order)
         for idx, entry in enumerate(census.entries):
             label = "x".join(str(d) for d in entry.invariant_factors) or "1"
             subject = f"{order}:{label}:{idx}"

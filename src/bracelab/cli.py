@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .brace import DEFAULT_BRACE_BOUND, LeftBrace
-from .census import DEFAULT_ORDER_BOUND, SLOW_ORDERS, enumerate_braces
+from .census import check_census_order, check_table_order, enumerate_braces
 from .checks import FAIL, HYPOTHESIS_NOT_MET, PASS, run_census_checks
 from .documents import (
     BraceDocument,
@@ -138,8 +138,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    bound = _env_bound(DEFAULT_ORDER_BOUND)
-    census = enumerate_braces(args.order, slow=args.slow, max_order=bound)
+    census = enumerate_braces(args.order, max_order=_env_bound(None))
     count = len(census)
     print(f"order {args.order}: {count} {'class' if count == 1 else 'classes'}")
     if args.out is not None:
@@ -222,12 +221,18 @@ def cmd_product_wreath(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.order_max < 1:
         raise DocumentError(f"--order-max must be positive, got {args.order_max}")
-    bound = _env_bound(DEFAULT_ORDER_BOUND)
-    top = min(args.order_max, bound)
-    orders = list(range(1, top + 1))
-    if args.slow:
-        orders.extend(o for o in sorted(SLOW_ORDERS) if top < o <= args.order_max)
-    reports = run_census_checks(orders, slow=args.slow, max_order=bound)
+    check_table_order(args.order_max)
+    top = min(args.order_max, _env_bound(args.order_max))
+    orders, refused = [], []
+    for order in range(1, top + 1):
+        try:
+            check_census_order(order)
+        except ResourceLimitError as exc:
+            print(f"resource limit: order {order}: {exc}", file=sys.stderr)
+            refused.append(order)
+        else:
+            orders.append(order)
+    reports = run_census_checks(orders)
     counts = {PASS: 0, FAIL: 0, HYPOTHESIS_NOT_MET: 0}
     for report in reports:
         counts[report.verdict] += 1
@@ -237,13 +242,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if report.notes:
                 line += "  " + "; ".join(report.notes)
         print(line)
-    covered = f"1..{top}" + "".join(f",{o}" for o in orders[top:])
+    covered = f"1..{top}" + (" except " + ",".join(map(str, refused)) if refused else "")
     print(
         f"orders {covered}: {len(reports)} checks,"
         f" {counts[PASS]} pass, {counts[FAIL]} fail,"
         f" {counts[HYPOTHESIS_NOT_MET]} hypothesis not met"
     )
-    return EXIT_CHECK_FAILED if counts[FAIL] else EXIT_OK
+    return EXIT_CHECK_FAILED if counts[FAIL] else EXIT_RESOURCE if refused else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="census of braces of one order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--slow", action="store_true", help="allow the slow large orders")
     p.add_argument("--out", help="directory for one JSON document per class")
     p.set_defaults(func=cmd_enumerate)
 
@@ -295,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the theorem suite over the census")
     p.add_argument("--order-max", type=int, required=True)
-    p.add_argument("--slow", action="store_true", help="include the slow large orders")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -20,7 +20,7 @@ class InvalidGeneratorError(BraceLabError):
 
 
 class ResourceLimitError(BraceLabError):
-    """A requested computation exceeds the configured order bound."""
+    """A requested computation exceeds a configured bound or work limit."""
 
 
 class PolynomialError(BraceLabError):

@@ -36,9 +36,9 @@ def census():
     """Session-wide census cache; enumeration is deterministic so sharing is safe."""
     cache: dict[int, object] = {}
 
-    def get(order: int, slow: bool = False):
+    def get(order: int):
         if order not in cache:
-            cache[order] = enumerate_braces(order, slow=slow)
+            cache[order] = enumerate_braces(order)
         return cache[order]
 
     return get

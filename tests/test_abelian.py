@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracelab import abelian
 from bracelab.abelian import (
     FiniteAbelianGroup,
     abelian_group_types,
     abelian_structure,
     automorphism_group,
+    check_automorphism_work,
     closure,
     compose_perms,
     identity_perm,
@@ -77,6 +79,18 @@ class TestGroupArithmetic:
         assert make_group((3, 5)).exponent == 15
         assert make_group(()).exponent == 1
 
+    @pytest.mark.parametrize("factors", [(), (5,), (6, 4), (2, 3, 2), (2, 2, 2, 2)])
+    def test_add_rows_sum_digits(self, factors):
+        group = make_group(factors)
+        rows = group.add_rows()
+        assert len(rows) == group.order
+        for a in range(group.order):
+            da = group.decode(a)
+            assert rows[a] == tuple(
+                group.encode([x + y for x, y in zip(da, group.decode(b))])
+                for b in range(group.order)
+            )
+
     def test_trivial_group(self):
         group = make_group(())
         assert group.order == 1
@@ -141,6 +155,19 @@ class TestAutomorphisms:
     def test_respects_bound(self):
         with pytest.raises(ResourceLimitError):
             automorphism_group(make_group((101,)), max_order=64)
+
+    @pytest.mark.parametrize("factors", [(2, 2, 2, 2), (2, 2, 2, 4), (3, 3, 3), (6, 6), (4, 12)])
+    def test_guard_counts_brute_force_tuples(self, monkeypatch, factors):
+        # the brute force tries every element killed by d_i for generator i
+        group = make_group(factors)
+        tuples = 1
+        for d in factors:
+            tuples *= sum(1 for x in range(group.order) if d % group.order_of(x) == 0)
+        monkeypatch.setattr(abelian, "MAX_AUT_CANDIDATES", tuples)
+        check_automorphism_work(factors)
+        monkeypatch.setattr(abelian, "MAX_AUT_CANDIDATES", tuples - 1)
+        with pytest.raises(ResourceLimitError, match=f"needs {tuples} automorphism"):
+            check_automorphism_work(factors)
 
 
 class TestStructureRecovery:

@@ -73,7 +73,7 @@ def test_c01_census_counts_prime_and_prime_square(capsys):
 def test_c02_order_45_census_and_sylow_direct_sums(census):
     started = time.monotonic()
     violations = []
-    entries = census(45, slow=True).entries
+    entries = census(45).entries
     if len(entries) != 4:
         violations.append(f"order 45 has {len(entries)} classes, expected 4")
     for idx, entry in enumerate(entries):
@@ -146,7 +146,7 @@ def test_c03_finite_level_orders_6_8_12(census):
 def test_c03_slow_finite_level_order_36(census):
     started = time.monotonic()
     violations = []
-    for idx, entry in enumerate(census(36, slow=True).entries):
+    for idx, entry in enumerate(census(36).entries):
         if entry.brace.multipermutation_level() is None:
             violations.append(f"order 36 entry {idx} has no finite level")
     conclude("03-slow", "finite-level-order-36", violations, started)

@@ -14,15 +14,18 @@ from math import prod
 
 import pytest
 
+from bracelab import abelian
 from bracelab.abelian import abelian_group_types, automorphism_group, make_group
 from bracelab.brace import LeftBrace
 from bracelab.census import (
     _orbit_representatives,
     _regular_circle_tables,
     are_isomorphic,
+    check_census_order,
     enumerate_braces,
 )
 from bracelab.errors import ResourceLimitError
+from bracelab.products import direct_sum
 from census_oracle import oracle_orbit_representatives, oracle_regular_circle_tables
 from conftest import cyclic_brace
 
@@ -38,6 +41,11 @@ ORACLE_TYPES = {
 }
 
 ORACLE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 2, 7: 1}
+
+
+def refuse_brute_force(group):
+    """Stands in for the automorphism brute force where it must not run."""
+    raise AssertionError(f"brute force started on {group.factors}")
 
 
 def oracle_add_table(factors):
@@ -138,13 +146,13 @@ class TestAgainstOracle:
         assert len(census(order)) == ORACLE_COUNTS[order]
 
 
-# class counts past the default bound; 27 is the count in the literature
+# class counts past order 17; 27 is the count in the literature
 LARGE_ORDER_COUNTS = {18: 8, 20: 11, 24: 96, 27: 37, 36: 46, 45: 4}
 
 
 def assert_matches_tuple_search(order):
     """The search, the orbit step and the census equal the tuple oracle's."""
-    census = enumerate_braces(order, slow=True, max_order=order)
+    census = enumerate_braces(order)
     expected = []
     for factors in abelian_group_types(order):
         group = make_group(factors)
@@ -186,18 +194,23 @@ class TestCensusBehavior:
         with pytest.raises(ValueError):
             enumerate_braces(0)
 
-    def test_order_bound(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_braces(17)
-        with pytest.raises(ResourceLimitError):
-            enumerate_braces(36)
-        with pytest.raises(ResourceLimitError):
-            enumerate_braces(45, slow=False)
+    def test_automorphism_guard(self, monkeypatch):
+        assert len(enumerate_braces(17)) == 1
+        assert len(enumerate_braces(45)) == LARGE_ORDER_COUNTS[45]
+        monkeypatch.setattr(abelian, "_compute_automorphisms", refuse_brute_force)
+        for order, work in ((32, 33554432), (48, 196608), (64, 68719476736)):
+            with pytest.raises(ResourceLimitError, match=f"needs {work} automorphism"):
+                enumerate_braces(order)
+
+    def test_costly_orders_admitted(self):
+        # (2,2,2,2) needs exactly the limit; the others stay far below it
+        for order in (16, 27, 36, 45, 54):
+            check_census_order(order)
 
     def test_order_past_byte_tables(self):
         # rejected before any search, whatever the bound says
         with pytest.raises(ResourceLimitError, match="256"):
-            enumerate_braces(257, slow=True, max_order=300)
+            enumerate_braces(257, max_order=300)
 
     def test_deterministic(self):
         first = enumerate_braces(8)
@@ -223,8 +236,7 @@ class TestCensusBehavior:
         assert observed == {8: 27, 10: 2, 11: 1, 12: 10, 13: 1, 14: 2, 15: 1}
 
     def test_order_eighteen_via_explicit_bound(self):
-        # just past the default bound, reachable by raising max_order; all
-        # eight classes retract to a point, unlike order 8
+        # all eight classes retract to a point, unlike order 8
         entries = enumerate_braces(18, max_order=18).entries
         assert len(entries) == 8
         assert all(e.brace.multipermutation_level() is not None for e in entries)
@@ -262,6 +274,14 @@ class TestAreIsomorphic:
         big = LeftBrace.trivial(make_group((300,)))
         with pytest.raises(ResourceLimitError, match="256"):
             are_isomorphic(big, big)
+
+    def test_large_automorphism_group_refused(self, census, monkeypatch):
+        # on (2,)^6 the brute force would try 64^6 generator images
+        b0, b1 = [e.brace for e in census(8).entries if e.invariant_factors == (2, 2, 2)][:2]
+        first, second = direct_sum(b1, b0), direct_sum(b0, b1)
+        monkeypatch.setattr(abelian, "_compute_automorphisms", refuse_brute_force)
+        with pytest.raises(ResourceLimitError, match="2x2x2x2x2x2 needs 68719476736"):
+            are_isomorphic(first, second)
 
     def test_census_entries_pairwise_distinct(self, census):
         entries = census(9).entries

@@ -22,9 +22,10 @@ from bracelab import (
     serialize_solution_document,
     SolutionDocument,
 )
-from bracelab import cli, documents
+from bracelab import abelian, cli, documents
 from bracelab.cli import main
 from bracelab.census import enumerate_braces
+from bracelab.checks import FAIL, CheckReport
 from bracelab.errors import InternalCheckError
 from bracelab.solutions import from_brace
 
@@ -154,11 +155,14 @@ class TestEnumerate:
         for name in names:
             assert main(["validate", str(out / name)]) == 0
 
-    def test_slow_order_needs_flag(self, capsys):
-        assert main(["enumerate", "--order", "36"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("resource limit:")
-        assert "slow flag" in err
+    def test_guard_refuses_32_admits_45(self, capsys):
+        assert main(["enumerate", "--order", "32"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resource limit:")
+        assert "2x2x2x2x2" in captured.err and "33554432" in captured.err
+        assert captured.out == ""
+        assert main(["enumerate", "--order", "45"]) == 0
+        assert capsys.readouterr().out == "order 45: 4 classes\n"
 
     def test_order_zero_is_usage_error(self, capsys):
         assert main(["enumerate", "--order", "0"]) == 2
@@ -398,6 +402,36 @@ class TestVerify:
         assert main(["verify", "--order-max", "6"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("orders 1..4:")
 
+    def test_refused_order_reported_and_others_run(self, monkeypatch, capsys):
+        # (2,2,2) needs 8^3 = 512 candidates; every other type up to 9 needs fewer
+        monkeypatch.setattr(abelian, "MAX_AUT_CANDIDATES", 511)
+        assert main(["verify", "--order-max", "9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "resource limit: order 8: 2x2x2 needs 512 automorphism candidates,"
+            " above the limit 511\n"
+        )
+        lines = captured.out.splitlines()
+        assert lines[-1].startswith("orders 1..9 except 8:")
+        subjects = {line.split()[2].split(":")[0] for line in lines[:-1]}
+        assert subjects == {str(o) for o in (1, 2, 3, 4, 5, 6, 7, 9)}
+
+    def test_failed_check_outranks_refusal(self, monkeypatch, capsys):
+        monkeypatch.setattr(abelian, "MAX_AUT_CANDIDATES", 511)
+        fail = CheckReport("fake", "1:1:0", FAIL, witness=(0,))
+        monkeypatch.setattr(cli, "run_census_checks", lambda orders: [fail])
+        assert main(["verify", "--order-max", "9"]) == 1
+
+    def test_order_max_above_byte_tables_is_refused_up_front(self, monkeypatch, capsys):
+        def never(order):
+            raise AssertionError(f"order {order} checked")
+
+        monkeypatch.setattr(cli, "check_census_order", never)
+        assert main(["verify", "--order-max", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resource limit: order 1000000000 above 256")
+        assert captured.out == ""
+
 
 class TestParserBehavior:
     def test_no_arguments_is_usage_error(self):
@@ -411,7 +445,7 @@ class TestParserBehavior:
         assert "bracelab" in capsys.readouterr().out
 
     def test_subprocess_exit_code(self, tmp_path):
-        proc = run_module("enumerate", "--order", "36")
+        proc = run_module("enumerate", "--order", "32")
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource limit:")
 

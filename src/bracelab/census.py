@@ -2,12 +2,14 @@
 
 Braces on a fixed additive group correspond to regular subgroups of its
 holomorph: the subgroup element moving 0 to a is the left translation row
-of a in the circle table.  The search runs depth first over closed,
-0-regular partial subgroups, extending at the smallest uncovered point;
-each regular subgroup is reached exactly once because the extension element
-at every step is determined by the target subgroup.  Isomorphism classes on
-one additive group are orbits of the circle table under relabeling by
-additive automorphisms.
+of a in the circle table.  Isomorphism classes on one additive group are
+orbits of the circle table under relabeling by additive automorphisms,
+that is, conjugacy classes of regular subgroups under Aut(A).  The search
+runs depth first over closed, 0-regular partial subgroups, extending at the
+smallest uncovered point, and tries one extension per orbit of the
+automorphisms that fix the node.  It reaches every class, but not every
+regular subgroup; the orbit step then keeps the smallest table of each
+class.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def check_table_order(order: int) -> None:
 
 def check_census_order(order: int, max_order: int | None = None) -> None:
     """Refuse an order before any search.  Census cost follows the additive
-    types, not the order: every search node scans Aut(A), so every type
-    must pass the automorphism guard."""
+    types, not the order: the search root and the orbit step each scan
+    Aut(A), so every type must pass the automorphism guard."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     check_table_order(order)
@@ -94,39 +96,45 @@ def enumerate_braces(order: int, *, max_order: int | None = None) -> BraceCensus
 def _regular_circle_tables(
     group: FiniteAbelianGroup, auts: list[Perm]
 ) -> list[bytes]:
-    """All circle tables of braces on the group, one per regular subgroup.
+    """Circle tables of braces on the group, at least one per class.
 
     Permutations are bytes, and p after q is q.translate(p + padding).  A
     search node is a subgroup H whose members move 0 to distinct points; it
     carries its members, their set, the covered images of 0 and its
     generators.  Extending H by h builds <H, h> as a union of left cosets
     y o H (Dimino), and gives up as soon as one coset's images of 0 meet
-    the covered points.  It accepts exactly the extensions whose closure
-    has distinct images of 0 and order dividing n, so it finds the same
-    subgroups in the same order as closing under all pairwise products.
+    the covered points.
+
+    A node also carries K, automorphisms that normalize H and fix its
+    target t.  Conjugation by a in K maps the candidate x -> g(x) + t to
+    x -> aga^-1(x) + t, and maps each regular subgroup through H to one
+    through H again, since its members covering the covered points are
+    those of H.  So one candidate per K-orbit is tried, and the child's K
+    is the candidate's stabilizer in K; the root's K is all of Aut(A).
+    Each class is still reached, though not every regular subgroup.
     """
     n = group.order
     pad = bytes(MAX_TABLE_ORDER - n)
     add = group.add_rows()
     aut_bytes = [bytes(g) for g in auts]
-    candidate_cache: dict[int, list[bytes]] = {}
+    candidate_cache: dict[int, dict[bytes, int]] = {}
 
-    def candidates(t: int) -> list[bytes]:
-        # holomorph elements moving 0 to t: x -> g(x) + t over all automorphisms
+    def candidates(t: int) -> dict[bytes, int]:
+        # holomorph elements moving 0 to t, x -> g(x) + t, by the index of g
         cached = candidate_cache.get(t)
         if cached is None:
             row = bytes(add[t]) + pad
-            cached = [g.translate(row) for g in aut_bytes]
+            cached = {g.translate(row): i for i, g in enumerate(aut_bytes)}
             candidate_cache[t] = cached
         return cached
 
     Node = tuple[list[bytes], set[bytes], set[int], list[bytes]]
+    # an automorphism a as (a + padding, a^-1): a h a^-1 is
+    # a_inv.translate(h + padding).translate(a_pad)
+    Conjugator = tuple[bytes, bytes]
 
     def close(node: Node, images0: bytes, h: bytes) -> Node | None:
         base, base_set, base_covered, base_gens = node
-        # most candidates fail on their first coset: test it before copying
-        if not base_covered.isdisjoint(images0.translate(h + pad)):
-            return None
         members, member_set, covered = list(base), set(base_set), set(base_covered)
         gens = base_gens + [h + pad]
         reps: list[bytes] = []
@@ -144,7 +152,8 @@ def _regular_circle_tables(
             reps.append(y)
             return True
 
-        add_coset(h)
+        if not add_coset(h):
+            return None
         for r in reps:  # grows while walked, so every representative is visited
             for s in gens:
                 y = r.translate(s)
@@ -156,7 +165,7 @@ def _regular_circle_tables(
 
     results: list[bytes] = []
 
-    def extend(node: Node) -> None:
+    def extend(node: Node, stab: list[Conjugator]) -> None:
         members, _, covered, _ = node
         if len(members) == n:
             # first bytes are distinct, so sorting orders the rows by a = p(0)
@@ -164,13 +173,37 @@ def _regular_circle_tables(
             return
         images0 = bytes(x[0] for x in members)
         target = next(t for t in range(n) if t not in covered)
-        for h in candidates(target):
+        stab = [a for a in stab if a[0][target] == target]
+        cands = candidates(target)
+        tried = bytearray(len(aut_bytes))
+        for h, i in cands.items():
+            # most candidates fail on their first coset, and so do their
+            # conjugates: test it before the orbit and before copying
+            if tried[i] or not covered.isdisjoint(images0.translate(h + pad)):
+                continue
+            fixers = stab  # a K of at most the identity has one-point orbits
+            if len(stab) > 1:
+                table = h + pad
+                fixers = []
+                for a in stab:
+                    a_pad, a_inv = a
+                    conj = a_inv.translate(table).translate(a_pad)
+                    j = cands.get(conj)
+                    if j is None:
+                        raise InternalCheckError(
+                            f"a conjugate of automorphism {i} is missing"
+                            " from the automorphism list"
+                        )
+                    tried[j] = 1
+                    if conj == h:
+                        fixers.append(a)
             child = close(node, images0, h)
             if child is not None:
-                extend(child)
+                extend(child, fixers)
 
     ident = bytes(range(n))
-    extend(([ident], {ident}, {0}, []))
+    root_stab = [(g + pad, bytes(invert_perm(g))) for g in aut_bytes]
+    extend(([ident], {ident}, {0}, []), root_stab)
     return results
 
 

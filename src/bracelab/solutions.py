@@ -8,6 +8,7 @@ permutation applied to x when y is the right component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .abelian import MAX_TABLE_ORDER, closure, invert_perm, is_permutation
 from .brace import LeftBrace
@@ -44,41 +45,25 @@ def _apply_r23(sol: SetTheoreticSolution, t: tuple[int, int, int]) -> tuple[int,
 def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
     """Check non-degeneracy, involutivity and the braid law exactly.
 
-    Up to size MAX_TABLE_ORDER the braid law is decided through the
-    cycle-set identity on pairs; only a table it rejects, or a larger one,
-    is scanned triple by triple, and that scan names the witness.
+    Up to size MAX_TABLE_ORDER, tables of plain ints are checked on byte
+    rows and the braid law is decided through the cycle-set identity on
+    pairs.  Only a table that a row check rejects, or one that is larger or
+    holds other entries, is scanned entry by entry or triple by triple, and
+    that scan names the witness.
     """
     sigma = tuple(tuple(row) for row in sigma)
     tau = tuple(tuple(row) for row in tau)
     if len(sigma) != size or len(tau) != size:
         raise InvalidPresentationError(f"tables must have {size} rows")
-    for name, rows in (("sigma", sigma), ("tau", tau)):
-        for x, row in enumerate(rows):
-            if len(row) != size:
-                raise InvalidPresentationError(
-                    f"{name} row {x} must have {size} entries"
-                )
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < size:
-                    raise InvalidPresentationError(
-                        f"{name} row {x} has out-of-range entry {v!r}"
-                    )
-
-    for name, rows in (("sigma", sigma), ("tau", tau)):
-        for x, row in enumerate(rows):
-            if not is_permutation(row, size):
-                raise NonDegeneracyError(
-                    f"{name} map of {x} is not a bijection", witness=(x,)
-                )
-
+    sigma_rows, tau_rows = _byte_rows(sigma, size), _byte_rows(tau, size)
     sol = SetTheoreticSolution(size, sigma, tau)
-    for x in range(size):
-        for y in range(size):
-            u, v = sol.r(x, y)
-            if sol.r(u, v) != (x, y):
-                raise InvolutivityError(
-                    f"r is not involutive at ({x}, {y})", witness=(x, y)
-                )
+    if sigma_rows is None or tau_rows is None:
+        _scan_entries(sol)
+    elif not _rows_involutive(sigma_rows, tau_rows):
+        _scan_entries(sol)
+        raise InternalCheckError(
+            "row checks reject the tables, but every entry passes"
+        )
 
     if size > MAX_TABLE_ORDER:
         _scan_braid_relation(sol)
@@ -90,6 +75,74 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
                 f"cycle-set identity fails {failure}, but every triple braids"
             )
     return sol
+
+
+def _byte_rows(rows, size: int) -> list[bytes] | None:
+    """The rows as bytes, if each has size entries, all ints below size."""
+    if size > MAX_TABLE_ORDER:
+        return None
+    if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
+        return None
+    try:
+        out = [bytes(row) for row in rows]
+    except ValueError:  # a negative entry
+        return None
+    if any(len(row) != size or (row and max(row) >= size) for row in out):
+        return None
+    return out
+
+
+def _rows_involutive(sigma_rows: list[bytes], tau_rows: list[bytes]) -> bool:
+    """Whether every row is a bijection and r o r = id, one row at a time.
+
+    With u = sigma_x(y) and v = tau_y(x), r(u, v) = (x, y) for every pair
+    exactly when v = sigma_u^-1(x) for every pair: that equation, taken at
+    the pair (u, v), also gives tau_v(u) = sigma_x^-1(u) = y.  So for each
+    x, column x of tau must be row x of sigma looked up in column x of the
+    inverse sigma table.
+    """
+    n = len(sigma_rows)
+    if any(len(set(row)) != n for row in sigma_rows + tau_rows):
+        return False
+    pad = bytes(MAX_TABLE_ORDER - n)
+    ident = bytes(range(n))
+    # maketrans(p, ident) maps p[i] to i, so its first n bytes are p^-1
+    inverses = [bytes.maketrans(p, ident)[:n] for p in sigma_rows]
+    return all(
+        row.translate(bytes(inv_col) + pad) == bytes(tau_col)
+        for row, inv_col, tau_col in zip(sigma_rows, zip(*inverses), zip(*tau_rows))
+    )
+
+
+def _scan_entries(sol: SetTheoreticSolution) -> None:
+    """Range, non-degeneracy and involutivity entry by entry: the witnesses."""
+    size = sol.size
+    for name, rows in (("sigma", sol.sigma), ("tau", sol.tau)):
+        for x, row in enumerate(rows):
+            if len(row) != size:
+                raise InvalidPresentationError(
+                    f"{name} row {x} must have {size} entries"
+                )
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < size:
+                    raise InvalidPresentationError(
+                        f"{name} row {x} has out-of-range entry {v!r}"
+                    )
+
+    for name, rows in (("sigma", sol.sigma), ("tau", sol.tau)):
+        for x, row in enumerate(rows):
+            if not is_permutation(row, size):
+                raise NonDegeneracyError(
+                    f"{name} map of {x} is not a bijection", witness=(x,)
+                )
+
+    for x in range(size):
+        for y in range(size):
+            u, v = sol.r(x, y)
+            if sol.r(u, v) != (x, y):
+                raise InvolutivityError(
+                    f"r is not involutive at ({x}, {y})", witness=(x, y)
+                )
 
 
 def _cycle_set_failure(sigma) -> str | None:

@@ -1,14 +1,25 @@
-"""The census search on tuple permutations, kept as a reference.
+"""The census search without pruning, twice over, kept as references.
 
-This is the regular-subgroup search as bracelab first ran it: each
-extension closes the subgroup by composing every new element with every
-member in both orders, and each relabeling is written out entry by entry.
-It is slow (order 24 takes several seconds, order 36 about half a minute)
-but simple enough to trust, so the census must reproduce its tables byte
-for byte, in the same order.
+`oracle_regular_circle_tables` is the regular-subgroup search as bracelab
+first ran it: each extension closes the subgroup by composing every new
+element with every member in both orders, and each relabeling is written
+out entry by entry.  It is slow (order 24 takes several seconds, order 36
+about half a minute) but simple enough to trust.
+
+`unpruned_regular_circle_tables` is the byte search the census ran before
+it pruned by automorphism orbits: the same coset closure, but every
+candidate tried at every node, so it finds every regular subgroup exactly
+once and in the tuple search's order.  The census search must find a
+subset of its tables that meets every orbit, and so give the same
+representatives byte for byte.
 """
 
-from bracelab.abelian import compose_perms, identity_perm, invert_perm
+from bracelab.abelian import (
+    MAX_TABLE_ORDER,
+    compose_perms,
+    identity_perm,
+    invert_perm,
+)
 
 
 def oracle_regular_circle_tables(group, auts):
@@ -102,3 +113,82 @@ def oracle_orbit_representatives(tables, auts, n):
         reps.append(min(orbit))
     reps.sort()
     return reps
+
+
+def unpruned_regular_circle_tables(group, auts):
+    """All circle tables of braces on the group, one per regular subgroup.
+
+    Permutations are bytes, and p after q is q.translate(p + padding).  A
+    search node is a subgroup H whose members move 0 to distinct points; it
+    carries its members, their set, the covered images of 0 and its
+    generators.  Extending H by h builds <H, h> as a union of left cosets
+    y o H (Dimino), and gives up as soon as one coset's images of 0 meet
+    the covered points.  It accepts exactly the extensions whose closure
+    has distinct images of 0 and order dividing n, so it finds the same
+    subgroups in the same order as closing under all pairwise products.
+    """
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    add = group.add_rows()
+    aut_bytes = [bytes(g) for g in auts]
+    candidate_cache = {}
+
+    def candidates(t):
+        # holomorph elements moving 0 to t: x -> g(x) + t over all automorphisms
+        cached = candidate_cache.get(t)
+        if cached is None:
+            row = bytes(add[t]) + pad
+            cached = [g.translate(row) for g in aut_bytes]
+            candidate_cache[t] = cached
+        return cached
+
+    def close(node, images0, h):
+        base, base_set, base_covered, base_gens = node
+        # most candidates fail on their first coset: test it before copying
+        if not base_covered.isdisjoint(images0.translate(h + pad)):
+            return None
+        members, member_set, covered = list(base), set(base_set), set(base_covered)
+        gens = base_gens + [h + pad]
+        reps = []
+
+        def add_coset(y):
+            # y o H; images disjoint from the covered points keep |G| <= n
+            table = y + pad
+            images = images0.translate(table)
+            if not covered.isdisjoint(images):
+                return False
+            coset = [x.translate(table) for x in base]
+            members.extend(coset)
+            member_set.update(coset)
+            covered.update(images)
+            reps.append(y)
+            return True
+
+        add_coset(h)
+        for r in reps:  # grows while walked, so every representative is visited
+            for s in gens:
+                y = r.translate(s)
+                if y not in member_set and not add_coset(y):
+                    return None
+        if n % len(members):
+            return None
+        return members, member_set, covered, gens
+
+    results = []
+
+    def extend(node):
+        members, _, covered, _ = node
+        if len(members) == n:
+            # first bytes are distinct, so sorting orders the rows by a = p(0)
+            results.append(b"".join(sorted(members)))
+            return
+        images0 = bytes(x[0] for x in members)
+        target = next(t for t in range(n) if t not in covered)
+        for h in candidates(target):
+            child = close(node, images0, h)
+            if child is not None:
+                extend(child)
+
+    ident = bytes(range(n))
+    extend(([ident], {ident}, {0}, []))
+    return results

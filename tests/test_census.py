@@ -9,13 +9,20 @@ canonicalization is written out again here, so the two routes share no
 code beyond the integer labels.
 """
 
+import hashlib
 import itertools
 from math import prod
 
 import pytest
 
 from bracelab import abelian
-from bracelab.abelian import abelian_group_types, automorphism_group, make_group
+from bracelab.abelian import (
+    abelian_group_types,
+    automorphism_group,
+    compose_perms,
+    invert_perm,
+    make_group,
+)
 from bracelab.brace import LeftBrace
 from bracelab.census import (
     _orbit_representatives,
@@ -24,9 +31,13 @@ from bracelab.census import (
     check_census_order,
     enumerate_braces,
 )
-from bracelab.errors import ResourceLimitError
+from bracelab.errors import InternalCheckError, ResourceLimitError
 from bracelab.products import direct_sum
-from census_oracle import oracle_orbit_representatives, oracle_regular_circle_tables
+from census_oracle import (
+    oracle_orbit_representatives,
+    oracle_regular_circle_tables,
+    unpruned_regular_circle_tables,
+)
 from conftest import cyclic_brace
 
 # hand-listed abelian groups per order, invariant-factor form
@@ -146,21 +157,42 @@ class TestAgainstOracle:
         assert len(census(order)) == ORACLE_COUNTS[order]
 
 
-# class counts past order 17; 27 is the count in the literature
-LARGE_ORDER_COUNTS = {18: 8, 20: 11, 24: 96, 27: 37, 36: 46, 45: 4}
+# class counts past order 17; 16 and 27 are the counts in the literature
+LARGE_ORDER_COUNTS = {16: 357, 18: 8, 20: 11, 24: 96, 27: 37, 36: 46, 45: 4, 54: 80}
+
+# SHA-256 of the concatenated class tables, taken with the unpruned search
+CENSUS_DIGESTS = {
+    16: "4d527b73d2194edff5e3f9f23b741a9c3b9626941a82351e671f9f81de131557",
+    27: "6262e7102579b5d479949acadff2b57204de97d032fb5eb4a7172a50f2beab28",
+    54: "04ff71e21f19bf28e084a06fc564f98028090039589ea7768c71ace4555697d4",
+}
+
+
+def census_bytes(census):
+    return b"".join(
+        bytes(v for row in e.brace.circle_table for v in row) for e in census.entries
+    )
 
 
 def assert_matches_tuple_search(order):
-    """The search, the orbit step and the census equal the tuple oracle's."""
+    """The census search meets every orbit that the unpruned searches find.
+
+    The tuple oracle and the unpruned byte search find the same tables in
+    the same order.  The census search finds some of them, each once, and
+    its orbit representatives and census equal the oracle's.
+    """
     census = enumerate_braces(order)
     expected = []
     for factors in abelian_group_types(order):
         group = make_group(factors)
         auts = sorted(automorphism_group(group, max_order=order).elements)
         tables = oracle_regular_circle_tables(group, auts)
-        assert _regular_circle_tables(group, auts) == tables, factors
+        assert unpruned_regular_circle_tables(group, auts) == tables, factors
+        pruned = _regular_circle_tables(group, auts)
+        assert len(set(pruned)) == len(pruned), factors
+        assert set(pruned) <= set(tables), factors
         reps = oracle_orbit_representatives(tables, auts, order)
-        assert _orbit_representatives(tables, auts, order) == reps, factors
+        assert _orbit_representatives(pruned, auts, order) == reps, factors
         expected.extend((factors, flat) for flat in reps)
     got = [
         (e.invariant_factors, bytes(v for row in e.brace.circle_table for v in row))
@@ -182,11 +214,52 @@ def test_byte_identical_to_tuple_search_slow(order):
     assert_matches_tuple_search(order)
 
 
-@pytest.mark.slow
-def test_order_twenty_seven_count():
+@pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 6)])
+def test_pruning_skips_conjugate_subgroups(factors):
+    group = make_group(factors)
+    auts = sorted(automorphism_group(group).elements)
+    pruned = _regular_circle_tables(group, auts)
+    assert len(pruned) < len(unpruned_regular_circle_tables(group, auts))
+
+
+def test_conjugate_missing_from_automorphism_list():
+    """A list that conjugation leaves is an internal error, not a KeyError."""
+    group = make_group((2, 2, 2))
+    auts = sorted(automorphism_group(group).elements)
+    ident = tuple(range(8))
+    # a fixes the first target 1, so it conjugates the root's candidates
+    a = next(p for p in auts if p[1] == 1 and p != ident)
+    a_inv = invert_perm(a)
+    g = next(
+        p
+        for p in auts
+        if compose_perms(compose_perms(a, p), a_inv) not in (ident, a, p)
+    )
+    with pytest.raises(InternalCheckError, match="missing from the automorphism list"):
+        _regular_circle_tables(group, sorted([ident, a, g]))
+
+
+def test_order_twenty_seven_digest():
     """Order 27 = 3^3, past the reach of the tuple oracle."""
-    census = enumerate_braces(27, max_order=27)
+    census = enumerate_braces(27)
     assert len(census) == LARGE_ORDER_COUNTS[27]
+    assert hashlib.sha256(census_bytes(census)).hexdigest() == CENSUS_DIGESTS[27]
+
+
+@pytest.mark.slow
+def test_order_sixteen_digest():
+    census = enumerate_braces(16)
+    assert len(census) == LARGE_ORDER_COUNTS[16]
+    assert hashlib.sha256(census_bytes(census)).hexdigest() == CENSUS_DIGESTS[16]
+
+
+@pytest.mark.slow
+def test_order_fifty_four_digest():
+    census = enumerate_braces(54)
+    per_type = [e.invariant_factors for e in census.entries]
+    assert len(census) == LARGE_ORDER_COUNTS[54]
+    assert [per_type.count(f) for f in abelian_group_types(54)] == [34, 42, 4]
+    assert hashlib.sha256(census_bytes(census)).hexdigest() == CENSUS_DIGESTS[54]
 
 
 class TestCensusBehavior:

@@ -2,9 +2,11 @@
 
 import pytest
 
+import bracelab.solutions as solutions
 from bracelab.abelian import make_group
 from bracelab.brace import LeftBrace
 from bracelab.errors import (
+    BraceLabError,
     BraidRelationError,
     InternalCheckError,
     InvalidPresentationError,
@@ -19,8 +21,31 @@ from bracelab.solutions import (
     retraction_tower_sizes,
     validate_solution,
 )
+from checks_oracle import oracle_validate_solution
 
 IDENT3 = (0, 1, 2)
+
+
+class Index:
+    """Converts to a byte like an int, but is not one."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class Int(int):
+    pass
+
+
+def outcome(validate, *args):
+    try:
+        result = validate(*args)
+    except BraceLabError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return "valid", result
 
 
 class TestValidation:
@@ -53,6 +78,38 @@ class TestValidation:
         f = (1, 0, 2)
         sol = validate_solution(3, (f,) * 3, (f,) * 3)
         assert sol.r(0, 1) == (f[1], f[0])
+
+    @pytest.mark.parametrize(
+        "entry", [-1, 2, 300, 1.0, "1", None, Index(1), Int(1), True]
+    )
+    def test_odd_entries_as_the_literal_checks(self, entry):
+        """Entries that are not plain ints in range take the literal route."""
+        flip = ((1, 0), (1, 0))
+        for row in range(2):
+            sigma = [list(r) for r in flip]
+            sigma[row][1] = entry
+            for tables in ((sigma, flip), (flip, sigma)):
+                assert outcome(validate_solution, 2, *tables) == outcome(
+                    oracle_validate_solution, 2, *tables
+                )
+
+    def test_degenerate_tau_that_inverts_sigma(self):
+        # tau_y(x) = sigma_{sigma_x(y)}^-1(x) everywhere, yet tau_1 is no bijection
+        sigma = ((0, 1, 2), (0, 1, 2), (0, 2, 1))
+        tau = ((0, 1, 2), (0, 1, 1), (0, 2, 2))
+        with pytest.raises(NonDegeneracyError, match="tau map of 1") as info:
+            validate_solution(3, sigma, tau)
+        assert info.value.witness == (1,)
+
+    def test_byte_rows_refuse_out_of_range(self):
+        assert solutions._byte_rows(((0, 2), (1, 0)), 2) is None
+        assert solutions._byte_rows(((0, 1), (1, 0)), 2) == [b"\x00\x01", b"\x01\x00"]
+
+    def test_row_rejection_unconfirmed_is_internal(self, monkeypatch):
+        monkeypatch.setattr(solutions, "_rows_involutive", lambda *rows: False)
+        f = (1, 0, 2)
+        with pytest.raises(InternalCheckError, match="every entry passes"):
+            validate_solution(3, (f,) * 3, (f,) * 3)
 
 
 class TestFromBrace:

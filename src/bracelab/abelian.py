@@ -112,9 +112,6 @@ class FiniteAbelianGroup:
     def neg(self, a: int) -> int:
         return self.encode([-x for x in self.decode(a)])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def scale(self, n: int, a: int) -> int:
         """The sum of n copies of a; n may be any integer."""
         return self.encode([n * x for x in self.decode(a)])
@@ -124,9 +121,6 @@ class FiniteAbelianGroup:
         for x, d in zip(self.decode(a), self.factors):
             result = math.lcm(result, d // math.gcd(d, x))
         return result
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def generators(self) -> tuple[int, ...]:
         """The canonical generators: digit 1 in one slot and 0 elsewhere."""
@@ -192,15 +186,9 @@ def closure(degree: int, generators) -> PermutationGroup:
                 f"{g!r} is not a permutation of {degree} points"
             )
         gens.append(g)
-    return PermutationGroup(degree, _generated_subgroup(degree, gens))
-
-
-def _generated_subgroup(degree: int, seed) -> frozenset[Perm]:
-    # closure() minus generator validation, for internal trusted inputs
     ident = identity_perm(degree)
     elems = {ident}
     frontier = [ident]
-    gens = list(seed)
     while frontier:
         nxt = []
         for p in frontier:
@@ -210,7 +198,7 @@ def _generated_subgroup(degree: int, seed) -> frozenset[Perm]:
                     elems.add(q)
                     nxt.append(q)
         frontier = nxt
-    return frozenset(elems)
+    return PermutationGroup(degree, frozenset(elems))
 
 
 def is_nilpotent_group(group: PermutationGroup) -> bool:
@@ -321,121 +309,105 @@ def _compute_automorphisms(group: FiniteAbelianGroup) -> tuple[Perm, ...]:
 
 def additive_closure(add_rows, seed) -> frozenset[int]:
     """Subgroup of a finite abelian group generated by the seed indices."""
-    members = {0}
-    frontier = [0]
+    span = frozenset((0,))
     for s in seed:
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    while frontier:
-        x = frontier.pop()
-        row = add_rows[x]
-        for y in tuple(members):
-            z = row[y]
-            if z not in members:
-                members.add(z)
-                frontier.append(z)
-    return frozenset(members)
+        if s not in span:
+            span = _sumset(add_rows, span, multiples_of(add_rows, s))
+    return span
+
+
+def _sumset(add_rows, span, multiples) -> frozenset[int]:
+    """span + <s> for the multiples of s: the subgroup span and s generate.
+
+    span must be a subgroup; in an abelian group the sumset of two
+    subgroups is already closed.
+    """
+    return frozenset(add_rows[m][x] for m in multiples for x in span)
 
 
 def multiples_of(add_rows, x: int) -> list[int]:
-    """0, x, 2x, ... up to the additive order of x, exclusive."""
+    """0, x, 2x, ... up to the additive order of x, exclusive.
+
+    Raises InternalCheckError when len(add_rows) steps never return to 0,
+    which no group table allows.
+    """
     out = [0]
     acc = x
-    while acc != 0:
+    for _ in range(len(add_rows)):
+        if acc == 0:
+            return out
         out.append(acc)
         acc = add_rows[acc][x]
-    return out
+    raise InternalCheckError(f"element {x} has no additive order in the table")
 
 
-def _p_group_basis(add_rows, component: list[int]) -> list[int]:
+def _p_group_basis(add_rows, multiples, component: list[int]) -> list[int]:
     """Basis of an abelian p-group given as an index set with an add table.
 
-    Picks a maximal-order element x, greedily grows a subgroup C meeting
-    <x> trivially (single pass suffices: once y is rejected it stays
-    rejected, so C ends maximal), and recurses on the complement C.
+    multiples[e] lists the multiples of e.  Picks a maximal-order element x,
+    greedily grows a subgroup C meeting <x> trivially (single pass
+    suffices: once y is rejected it stays rejected, so C ends maximal), and
+    recurses on the complement C.
     """
     if len(component) == 1:
         return []
-    orders = {x: len(multiples_of(add_rows, x)) for x in component}
-    best = max(orders.values())
-    x = min(e for e in component if orders[e] == best)
-    gen = frozenset(multiples_of(add_rows, x))
+    best = max(len(multiples[e]) for e in component)
+    x = min(e for e in component if len(multiples[e]) == best)
+    gen = frozenset(multiples[x])
     comp: frozenset[int] = frozenset((0,))
-    for y in sorted(component):
+    for y in component:
         if y in comp:
             continue
-        cand = additive_closure(add_rows, set(comp) | {y})
+        cand = _sumset(add_rows, comp, multiples[y])
         if len(cand & gen) == 1:
             comp = cand
     if len(comp) * len(gen) != len(component):
         raise InternalCheckError(
             "complement construction failed in abelian decomposition"
         )
-    return [x] + _p_group_basis(add_rows, sorted(comp))
+    return [x] + _p_group_basis(add_rows, multiples, sorted(comp))
 
 
-def abelian_structure(order: int, add) -> tuple[tuple[int, ...], list[int]]:
+def abelian_structure(add_rows) -> tuple[tuple[int, ...], list[int]]:
     """Invariant factors and a canonical relabeling of an abstract group.
 
-    The group is given as indices 0..order-1 with zero element 0 and an
-    addition callable.  Returns (factors, to_canonical) where factors is the
+    The group is given by its addition rows on indices 0..order-1, with
+    zero element 0.  Returns (factors, to_canonical) where factors is the
     ascending divisibility chain and to_canonical maps concrete indices to
     the element indices of FiniteAbelianGroup(factors) under an isomorphism.
     """
+    order = len(add_rows)
     if order == 1:
         return (), [0]
-    rows = [[add(a, b) for b in range(order)] for a in range(order)]
-    primes = prime_factorization(order)
-
-    def scale_by(n: int, x: int) -> int:
-        acc = 0
-        base = x
-        while n:
-            if n & 1:
-                acc = rows[acc][base]
-            base = rows[base][base]
-            n >>= 1
-        return acc
-
-    per_prime: dict[int, list[tuple[int, int]]] = {}
-    for p, a in sorted(primes.items()):
+    multiples = [multiples_of(add_rows, x) for x in range(order)]
+    bases = []
+    for p, a in sorted(prime_factorization(order).items()):
         pa = p**a
-        component = sorted(x for x in range(order) if scale_by(pa, x) == 0)
+        component = [x for x in range(order) if pa % len(multiples[x]) == 0]
         if len(component) != pa:
             raise InternalCheckError(
                 f"torsion component for prime {p} has size {len(component)}, expected {pa}"
             )
-        basis = _p_group_basis(rows, component)
-        per_prime[p] = [(b, len(multiples_of(rows, b))) for b in basis]
+        bases.append(_p_group_basis(add_rows, multiples, component))
 
-    width = max(len(v) for v in per_prime.values())
-    # slot j of the canonical chain, counted from the largest factor
+    # slot j of the canonical chain, counted from the largest factor, is
+    # generated by the sum of the j-th basis elements, which have coprime orders
     slot_gens: list[int] = []
-    slot_orders: list[int] = []
-    for j in range(width):
+    for j in range(max(len(basis) for basis in bases)):
         g = 0
-        d = 1
-        for p, basis in per_prime.items():
+        for basis in bases:
             if j < len(basis):
-                g = rows[g][basis[j][0]]
-                d *= basis[j][1]
+                g = add_rows[g][basis[j]]
         slot_gens.append(g)
-        slot_orders.append(d)
-    factors = tuple(reversed(slot_orders))
-    canonical = FiniteAbelianGroup(factors)
-    if canonical.order != order:
-        raise InternalCheckError("invariant factor product does not match order")
+    gens_ascending = slot_gens[::-1]
+    factors = tuple(len(multiples[g]) for g in gens_ascending)
 
-    # to_parent[canonical index] = sum of digit multiples of the slot generators
-    gens_ascending = list(reversed(slot_gens))
-    to_parent = []
-    for e in range(order):
-        v = 0
-        for digit, g in zip(canonical.decode(e), gens_ascending):
-            v = rows[v][scale_by(digit, g)]
-        to_parent.append(v)
-    if len(set(to_parent)) != order:
+    # to_parent[canonical index] = sum of digit multiples of the slot
+    # generators, grown most significant factor first as the index rule runs
+    to_parent = [0]
+    for g in gens_ascending:
+        to_parent = [add_rows[v][m] for v in to_parent for m in multiples[g]]
+    if len(to_parent) != order or len(set(to_parent)) != order:
         raise InternalCheckError("canonical relabeling is not a bijection")
     to_canonical = [0] * order
     for e, v in enumerate(to_parent):

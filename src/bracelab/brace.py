@@ -30,11 +30,8 @@ from .errors import (
     CompatibilityError,
     InternalCheckError,
     InvalidPresentationError,
-    ResourceLimitError,
 )
 from .numutil import prime_factorization
-
-DEFAULT_BRACE_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -323,16 +320,14 @@ class LeftBrace:
         """
         m = len(reps)
         add = self.additive.add_rows()
-        factors, relabel = abelian_structure(
-            m, lambda i, j: cls[add[reps[i]][reps[j]]]
-        )
+        factors, relabel = abelian_structure([[cls[add[x][y]] for y in reps] for x in reps])
         table = [[0] * m for _ in range(m)]
         for i, x in enumerate(reps):
             row = table[relabel[i]]
             circle_row = self.circle_table[x]
             for j, y in enumerate(reps):
                 row[relabel[j]] = relabel[cls[circle_row[y]]]
-        brace = validate_brace(make_group(factors), table, max_order=max(m, 1))
+        brace = validate_brace(make_group(factors), table)
         return brace, relabel
 
     def classify(self) -> "BraceTraits":
@@ -452,9 +447,7 @@ class BraceTraits:
         return self.left_nil_index is not None
 
 
-def validate_brace(
-    group: FiniteAbelianGroup, circle_table, max_order: int = DEFAULT_BRACE_BOUND
-) -> LeftBrace:
+def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     """Check the brace laws exactly and return the validated brace.
 
     Raises CircleIdentityError, CircleInverseError, CircleAssociativityError
@@ -464,10 +457,6 @@ def validate_brace(
     by triple, and that scan names the witness.
     """
     n = group.order
-    if n > max_order:
-        raise ResourceLimitError(
-            f"brace order {n} above configured bound {max_order}"
-        )
     table = tuple(tuple(row) for row in circle_table)
     if len(table) != n or any(len(row) != n for row in table):
         raise InvalidPresentationError(

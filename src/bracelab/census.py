@@ -82,7 +82,7 @@ def enumerate_braces(order: int, *, max_order: int | None = None) -> BraceCensus
         tables = _regular_circle_tables(group, auts)
         for flat in _orbit_representatives(tables, auts, order):
             rows = [flat[a : a + order] for a in range(0, order * order, order)]
-            brace = validate_brace(group, rows, max_order=order)
+            brace = validate_brace(group, rows)
             entries.append(
                 CensusEntry(
                     brace=brace,

@@ -16,7 +16,7 @@ from .brace import LeftBrace
 from .census import enumerate_braces
 from .errors import InternalCheckError
 from .fqpoly import annihilation_exponent
-from .numutil import is_prime, prime_factorization
+from .numutil import prime_factorization
 
 PASS = "pass"
 FAIL = "fail"
@@ -237,10 +237,6 @@ def check_nilpotency_equivalence(brace: LeftBrace, subject: str = "") -> CheckRe
     add = brace.additive.add_rows()
     dot = brace.dot_table
     components = brace.sylow_components()
-    prime_of = {}
-    for comp in components:
-        for x in comp.members:
-            prime_of[x] = comp.prime
     n = brace.order
     for comp_a in components:
         for comp_b in components:

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .brace import DEFAULT_BRACE_BOUND, LeftBrace
+from .brace import LeftBrace
 from .census import check_census_order, check_table_order, enumerate_braces
 from .checks import FAIL, HYPOTHESIS_NOT_MET, PASS, run_census_checks
 from .documents import (
@@ -36,7 +36,7 @@ from .errors import (
     SolutionValidationError,
     WitnessedError,
 )
-from .products import make_action, semidirect, trivial_action, wreath
+from .products import DEFAULT_BRACE_BOUND, make_action, semidirect, trivial_action, wreath
 from .solutions import (
     SetTheoreticSolution,
     from_brace,

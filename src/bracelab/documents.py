@@ -55,7 +55,7 @@ class BraceDocument:
             rows = tuple(
                 tuple(add[a][v] for v in row) for a, row in enumerate(self.table)
             )
-        return validate_brace(group, rows, max_order=self.order)
+        return validate_brace(group, rows)
 
 
 @dataclass(frozen=True)

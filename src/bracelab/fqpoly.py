@@ -6,7 +6,6 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, PolynomialError

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import Perm, compose_perms, identity_perm, is_permutation, make_group
-from .brace import DEFAULT_BRACE_BOUND, LeftBrace, validate_brace
+from .brace import LeftBrace, validate_brace
 from .errors import ActionError, ResourceLimitError
+
+DEFAULT_BRACE_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,7 @@ def semidirect(
                     g = target.circle(g1, twist[g2])
                     h = acting.circle(h1, h2)
                     row[g2 * nh + h2] = g * nh + h
-    return validate_brace(group, table, max_order=max_order)
+    return validate_brace(group, table)
 
 
 def direct_sum(left: LeftBrace, right: LeftBrace, max_order: int = DEFAULT_BRACE_BOUND) -> LeftBrace:
@@ -139,7 +141,7 @@ def wreath(
             for x in range(nt):
                 acc += base.circle(value(f1, x), value(f2, x)) * strides[x]
             row[f2] = acc
-    w_brace = validate_brace(w_group, w_table, max_order=max_order)
+    w_brace = validate_brace(w_group, w_table)
 
     maps = []
     for h in range(nt):
@@ -150,5 +152,6 @@ def wreath(
                 acc += value(f, top.circle(h, x)) * strides[x]
             out.append(acc)
         maps.append(tuple(out))
-    action = make_action(top, w_brace, maps)
+    # semidirect validates the maps, once
+    action = BraceAction(top, w_brace, tuple(maps))
     return semidirect(w_brace, top, action, max_order=max_order)

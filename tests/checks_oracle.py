@@ -9,7 +9,9 @@ package must answer as it does on every input it is compared on:
 - the brace and solution validators check every law on every triple and
   raise the same exception class, message and witness as the package;
 - adjoint nilpotency is decided by the lower central series, and
-  two-sidedness on every triple.
+  two-sidedness on every triple;
+- the additive closure adds every member to every other until nothing
+  new appears, O(|H|^2) per subgroup H.
 
 ``e_combination`` is a helper of the brace tests; the package never
 needed it.
@@ -18,7 +20,7 @@ needed it.
 import math
 
 from bracelab.abelian import (
-    _generated_subgroup,
+    closure,
     compose_perms,
     identity_perm,
     invert_perm,
@@ -35,7 +37,6 @@ from bracelab.errors import (
     InvalidPresentationError,
     InvolutivityError,
     NonDegeneracyError,
-    ResourceLimitError,
 )
 from bracelab.solutions import SetTheoreticSolution
 
@@ -101,13 +102,9 @@ def oracle_power_identities(brace, subject: str = ""):
     return _report(name, subject, PASS)
 
 
-def oracle_validate_brace(group, circle_table, max_order: int = 64):
+def oracle_validate_brace(group, circle_table):
     """validate_brace with both laws scanned on every triple."""
     n = group.order
-    if n > max_order:
-        raise ResourceLimitError(
-            f"brace order {n} above configured bound {max_order}"
-        )
     table = tuple(tuple(row) for row in circle_table)
     if len(table) != n or any(len(row) != n for row in table):
         raise InvalidPresentationError(
@@ -228,10 +225,29 @@ def oracle_is_nilpotent_group(group) -> bool:
                 )
                 if c != ident:
                     commutators.add(c)
-        nxt = _generated_subgroup(group.degree, commutators)
+        nxt = closure(group.degree, commutators).elements
         if nxt == current:
             return current == frozenset((ident,))
         current = nxt
+
+
+def oracle_additive_closure(add_rows, seed) -> frozenset[int]:
+    """Subgroup generated by the seed: pairwise sums until nothing is new."""
+    members = {0}
+    frontier = [0]
+    for s in seed:
+        if s not in members:
+            members.add(s)
+            frontier.append(s)
+    while frontier:
+        x = frontier.pop()
+        row = add_rows[x]
+        for y in tuple(members):
+            z = row[y]
+            if z not in members:
+                members.add(z)
+                frontier.append(z)
+    return frozenset(members)
 
 
 def oracle_is_two_sided(brace) -> bool:

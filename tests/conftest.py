@@ -13,7 +13,7 @@ def cyclic_brace(n: int, c: int) -> LeftBrace:
     """
     group = make_group((n,))
     table = tuple(tuple((a + b + c * a * b) % n for b in range(n)) for a in range(n))
-    return validate_brace(group, table, max_order=n)
+    return validate_brace(group, table)
 
 
 @pytest.fixture

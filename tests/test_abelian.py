@@ -12,6 +12,7 @@ from bracelab.abelian import (
     FiniteAbelianGroup,
     abelian_group_types,
     abelian_structure,
+    additive_closure,
     automorphism_group,
     check_automorphism_work,
     closure,
@@ -26,6 +27,7 @@ from bracelab.errors import (
     InvalidGeneratorError,
     ResourceLimitError,
 )
+from checks_oracle import oracle_additive_closure
 
 
 def brute_force_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
@@ -189,7 +191,7 @@ class TestStructureRecovery:
     def test_recovers_invariant_factors(self, factors, canonical):
         for seed in (1, 2, 3):
             n, add = self.scrambled(factors, seed)
-            found, relabel = abelian_structure(n, add)
+            found, relabel = abelian_structure([[add(a, b) for b in range(n)] for a in range(n)])
             assert found == canonical
             target = make_group(found)
             assert sorted(relabel) == list(range(n))
@@ -199,7 +201,34 @@ class TestStructureRecovery:
 
     def test_rejects_non_group(self):
         with pytest.raises((InternalCheckError, ValueError, KeyError, IndexError)):
-            abelian_structure(4, lambda a, b: 0 if a == b else max(a, b))
+            abelian_structure([[0 if a == b else max(a, b) for b in range(4)] for a in range(4)])
+
+    def test_rejects_idempotent_table(self):
+        # every nonzero element is idempotent, so its multiples never reach 0
+        with pytest.raises(InternalCheckError, match="no additive order"):
+            abelian_structure([[max(a, b) for b in range(4)] for a in range(4)])
+
+
+class TestAdditiveClosure:
+    """The sumset closure spans what the pairwise oracle spans."""
+
+    types = [f for n in range(1, 65) for f in abelian_group_types(n)]
+
+    def test_every_single_seed(self):
+        for factors in self.types:
+            group = make_group(factors)
+            rows = group.add_rows()
+            for s in range(group.order):
+                assert additive_closure(rows, [s]) == oracle_additive_closure(rows, [s]), (factors, s)
+
+    def test_random_seed_sets(self):
+        rng = random.Random(20151)
+        for _ in range(200):
+            factors = rng.choice(self.types)
+            group = make_group(factors)
+            rows = group.add_rows()
+            seed = [rng.randrange(group.order) for _ in range(rng.randint(0, 4))]
+            assert additive_closure(rows, seed) == oracle_additive_closure(rows, seed), (factors, seed)
 
 
 class TestGroupTypes:
@@ -234,7 +263,7 @@ def test_structure_round_trip_property(factors, data):
     group = make_group(tuple(factors))
     if group.order > 40:
         return
-    found, relabel = abelian_structure(group.order, group.add)
+    found, relabel = abelian_structure(group.add_rows())
     target = make_group(found)
     assert target.order == group.order
     a = data.draw(st.integers(0, group.order - 1))

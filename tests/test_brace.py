@@ -19,7 +19,6 @@ from bracelab.errors import (
     CompatibilityError,
     InternalCheckError,
     InvalidPresentationError,
-    ResourceLimitError,
 )
 from bracelab.products import semidirect, wreath
 from checks_oracle import e_combination
@@ -74,11 +73,11 @@ class TestValidation:
         assert info.value.witness == (1, 1, 1)
 
     def test_order_bound(self):
+        # validate_brace has no bound of its own: documents, products and
+        # the census bound the order before they build a table
         group = make_group((101,))
         rows = tuple(tuple((a + b) % 101 for b in range(101)) for a in range(101))
-        with pytest.raises(ResourceLimitError):
-            validate_brace(group, rows, max_order=64)
-        assert validate_brace(group, rows, max_order=101).order == 101
+        assert validate_brace(group, rows).order == 101
 
 
 class TestCyclicFamily:
@@ -205,7 +204,7 @@ class TestInvariantMemo:
     def fresh(census, order, idx):
         # a copy the census does not hold, so nothing else keeps it alive
         entry = census(order).entries[idx].brace
-        return validate_brace(entry.additive, entry.circle_table, max_order=order)
+        return validate_brace(entry.additive, entry.circle_table)
 
     @staticmethod
     def all_invariants(brace):

@@ -300,7 +300,7 @@ class TestCensusBehavior:
 
         for entry in census(10).entries:
             brace = entry.brace
-            again = validate_brace(brace.additive, brace.circle_table, max_order=10)
+            again = validate_brace(brace.additive, brace.circle_table)
             assert again.circle_table == brace.circle_table
 
     def test_pinned_counts(self, census):

@@ -50,7 +50,7 @@ def with_dot_entries(brace, entries):
 def s3_brace() -> LeftBrace:
     """The brace on Z6 with a o b = a + (-1)^a b; its circle group is S3."""
     table = [[(a + (-1) ** a * b) % 6 for b in range(6)] for a in range(6)]
-    return validate_brace(make_group((6,)), table, max_order=6)
+    return validate_brace(make_group((6,)), table)
 
 
 class TestReportShape:

@@ -51,9 +51,9 @@ def outcome(validate, *args, **kwargs):
     return "valid", result
 
 
-def assert_same_brace_outcome(group, table, max_order):
-    got = outcome(validate_brace, group, table, max_order=max_order)
-    assert got == outcome(oracle_validate_brace, group, table, max_order=max_order)
+def assert_same_brace_outcome(group, table):
+    got = outcome(validate_brace, group, table)
+    assert got == outcome(oracle_validate_brace, group, table)
     return got[0]
 
 
@@ -119,7 +119,7 @@ def test_every_single_entry_mutation_agrees(census, order):
             for v in range(order):
                 if v != old:
                     table[a][b] = v
-                    seen[assert_same_brace_outcome(brace.additive, table, order)] += 1
+                    seen[assert_same_brace_outcome(brace.additive, table)] += 1
             table[a][b] = old
     assert seen[CircleAssociativityError] > 0
     assert "valid" not in seen
@@ -135,7 +135,7 @@ def test_every_transposed_relabeling_agrees(census, order):
                 pi = list(range(order))
                 pi[i], pi[j] = j, i
                 table = relabeled(brace.circle_table, pi)
-                seen[assert_same_brace_outcome(brace.additive, table, order)] += 1
+                seen[assert_same_brace_outcome(brace.additive, table)] += 1
     assert seen[CompatibilityError] > 0
 
 
@@ -149,7 +149,7 @@ def test_light_test_needs_every_generator():
         for l1 in range(5)
         for z1 in (0, 1)
     ]
-    got = assert_same_brace_outcome(make_group((5, 2)), table, 10)
+    got = assert_same_brace_outcome(make_group((5, 2)), table)
     assert got is CircleAssociativityError
 
 
@@ -199,10 +199,10 @@ class TestDrills:
         table = [list(row) for row in brace.circle_table]
         table[5][7], table[5][9] = table[5][9], table[5][7]
         with pytest.raises(CircleAssociativityError) as info:
-            validate_brace(brace.additive, table, max_order=48)
+            validate_brace(brace.additive, table)
         assert str(info.value) == "(1 o 5) o 7 != 1 o (5 o 7)"
         assert info.value.witness == (1, 5, 7)
-        assert_same_brace_outcome(brace.additive, table, 48)
+        assert_same_brace_outcome(brace.additive, table)
 
     def test_compatibility(self):
         brace = self.product48()
@@ -210,10 +210,10 @@ class TestDrills:
         pi[1], pi[2] = 2, 1
         table = relabeled(brace.circle_table, pi)
         with pytest.raises(CompatibilityError) as info:
-            validate_brace(brace.additive, table, max_order=48)
+            validate_brace(brace.additive, table)
         assert str(info.value) == "a o (b + c) + a != a o b + a o c at (1, 4, 8)"
         assert info.value.witness == (1, 4, 8)
-        assert_same_brace_outcome(brace.additive, table, 48)
+        assert_same_brace_outcome(brace.additive, table)
 
     def test_braid_relation(self):
         sigma = flip_union(from_brace(self.product48()).sigma, BAD_SIGMA)
@@ -233,7 +233,7 @@ class TestRowCheckDisagreement:
             brace_module, "_brace_row_failure", lambda group, table: "at generator 1"
         )
         with pytest.raises(InternalCheckError, match="row check fails at generator 1"):
-            validate_brace(b4.additive, b4.circle_table, max_order=4)
+            validate_brace(b4.additive, b4.circle_table)
 
     def test_solution(self, b4, monkeypatch):
         sol = from_brace(b4)
@@ -260,7 +260,7 @@ class TestAboveTableOrder:
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         table[2][1], table[2][2] = table[2][2], table[2][1]
         with pytest.raises(CircleAssociativityError) as info:
-            validate_brace(make_group((n,)), table, max_order=n)
+            validate_brace(make_group((n,)), table)
         assert info.value.witness == (1, 1, 1)
 
     def test_solution(self):

@@ -24,14 +24,19 @@ from .numutil import partitions, prime_factorization
 
 Perm = tuple[int, ...]
 
-# Tables of at most this order hold their elements as byte values, so a
-# permutation is a bytes row and p after q is q.translate(p + padding).  The
-# census search and the law checks of brace and solutions work on such rows.
+# The one table bound, which check_table_order applies before a table is built
+# or read: every addition, brace and solution table holds its elements as byte
+# values, so a permutation is a bytes row and p after q is q.translate(p +
+# padding).  The census search and the law checks work on such rows.
 MAX_TABLE_ORDER = 256
 
-# Full add tables are only built for groups small enough to matter here;
-# anything past this is a misuse of the package.
-_TABLE_LIMIT = 4096
+
+def check_table_order(order: int) -> None:
+    if order > MAX_TABLE_ORDER:
+        raise ResourceLimitError(
+            f"order {order} above {MAX_TABLE_ORDER}, the largest order"
+            " whose tables fit in bytes"
+        )
 
 
 def identity_perm(degree: int) -> Perm:
@@ -129,10 +134,7 @@ class FiniteAbelianGroup:
     def add_rows(self) -> tuple[tuple[int, ...], ...]:
         """The full addition table, row a giving a + b for each b.  Cached."""
         if self._rows is None:
-            if self.order > _TABLE_LIMIT:
-                raise ResourceLimitError(
-                    f"addition table of order {self.order} exceeds limit {_TABLE_LIMIT}"
-                )
+            check_table_order(self.order)
             # fold in one factor at a time, least significant first: the table
             # of Z/d x H has entry ((a + b) % d) * |H| + (h + h') at row a|H| + h
             rows: tuple[tuple[int, ...], ...] = ((0,),)

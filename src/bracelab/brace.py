@@ -20,6 +20,7 @@ from .abelian import (
     PermutationGroup,
     abelian_structure,
     additive_closure,
+    check_table_order,
     is_nilpotent_group,
     make_group,
 )
@@ -451,12 +452,13 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     """Check the brace laws exactly and return the validated brace.
 
     Raises CircleIdentityError, CircleInverseError, CircleAssociativityError
-    or CompatibilityError with the first offending tuple as witness.  Up to
-    order MAX_TABLE_ORDER the two laws on triples are decided by composing
-    byte rows; only a table they reject, or a larger one, is scanned triple
-    by triple, and that scan names the witness.
+    or CompatibilityError with the first offending tuple as witness, and
+    ResourceLimitError above order MAX_TABLE_ORDER before reading the table.
+    The two laws on triples are decided by composing byte rows; only a
+    table they reject is scanned triple by triple, to name the witness.
     """
     n = group.order
+    check_table_order(n)
     table = tuple(tuple(row) for row in circle_table)
     if len(table) != n or any(len(row) != n for row in table):
         raise InvalidPresentationError(
@@ -488,15 +490,12 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
                 f"element {a} has no circle inverse", witness=(a,)
             )
 
-    if n > MAX_TABLE_ORDER:
+    failure = _brace_row_failure(group, table)
+    if failure is not None:
         _scan_brace_laws(group, table)
-    else:
-        failure = _brace_row_failure(group, table)
-        if failure is not None:
-            _scan_brace_laws(group, table)
-            raise InternalCheckError(
-                f"row check fails {failure}, but every triple passes"
-            )
+        raise InternalCheckError(
+            f"row check fails {failure}, but every triple passes"
+        )
     return LeftBrace(group, table)
 
 

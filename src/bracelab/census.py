@@ -25,6 +25,7 @@ from .abelian import (
     abelian_group_types,
     automorphism_group,
     check_automorphism_work,
+    check_table_order,
     invert_perm,
     make_group,
 )
@@ -50,14 +51,6 @@ class BraceCensus:
     @property
     def classes(self) -> tuple[LeftBrace, ...]:
         return tuple(entry.brace for entry in self.entries)
-
-
-def check_table_order(order: int) -> None:
-    if order > MAX_TABLE_ORDER:
-        raise ResourceLimitError(
-            f"order {order} above {MAX_TABLE_ORDER}, the largest order"
-            " whose tables fit in bytes"
-        )
 
 
 def check_census_order(order: int, max_order: int | None = None) -> None:

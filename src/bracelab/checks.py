@@ -72,14 +72,7 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
             if right.prime == p:
                 continue
             q, m = right.prime, right.exponent
-            k = 0
-            for t in range(1, m + 1):
-                v = q**t - 1
-                s = 0
-                while v % p == 0:
-                    v //= p
-                    s += 1
-                k = max(k, s)
+            k = _residue_valuation(p, q, m)
             if k == 0:
                 for a in left.members:
                     for b in right.members:
@@ -133,9 +126,17 @@ def check_cubefree_socle(brace: LeftBrace, subject: str = "") -> CheckReport:
     return _report(name, subject, PASS)
 
 
-def _divides_residue(p: int, q: int, m: int) -> bool:
-    """Whether p divides q^t - 1 for some 1 <= t <= m."""
-    return any((q**t - 1) % p == 0 for t in range(1, m + 1))
+def _residue_valuation(p: int, q: int, m: int) -> int:
+    """The largest k with p^k dividing some q^t - 1, 1 <= t <= m; 0 if none."""
+    k = 0
+    for t in range(1, m + 1):
+        v = q**t - 1
+        s = 0
+        while v % p == 0:
+            v //= p
+            s += 1
+        k = max(k, s)
+    return k
 
 
 def _socle_lift_hypothesis(brace: LeftBrace, components) -> list[int]:
@@ -146,7 +147,7 @@ def _socle_lift_hypothesis(brace: LeftBrace, components) -> list[int]:
         for idx, comp in enumerate(components)
         if not comp.brace.socle().is_zero()
         and not any(
-            _divides_residue(comp.prime, other.prime, other.exponent)
+            _residue_valuation(comp.prime, other.prime, other.exponent) > 0
             for other in components
         )
     ]
@@ -160,7 +161,7 @@ def _ordering_hypothesis(components) -> bool:
     while remaining:
         for idx, comp in enumerate(remaining):
             if not any(
-                _divides_residue(comp.prime, other.prime, other.exponent)
+                _residue_valuation(comp.prime, other.prime, other.exponent) > 0
                 for other in remaining
                 if other is not comp
             ):

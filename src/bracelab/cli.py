@@ -15,8 +15,9 @@ import os
 import sys
 from pathlib import Path
 
+from .abelian import check_table_order
 from .brace import LeftBrace
-from .census import check_census_order, check_table_order, enumerate_braces
+from .census import check_census_order, enumerate_braces
 from .checks import FAIL, HYPOTHESIS_NOT_MET, PASS, run_census_checks
 from .documents import (
     BraceDocument,
@@ -36,7 +37,7 @@ from .errors import (
     SolutionValidationError,
     WitnessedError,
 )
-from .products import DEFAULT_BRACE_BOUND, make_action, semidirect, trivial_action, wreath
+from .products import DEFAULT_BRACE_BOUND, BraceAction, semidirect, wreath
 from .solutions import (
     SetTheoreticSolution,
     from_brace,
@@ -191,6 +192,7 @@ def cmd_product_semidirect(args: argparse.Namespace) -> int:
     bound = _env_bound(DEFAULT_BRACE_BOUND)
     target = _load_brace(args.target)
     acting = _load_brace(args.acting)
+    action = None  # the trivial action
     if args.action is not None:
         action_doc = parse_action_document(_read_text(args.action))
         if action_doc.acting_order != acting.order or action_doc.target_order != target.order:
@@ -199,9 +201,8 @@ def cmd_product_semidirect(args: argparse.Namespace) -> int:
                 f" {action_doc.target_order}, but the brace files have orders"
                 f" {acting.order} acting on {target.order}"
             )
-        action = make_action(acting, target, action_doc.maps)
-    else:
-        action = trivial_action(acting, target)
+        # semidirect validates the maps, once
+        action = BraceAction(acting, target, action_doc.maps)
     product = semidirect(target, acting, action, max_order=bound)
     _print_document(serialize_brace_document(BraceDocument.from_brace(product)))
     print(f"semidirect product of order {product.order}", file=sys.stderr)

@@ -78,20 +78,21 @@ def semidirect(
 ) -> LeftBrace:
     """The brace on target x acting, with pairs indexed g * |acting| + h.
 
-    The action is always revalidated here, so a hand-built BraceAction
-    cannot smuggle in a non-homomorphism.
+    A product above max_order is refused first.  The action is always
+    revalidated here, so a hand-built BraceAction cannot smuggle in a
+    non-homomorphism.
     """
-    if action is None:
-        action = trivial_action(acting, target)
-    if action.acting != acting or action.target != target:
-        raise ActionError("action does not connect the given braces")
-    action = make_action(acting, target, action.maps)
     nt, nh = target.order, acting.order
     order = nt * nh
     if order > max_order:
         raise ResourceLimitError(
             f"product order {order} above configured bound {max_order}"
         )
+    if action is None:
+        action = trivial_action(acting, target)
+    if action.acting != acting or action.target != target:
+        raise ActionError("action does not connect the given braces")
+    action = make_action(acting, target, action.maps)
     group = make_group(target.additive.factors + acting.additive.factors)
     table = [[0] * order for _ in range(order)]
     for g1 in range(nt):

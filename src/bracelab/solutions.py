@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .abelian import MAX_TABLE_ORDER, closure, invert_perm, is_permutation
+from .abelian import MAX_TABLE_ORDER, check_table_order, closure, invert_perm, is_permutation
 from .brace import LeftBrace
 from .errors import (
     BraidRelationError,
@@ -45,12 +45,13 @@ def _apply_r23(sol: SetTheoreticSolution, t: tuple[int, int, int]) -> tuple[int,
 def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
     """Check non-degeneracy, involutivity and the braid law exactly.
 
-    Up to size MAX_TABLE_ORDER, tables of plain ints are checked on byte
-    rows and the braid law is decided through the cycle-set identity on
-    pairs.  Only a table that a row check rejects, or one that is larger or
-    holds other entries, is scanned entry by entry or triple by triple, and
-    that scan names the witness.
+    A size above MAX_TABLE_ORDER is refused with ResourceLimitError first.
+    Tables of plain ints are checked on byte rows, and the braid law is
+    decided through the cycle-set identity on pairs.  Only a table that a
+    row check rejects, or one holding other entries, is scanned entry by
+    entry or triple by triple, and that scan names the witness.
     """
+    check_table_order(size)
     sigma = tuple(tuple(row) for row in sigma)
     tau = tuple(tuple(row) for row in tau)
     if len(sigma) != size or len(tau) != size:
@@ -65,22 +66,17 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
             "row checks reject the tables, but every entry passes"
         )
 
-    if size > MAX_TABLE_ORDER:
+    failure = _cycle_set_failure(sigma)
+    if failure is not None:
         _scan_braid_relation(sol)
-    else:
-        failure = _cycle_set_failure(sigma)
-        if failure is not None:
-            _scan_braid_relation(sol)
-            raise InternalCheckError(
-                f"cycle-set identity fails {failure}, but every triple braids"
-            )
+        raise InternalCheckError(
+            f"cycle-set identity fails {failure}, but every triple braids"
+        )
     return sol
 
 
 def _byte_rows(rows, size: int) -> list[bytes] | None:
     """The rows as bytes, if each has size entries, all ints below size."""
-    if size > MAX_TABLE_ORDER:
-        return None
     if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
         return None
     try:

@@ -20,6 +20,7 @@ from bracelab.checks import (
     CheckReport,
     _ordering_hypothesis,
     _prime_power,
+    _residue_valuation,
     check_cubefree_socle,
     check_level_criteria,
     check_nilpotency_equivalence,
@@ -80,6 +81,14 @@ class TestHelpers:
         assert _ordering_hypothesis([comp(3, 2), comp(5, 1)])
         assert _ordering_hypothesis([comp(2, 3)])
         assert _ordering_hypothesis([])
+
+    def test_residue_valuation(self):
+        # 7 - 1 = 2 * 3 and 7^2 - 1 = 2^4 * 3; 2 - 1 = 1 and 2^2 - 1 = 3
+        assert _residue_valuation(2, 7, 1) == 1
+        assert _residue_valuation(2, 7, 2) == 4
+        assert _residue_valuation(3, 2, 1) == 0
+        assert _residue_valuation(3, 2, 2) == 1
+        assert _residue_valuation(5, 5, 3) == 0
 
 
 class TestVerdictsOnRealBraces:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from bracelab import (
     serialize_solution_document,
     SolutionDocument,
 )
-from bracelab import abelian, cli, documents
+from bracelab import abelian, cli, documents, products
 from bracelab.cli import main
 from bracelab.census import enumerate_braces
 from bracelab.checks import FAIL, CheckReport
@@ -297,6 +298,50 @@ class TestProductCommands:
         ]) == 2
         assert "action file is for orders 3 acting on 3" in capsys.readouterr().err
 
+    def test_semidirect_action_not_homomorphism(self, tmp_path, capsys):
+        # each map is an automorphism of Z/3, but 1 o 1 = 2 acts as the identity
+        t3 = brace_file(tmp_path, LeftBrace.trivial(make_group((3,))), "t3.json")
+        act = tmp_path / "act.json"
+        act.write_text(json.dumps({
+            "type": "action",
+            "acting_order": 3,
+            "target_order": 3,
+            "maps": [[0, 1, 2], [0, 2, 1], [0, 2, 1]],
+        }))
+        assert main(["product", "semidirect", t3, t3, "--action", str(act)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "check failed: assignment is not a circle-group homomorphism"
+            " at (1, 1) [witness (1, 1)]\n"
+        )
+        assert captured.out == ""
+
+    def test_semidirect_validates_action_once(self, tmp_path, monkeypatch, capsys):
+        t3 = brace_file(tmp_path, LeftBrace.trivial(make_group((3,))), "t3.json")
+        t2 = brace_file(tmp_path, LeftBrace.trivial(make_group((2,))), "t2.json")
+        act = tmp_path / "neg.json"
+        act.write_text(json.dumps({
+            "type": "action",
+            "acting_order": 2,
+            "target_order": 3,
+            "maps": [[0, 1, 2], [0, 2, 1]],
+        }))
+        calls = []
+        validate = products.make_action
+
+        def counted(*args):
+            calls.append(args)
+            return validate(*args)
+
+        # the command may call it through either module
+        monkeypatch.setattr(products, "make_action", counted)
+        monkeypatch.setattr(cli, "make_action", counted, raising=False)
+        for argv in ([t3, t2, "--action", str(act)], [t3, t2]):
+            calls.clear()
+            assert main(["product", "semidirect", *argv]) == 0
+            assert len(calls) == 1
+        capsys.readouterr()
+
     def test_semidirect_default_trivial_action(self, tmp_path, capsys):
         t3 = brace_file(tmp_path, LeftBrace.trivial(make_group((3,))), "t3.json")
         t2 = brace_file(tmp_path, LeftBrace.trivial(make_group((2,))), "t2.json")
@@ -380,6 +425,55 @@ class TestInputBound:
         b, s = files
         assert main(["validate", b]) == 0
         assert main(["solution", "retract", "--tower", s]) == 0
+
+
+class TestTableBound:
+    """Files past MAX_TABLE_ORDER are refused before any law check, with
+    BRACELAB_MAX_ORDER unset."""
+
+    n = abelian.MAX_TABLE_ORDER + 1
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        # written by hand: the addition table of Z/257 is itself refused
+        n = self.n
+        brace = tmp_path / "b257.json"
+        brace.write_text(json.dumps({
+            "type": "brace",
+            "order": n,
+            "invariant_factors": [n],
+            "operation": "circle_table",
+            "table": [[(a + b) % n for b in range(n)] for a in range(n)],
+        }))
+        # the flip r(x, y) = (y, x), a valid solution
+        ident = [list(range(n))] * n
+        solution = tmp_path / "s257.json"
+        solution.write_text(json.dumps({
+            "type": "solution", "size": n, "sigma": ident, "tau": ident,
+        }))
+        return str(brace), str(solution)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{b}"],
+            ["analyze", "{b}"],
+            ["solution", "check", "{s}"],
+            ["solution", "retract", "{s}"],
+        ],
+    )
+    def test_file_past_table_order_exits_3(self, files, monkeypatch, capsys, argv):
+        monkeypatch.delenv("BRACELAB_MAX_ORDER", raising=False)
+        b, s = files
+        started = time.perf_counter()
+        assert main([arg.format(b=b, s=s) for arg in argv]) == 3
+        assert time.perf_counter() - started < 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "resource limit: order 257 above 256, the largest order"
+            " whose tables fit in bytes\n"
+        )
+        assert captured.out == ""
 
 
 class TestVerify:

@@ -26,6 +26,7 @@ from bracelab.errors import (
     CompatibilityError,
     InternalCheckError,
     InvolutivityError,
+    ResourceLimitError,
 )
 from bracelab.products import semidirect, wreath
 from bracelab.solutions import from_brace, validate_solution
@@ -243,31 +244,40 @@ class TestRowCheckDisagreement:
 
 
 class TestAboveTableOrder:
-    """Past MAX_TABLE_ORDER rows do not fit in bytes, and the scans decide."""
+    """Past MAX_TABLE_ORDER tables are refused before any check or scan."""
 
     n = MAX_TABLE_ORDER + 1
+    refusal = f"order {MAX_TABLE_ORDER + 1} above {MAX_TABLE_ORDER}, the largest order"
 
     @pytest.fixture(autouse=True)
-    def no_row_checks(self, monkeypatch):
+    def no_checks(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("row check ran above MAX_TABLE_ORDER")
+            raise AssertionError("a law check ran above MAX_TABLE_ORDER")
 
-        monkeypatch.setattr(brace_module, "_brace_row_failure", refuse)
-        monkeypatch.setattr(solutions_module, "_cycle_set_failure", refuse)
+        for name in ("_brace_row_failure", "_scan_brace_laws"):
+            monkeypatch.setattr(brace_module, name, refuse)
+        for name in ("_byte_rows", "_scan_entries", "_cycle_set_failure", "_scan_braid_relation"):
+            monkeypatch.setattr(solutions_module, name, refuse)
 
     def test_brace(self):
+        # fails associativity at (1, 1, 1), but is refused first
         n = self.n
         table = [[(a + b) % n for b in range(n)] for a in range(n)]
         table[2][1], table[2][2] = table[2][2], table[2][1]
-        with pytest.raises(CircleAssociativityError) as info:
+        with pytest.raises(ResourceLimitError, match=self.refusal):
             validate_brace(make_group((n,)), table)
-        assert info.value.witness == (1, 1, 1)
 
     def test_solution(self):
+        # fails the braid relation at (0, 0, 1), but is refused first
         sigma = flip_union(BAD_SIGMA, [list(range(self.n - 3))] * (self.n - 3))
-        with pytest.raises(BraidRelationError) as info:
+        with pytest.raises(ResourceLimitError, match=self.refusal):
             validate_solution(self.n, sigma, derived_tau(sigma))
-        assert info.value.witness == (0, 0, 1)
+
+    def test_add_rows(self):
+        group = make_group((self.n,))
+        with pytest.raises(ResourceLimitError, match=self.refusal):
+            group.add_rows()
+        assert group.add(200, 100) == 43  # digit arithmetic still works
 
 
 def test_nilpotency_from_element_orders_agrees(products):

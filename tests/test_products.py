@@ -2,6 +2,7 @@
 
 import pytest
 
+from bracelab import products
 from bracelab.abelian import make_group
 from bracelab.brace import LeftBrace
 from bracelab.census import are_isomorphic, enumerate_braces
@@ -99,6 +100,15 @@ class TestSemidirect:
         big = LeftBrace.trivial(make_group((13,)))
         with pytest.raises(ResourceLimitError):
             semidirect(z5, big, max_order=64)
+
+    def test_order_bound_before_action(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("validated the action of a product above the bound")
+
+        monkeypatch.setattr(products, "make_action", never)
+        t8 = LeftBrace.trivial(make_group((8,)))
+        with pytest.raises(ResourceLimitError, match="order 64 above configured bound 63"):
+            semidirect(t8, t8, max_order=63)
 
     def test_chain_index_bound(self):
         action = make_action(Z2, Z3, NEG3)

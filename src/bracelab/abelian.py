@@ -210,7 +210,7 @@ def is_nilpotent_group(group: PermutationGroup) -> bool:
     p-subgroup is normal, and more when there are several; a finite group
     is nilpotent iff every Sylow subgroup is normal.
     """
-    orders = [_perm_order(p) for p in group.elements]
+    orders = [perm_order(p) for p in group.elements]
     for p, a in prime_factorization(group.order).items():
         pa = p**a
         if sum(1 for k in orders if pa % k == 0) != pa:
@@ -218,7 +218,7 @@ def is_nilpotent_group(group: PermutationGroup) -> bool:
     return True
 
 
-def _perm_order(p: Perm) -> int:
+def perm_order(p: Perm) -> int:
     """The lcm of the cycle lengths of p."""
     seen = [False] * len(p)
     order = 1

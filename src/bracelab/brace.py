@@ -92,26 +92,6 @@ class LeftBrace:
             acc = row[acc]
         return acc
 
-    def left_power(self, a: int, n: int) -> int:
-        """Left-normed dot power: a, a.a, a.(a.a), ...  Defined for n >= 1."""
-        if n < 1:
-            raise ValueError(f"left power needs n >= 1, got {n}")
-        acc = a
-        row = self.dot_table[a]
-        for _ in range(n - 1):
-            acc = row[acc]
-        return acc
-
-    def e_sequence(self, a: int, b: int, n: int) -> tuple[int, ...]:
-        """(e_0, ..., e_n) with e_0 = b and e_{i+1} = a . e_i."""
-        if n < 0:
-            raise ValueError(f"sequence length needs n >= 0, got {n}")
-        row = self.dot_table[a]
-        out = [b]
-        for _ in range(n):
-            out.append(row[out[-1]])
-        return tuple(out)
-
     def circle_order(self, a: int) -> int:
         k = 1
         acc = a

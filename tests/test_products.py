@@ -147,6 +147,16 @@ class TestWreath:
             wreath(Z3, Z3, max_order=64)
         assert wreath(Z2, Z4, max_order=64).order == 64
 
+    def test_table_bound_before_building(self, monkeypatch):
+        # a bound past 256 still refuses before W is built or validated
+        def refuse(*args):
+            raise AssertionError("validate_brace called")
+
+        monkeypatch.setattr(products, "validate_brace", refuse)
+        t8 = LeftBrace.trivial(make_group((8,)))
+        with pytest.raises(ResourceLimitError, match="order 2048 above 256"):
+            wreath(Z2, t8, max_order=5000)
+
     def test_finite_level_preserved(self):
         for base, top in ((Z2, Z2), (Z3, Z2), (cyclic_brace(4, 2), Z2)):
             prod = wreath(base, top)

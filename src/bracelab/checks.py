@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .abelian import multiples_of
+from .abelian import MAX_TABLE_ORDER, multiples_of
 from .brace import LeftBrace
 from .census import enumerate_braces
 from .errors import InternalCheckError
@@ -91,8 +91,9 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
                     ),
                 )
             pk = p**k
+            powers = [brace.circle_power(a, pk) for a in range(brace.order)]
             for a in left.members:
-                apk = brace.circle_power(a, pk)
+                apk = powers[a]
                 for b in right.members:
                     if dot[apk][b] != 0:
                         return _report(
@@ -100,9 +101,7 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
                             notes=(f"circle power p^{k} of {a} does not kill {b}",),
                         )
             literal = all(
-                dot[brace.circle_power(a, pk)][b] == 0
-                for a in range(brace.order)
-                for b in right.members
+                dot[apk][b] == 0 for apk in powers for b in right.members
             )
             notes.append(
                 f"p={p},q={q}: literal all-elements quantification"
@@ -288,8 +287,17 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     The circle power a^m is checked against the literal sum of C(m, i)
     copies of the left powers of a.  The dotted expansion
     a^m . b = sum_i C(m, i) e_i(a, b) is checked through its Pascal
-    recurrence B_m = B_{m-1} + a.B_{m-1} + a.b, which needs only left
-    distributivity; validate_brace has already checked that.
+    recurrence B_0 = 0, B_m = B_{m-1} + a.B_{m-1} + a.b, which needs only
+    left distributivity; validate_brace has already checked that.  Byte
+    rows decide it.  With lambda_x(b) = b + x.b built from the dot table,
+    an additive lambda_a gives B_m(b) + b = lambda_a^m(b), and
+    a^m.b + b = lambda_{a^m}(b), so the recurrence holds for every b and m
+    exactly when the walk lambda_a, lambda_a^2, ... meets lambda_{a^m} at
+    each m = 1..n: n translates per a, not n^2 steps.  Additivity is
+    checked on the additive generators, as validate_brace does.  Only an a
+    whose walk fails, or whose lambda_a is not additive, is scanned b by b
+    (_scan_dotted_expansion): to name the witness, or for a non-additive
+    lambda_a to decide.
     """
     name = "power-identities"
     n = brace.order
@@ -298,6 +306,11 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     multiples = [multiples_of(add, x) for x in range(n)]
     binomials = [[math.comb(m, i) for i in range(m + 1)] for m in range(n + 1)]
     prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
+    pad = bytes(MAX_TABLE_ORDER - n)
+    add_lookups = [bytes(row) + pad for row in add]
+    shifts = [(g, bytes(add[g])) for g in brace.additive.generators()]
+    lambdas = [bytes([sums[d] for sums, d in zip(add, row)]) for row in dot]
+    identity = bytes(range(n))
 
     for a in range(n):
         powers = [0]
@@ -319,22 +332,28 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
                     name, subject, FAIL, witness=(a, m),
                     notes=("circle power binomial expansion fails",),
                 )
-        for b in range(n):
-            ab = drow[b]
-            acc = 0
+        lam = lambdas[a]
+        lam_lookup = lam + pad
+        additive = all(
+            shift.translate(lam_lookup) == lam.translate(add_lookups[lam[g]])
+            for g, shift in shifts
+        )
+        if additive:
+            walk = identity
             for m in range(1, n + 1):
-                acc = add[add[acc][drow[acc]]][ab]
-                target = dot[powers[m]][b]
-                if prime_power_m[m] and (target == 0) != (acc == 0):
-                    return _report(
-                        name, subject, FAIL, witness=(a, b, m),
-                        notes=("vanishing equivalence fails at a prime power",),
-                    )
-                if acc != target:
-                    return _report(
-                        name, subject, FAIL, witness=(a, b, m),
-                        notes=("dotted binomial expansion fails",),
-                    )
+                walk = walk.translate(lam_lookup)
+                if walk != lambdas[powers[m]]:
+                    break
+            else:
+                continue
+        failure = _scan_dotted_expansion(add, dot, a, powers, prime_power_m)
+        if failure is not None:
+            witness, note = failure
+            return _report(name, subject, FAIL, witness=witness, notes=(note,))
+        if additive:
+            raise InternalCheckError(
+                f"row walk of lambda_{a} fails at power {m}, but every (b, m) passes"
+            )
 
     additive_pp = [_prime_power(len(multiples[b])) for b in range(n)]
     for a in range(n):
@@ -354,6 +373,24 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
                     notes=("square kill without product kill across primes",),
                 )
     return _report(name, subject, PASS)
+
+
+def _scan_dotted_expansion(add, dot, a: int, powers, prime_power_m):
+    """The dotted expansion for one a, b by b through the Pascal recurrence:
+    the first failing (a, b, m) and its note, or None."""
+    drow = dot[a]
+    n = len(drow)
+    for b in range(n):
+        ab = drow[b]
+        acc = 0
+        for m in range(1, n + 1):
+            acc = add[add[acc][drow[acc]]][ab]
+            target = dot[powers[m]][b]
+            if prime_power_m[m] and (target == 0) != (acc == 0):
+                return (a, b, m), "vanishing equivalence fails at a prime power"
+            if acc != target:
+                return (a, b, m), "dotted binomial expansion fails"
+    return None
 
 
 def observe_square_rule(brace: LeftBrace, subject: str = "") -> CheckReport:

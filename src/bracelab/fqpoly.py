@@ -7,6 +7,7 @@ trailing zeros trimmed; the zero polynomial is the empty tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InternalCheckError, PolynomialError
 from .numutil import is_prime
@@ -134,8 +135,14 @@ def annihilation_exponent(p: int, j: int, q: int, m: int) -> int:
 
     Computes t(x) = gcd(f, l) over F_q with f = (x+1)^(p^j) - 1 and
     l = (x+1)^m * prod_{i=1..m} ((x+1)^(q^i - 1) - 1)^m, checks that t has
-    the shape (x+1)^(p^k) - 1, and returns k.
+    the shape (x+1)^(p^k) - 1, and returns k.  The result is memoized; this
+    stays a plain function so that perfbench's tracer can time its calls.
     """
+    return _annihilation_exponent(p, j, q, m)
+
+
+@lru_cache(maxsize=None)
+def _annihilation_exponent(p: int, j: int, q: int, m: int) -> int:
     if not is_prime(p) or not is_prime(q):
         raise PolynomialError(f"{p} and {q} must be prime")
     if p == q:

@@ -5,7 +5,9 @@ package must answer as it does on every input it is compared on:
 
 - the power-identity check writes every binomial sum out literally: each
   term pays a decode/encode ``scale`` and each (a, b) pair rebuilds its
-  e-sequence, so one brace costs O(n^4);
+  e-sequence, so one brace costs O(n^4); the route it was replaced by,
+  which scans the dotted expansion's Pascal recurrence for every (a, b, m)
+  in O(n^3), is kept too, for orders where O(n^4) is too slow;
 - the brace and solution validators check every law on every triple and
   raise the same exception class, message and witness as the package;
 - adjoint nilpotency is decided by the lower central series, and
@@ -45,6 +47,40 @@ from bracelab.solutions import SetTheoreticSolution
 def oracle_power_identities(brace, subject: str = ""):
     """The binomial expansions of circle powers, their vanishing equivalence
     at prime powers, and the coprime square-kill implication."""
+    n = brace.order
+    add = brace.additive.add_rows()
+    scale = brace.additive.scale
+
+    def literal_sums(a, b):
+        seq = e_sequence(brace, a, b, n)
+        for m in range(1, n + 1):
+            acc = 0
+            for i in range(1, m + 1):
+                acc = add[acc][scale(math.comb(m, i), seq[i])]
+            yield acc
+
+    return _power_identities(brace, subject, literal_sums)
+
+
+def recurrence_power_identities(brace, subject: str = ""):
+    """The same check with each dotted expansion computed through its Pascal
+    recurrence B_m = B_{m-1} + a.B_{m-1} + a.b, one (a, b, m) at a time."""
+    n = brace.order
+    add = brace.additive.add_rows()
+    dot = brace.dot_table
+
+    def recurrence(a, b):
+        acc = 0
+        for _ in range(n):
+            acc = add[add[acc][dot[a][acc]]][dot[a][b]]
+            yield acc
+
+    return _power_identities(brace, subject, recurrence)
+
+
+def _power_identities(brace, subject, expansions):
+    """The power-identity check, with expansions(a, b) yielding the dotted
+    expansion of a^m . b for m = 1..n."""
     name = "power-identities"
     n = brace.order
     add = brace.additive.add_rows()
@@ -69,11 +105,7 @@ def oracle_power_identities(brace, subject: str = ""):
                     notes=("circle power binomial expansion fails",),
                 )
         for b in range(n):
-            seq = e_sequence(brace, a, b, n)
-            for m in range(1, n + 1):
-                acc = 0
-                for i in range(1, m + 1):
-                    acc = add[acc][scale(math.comb(m, i), seq[i])]
+            for m, acc in enumerate(expansions(a, b), start=1):
                 if _prime_power(m) is not None and (dot[powers[m]][b] == 0) != (acc == 0):
                     return _report(
                         name, subject, FAIL, witness=(a, b, m),

@@ -6,12 +6,15 @@ time and watching the checker catch the inconsistency.
 """
 
 import hashlib
+import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
 from bracelab.abelian import make_group
 from bracelab.brace import BraceSubset, BraceTraits, LeftBrace, validate_brace
+from bracelab.census import check_census_order, enumerate_braces
 from bracelab.checks import (
     ALL_CHECKS,
     FAIL,
@@ -31,8 +34,9 @@ from bracelab.checks import (
     run_brace_checks,
     run_census_checks,
 )
-from bracelab.errors import InternalCheckError
-from checks_oracle import oracle_power_identities
+from bracelab.errors import InternalCheckError, ResourceLimitError
+from bracelab.products import semidirect, wreath
+from checks_oracle import oracle_power_identities, recurrence_power_identities
 
 
 def with_dot_entries(brace, entries):
@@ -247,6 +251,58 @@ class TestPowerIdentityDrills:
             assert report.witness == (1, 2)
             assert report.notes == ("square kill without product kill across primes",)
 
+    def test_row_walk_decides_where_lambda_is_additive(self):
+        # dot row 0 becomes x -> 2x, so lambda_0(x) = x + 2x = -x is still
+        # additive and passes the guard; the walk then fails at m = 2,
+        # lambda_0^2 = id against lambda_{0 o 0} = lambda_0 = -x
+        brace = doubling_row_zero()
+        assert brace.dot_table[0] == (0, 2, 0, 2)
+        assert [(x + brace.dot_table[0][x]) % 4 for x in range(4)] == [0, 3, 2, 1]
+        report = check_power_identities(brace)
+        assert report == oracle_power_identities(brace)
+        assert report.verdict == FAIL
+        assert report.witness == (0, 1, 2)
+        assert report.notes == ("vanishing equivalence fails at a prime power",)
+
+    def test_seeded_random_corruptions(self, census):
+        # the recurrence scan is the route the rows replaced; where the
+        # corrupted rows are still additive it also equals the literal sums
+        braces = [entry.brace for order in range(1, 13) for entry in census(order).entries]
+        rng = random.Random(1207)
+        seen = Counter()
+        for _ in range(500):
+            genuine = rng.choice(braces)
+            n = genuine.order
+            entries = {
+                (rng.randrange(n), rng.randrange(n)): rng.randrange(n)
+                for _ in range(rng.randint(1, 3))
+            }
+            brace = with_dot_entries(
+                LeftBrace(genuine.additive, genuine.circle_table), entries
+            )
+            report = check_power_identities(brace)
+            assert report == recurrence_power_identities(brace), entries
+            add, dot = genuine.additive.add_rows(), brace.dot_table
+            if all(
+                dot[a][add[x][y]] == add[dot[a][x]][dot[a][y]]
+                for a in range(n)
+                for x in range(n)
+                for y in range(n)
+            ):
+                assert report == oracle_power_identities(brace), entries
+            seen[report.notes] += 1
+        assert set(seen) == {
+            (),
+            ("circle power binomial expansion fails",),
+            ("vanishing equivalence fails at a prime power",),
+            ("dotted binomial expansion fails",),
+        }
+
+
+def doubling_row_zero() -> LeftBrace:
+    """The trivial brace on Z4 with dot row 0 set to x -> 2x."""
+    return with_dot_entries(LeftBrace.trivial(make_group((4,))), {(0, 1): 2, (0, 3): 2})
+
 
 class TestPowerIdentityOracle:
     @pytest.mark.parametrize("order", range(1, 13))
@@ -260,6 +316,53 @@ class TestPowerIdentityOracle:
     def test_non_cyclic_circle_group(self):
         brace = s3_brace()
         assert check_power_identities(brace) == oracle_power_identities(brace)
+
+
+def products_48_to_64():
+    """Products of order 48 to 64, built as the file benchmark builds them."""
+    two, four, six, eight = (enumerate_braces(o).classes for o in (2, 4, 6, 8))
+    return [
+        semidirect(eight[0], eight[1]),
+        semidirect(six[1], eight[18]),
+        wreath(two[0], four[3]),
+    ]
+
+
+class TestPowerIdentityRows:
+    """The row walk on genuine braces, where every expansion holds."""
+
+    @pytest.mark.parametrize("order", [13, 14, 15, 18, 20, 45])
+    def test_classes_equal_recurrence_scan(self, census, order):
+        for idx, entry in enumerate(census(order).entries):
+            subject = f"{order}:{idx}"
+            report = check_power_identities(entry.brace, subject)
+            assert report == recurrence_power_identities(entry.brace, subject)
+            assert report.verdict == PASS
+
+    def test_products_equal_recurrence_scan(self):
+        products = products_48_to_64()
+        assert sorted(b.order for b in products) == [48, 64, 64]
+        for brace in products:
+            report = check_power_identities(brace)
+            assert report == recurrence_power_identities(brace)
+            assert report.verdict == PASS
+
+    def test_scan_never_decides_a_pass(self, census, monkeypatch):
+        import bracelab.checks as checks_module
+
+        def refuse(*args):
+            raise AssertionError("the b-by-b scan ran on a genuine brace")
+
+        monkeypatch.setattr(checks_module, "_scan_dotted_expansion", refuse)
+        for brace in (census(24).entries[50].brace, products_48_to_64()[0]):
+            assert check_power_identities(brace).verdict == PASS
+
+    def test_walk_failure_the_scan_denies(self, monkeypatch):
+        import bracelab.checks as checks_module
+
+        monkeypatch.setattr(checks_module, "_scan_dotted_expansion", lambda *args: None)
+        with pytest.raises(InternalCheckError, match="row walk of lambda_0 fails at power 2"):
+            check_power_identities(doubling_row_zero())
 
 
 class TestRunners:
@@ -292,16 +395,43 @@ class TestRunners:
         # reproduce them exactly
         orders = list(range(1, 16)) + [18, 20, 45]
         reports = run_census_checks(orders, max_order=45)
-        counts = tuple(
-            sum(r.verdict == v for r in reports)
-            for v in (PASS, FAIL, HYPOTHESIS_NOT_MET)
-        )
         assert len(reports) == 574
-        assert counts == (403, 0, 171)
-        lines = sorted(
-            repr((r.subject, r.check, r.verdict, r.witness, r.notes)) for r in reports
-        )
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == (
+        assert verdict_split(reports) == (403, 0, 171)
+        assert report_digest(reports) == (
             "79a8941545f6d69e0ce5d0c76be8a580492ac02415809b644e1a6db5da38908c"
         )
+
+    @pytest.mark.slow
+    def test_frontier_verdicts_are_pinned(self):
+        # every order up to 63 that the census admits; the digest was taken
+        # before the dotted expansion was decided by rows
+        orders, refused = [], []
+        for order in range(1, 64):
+            try:
+                check_census_order(order, 63)
+            except ResourceLimitError:
+                refused.append(order)
+            else:
+                orders.append(order)
+        assert refused == [32, 48]
+        reports = run_census_checks(orders, max_order=63)
+        assert len(reports) == 7182
+        assert verdict_split(reports) == (4217, 0, 2965)
+        assert report_digest(reports) == (
+            "4de6f245dfc6f305a749589b1a47930732a66e91d61f0c873e4446c4cba573a3"
+        )
+
+
+def verdict_split(reports) -> tuple[int, int, int]:
+    """How many reports pass, fail and miss the hypothesis."""
+    return tuple(
+        sum(r.verdict == v for r in reports) for v in (PASS, FAIL, HYPOTHESIS_NOT_MET)
+    )
+
+
+def report_digest(reports) -> str:
+    """SHA-256 of the sorted (subject, check, verdict, witness, notes) reprs."""
+    lines = sorted(
+        repr((r.subject, r.check, r.verdict, r.witness, r.notes)) for r in reports
+    )
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -311,6 +311,21 @@ class LeftBrace:
         brace = validate_brace(make_group(factors), table)
         return brace, relabel
 
+    @cached_property
+    def _left_power_steps(self) -> tuple[int | None, ...]:
+        """For each a, one more than the number of steps a, a.a, a.(a.a), ...
+        takes to reach 0, or None if it never does."""
+        n = self.order
+        out = []
+        for a, row in enumerate(self.dot_table):
+            acc = a
+            steps = 1
+            while acc != 0 and steps <= n:
+                acc = row[acc]
+                steps += 1
+            out.append(steps if acc == 0 else None)
+        return tuple(out)
+
     def classify(self) -> "BraceTraits":
         return self._classify
 
@@ -334,21 +349,8 @@ class LeftBrace:
             dot[neg[a]][b] == neg[dot[a][b]] for a in range(n) for b in range(n)
         )
 
-        left_nil_index: int | None = 1 if n == 1 else None
-        if n > 1:
-            worst = 0
-            for a in range(n):
-                acc = a
-                steps = 1
-                row = dot[a]
-                while acc != 0 and steps <= n:
-                    acc = row[acc]
-                    steps += 1
-                if acc != 0:
-                    worst = None
-                    break
-                worst = max(worst, steps)
-            left_nil_index = worst
+        steps = self._left_power_steps
+        left_nil_index = None if None in steps else max(steps)
 
         adjoint_nilpotent = is_nilpotent_group(self.adjoint_group())
 
@@ -358,10 +360,9 @@ class LeftBrace:
             # (a . b) . c = a . (b . c) are additive in each argument
             for a, b, c in iter_product(gens, repeat=3):
                 if dot[dot[a][b]][c] != dot[a][dot[b][c]]:
-                    _scan_dot_associativity(dot)
                     raise InternalCheckError(
-                        "dot product fails associativity on the generators"
-                        f" ({a}, {b}, {c}), but every triple passes"
+                        "two-sided brace with non-associative dot product"
+                        f" at ({a}, {b}, {c})"
                     )
             ring_nilpotent = self.radical_chain_index() is not None
 
@@ -372,19 +373,6 @@ class LeftBrace:
             minus_rule=minus_rule,
             ring_nilpotent=ring_nilpotent,
         )
-
-
-def _scan_dot_associativity(dot) -> None:
-    n = len(dot)
-    for a in range(n):
-        for b in range(n):
-            ab = dot[a][b]
-            for c in range(n):
-                if dot[ab][c] != dot[a][dot[b][c]]:
-                    raise InternalCheckError(
-                        "two-sided brace with non-associative dot product"
-                        f" at ({a}, {b}, {c})"
-                    )
 
 
 @dataclass(frozen=True)

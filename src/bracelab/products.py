@@ -85,9 +85,9 @@ def semidirect(
 ) -> LeftBrace:
     """The brace on target x acting, with pairs indexed g * |acting| + h.
 
-    A product above max_order is refused first.  The action is always
-    revalidated here, so a hand-built BraceAction cannot smuggle in a
-    non-homomorphism.
+    A product above max_order, or above MAX_TABLE_ORDER, is refused before
+    any table work.  The action is always revalidated here, so a hand-built
+    BraceAction cannot smuggle in a non-homomorphism.
     """
     nt, nh = target.order, acting.order
     order = nt * nh
@@ -95,6 +95,7 @@ def semidirect(
         raise ResourceLimitError(
             f"product order {order} above configured bound {max_order}"
         )
+    check_table_order(order)
     if action is None:
         action = trivial_action(acting, target)
     if action.acting != acting or action.target != target:
@@ -123,9 +124,10 @@ def wreath(
 ) -> LeftBrace:
     """Functions from the top brace to the base one, twisted by translation.
 
-    W carries pointwise addition and circle product; the top element h moves
-    a function f to x -> f(h o x).  The result is the semidirect product of
-    W by the top brace.
+    W carries pointwise addition and circle product, so it is the direct
+    sum of |top| copies of the base; the top element h moves a function f
+    to x -> f(h o x).  The result is the semidirect product of W by the
+    top brace.
     """
     nb, nt = base.order, top.order
     w_order = nb**nt
@@ -134,31 +136,20 @@ def wreath(
             f"wreath order {w_order * nt} above configured bound {max_order}"
         )
     check_table_order(w_order * nt)
-    w_group = make_group(base.additive.factors * nt)
+    # W is the direct sum of nt copies of the base, copy 0 most significant
+    w_brace = base
+    for _ in range(nt - 1):
+        w_brace = direct_sum(base, w_brace, max_order=max_order)
 
-    # function values are read off blockwise: position x has stride nb^(nt-1-x)
+    # the value of a function f at x is its digit of stride nb^(nt-1-x)
     strides = [nb ** (nt - 1 - x) for x in range(nt)]
-
-    def value(f: int, x: int) -> int:
-        return (f // strides[x]) % nb
-
-    w_table = [[0] * w_order for _ in range(w_order)]
-    for f1 in range(w_order):
-        row = w_table[f1]
-        for f2 in range(w_order):
-            acc = 0
-            for x in range(nt):
-                acc += base.circle(value(f1, x), value(f2, x)) * strides[x]
-            row[f2] = acc
-    w_brace = validate_brace(w_group, w_table)
-
     maps = []
     for h in range(nt):
         out = []
         for f in range(w_order):
             acc = 0
             for x in range(nt):
-                acc += value(f, top.circle(h, x)) * strides[x]
+                acc += ((f // strides[top.circle(h, x)]) % nb) * strides[x]
             out.append(acc)
         maps.append(tuple(out))
     # semidirect validates the maps, once

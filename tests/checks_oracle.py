@@ -12,6 +12,12 @@ package must answer as it does on every input it is compared on:
   raise the same exception class, message and witness as the package;
 - adjoint nilpotency is decided by the lower central series, and
   two-sidedness on every triple;
+- the nilpotency-equivalence check walks the left powers s, s.s,
+  s.(s.s), ... of every cross-prime sum s afresh, where the package reads
+  one walk per element cached on the brace;
+- the cyclic-square-zero hypothesis of the level criteria scans every dot
+  product of every Sylow component, where the package compares the size
+  of the component's socle with its own;
 - the additive closure adds every member to every other until nothing
   new appears, O(|H|^2) per subgroup H.
 
@@ -281,6 +287,58 @@ def oracle_additive_closure(add_rows, seed) -> frozenset[int]:
                 members.add(z)
                 frontier.append(z)
     return frozenset(members)
+
+
+def oracle_nilpotency_equivalence(brace, subject: str = ""):
+    """Adjoint nilpotency must match vanishing left powers, and a vanishing
+    left power of a cross-prime sum forces both products to vanish."""
+    name = "nilpotency-equivalence"
+    traits = brace.classify()
+    if traits.adjoint_nilpotent != traits.is_left_nil:
+        return _report(
+            name, subject, FAIL, witness=(brace.order,),
+            notes=(
+                f"adjoint nilpotent: {traits.adjoint_nilpotent},"
+                f" left powers vanish: {traits.is_left_nil}",
+            ),
+        )
+    add = brace.additive.add_rows()
+    dot = brace.dot_table
+    components = brace.sylow_components()
+    n = brace.order
+    for comp_a in components:
+        for comp_b in components:
+            if comp_a.prime == comp_b.prime:
+                continue
+            for a in comp_a.members:
+                for b in comp_b.members:
+                    s = add[a][b]
+                    acc = s
+                    vanished = False
+                    for _ in range(n + 1):
+                        if acc == 0:
+                            vanished = True
+                            break
+                        acc = dot[s][acc]
+                    if vanished and (dot[a][b] != 0 or dot[b][a] != 0):
+                        return _report(
+                            name, subject, FAIL, witness=(a, b),
+                            notes=("nilpotent cross-prime sum with nonzero product",),
+                        )
+    return _report(name, subject, PASS)
+
+
+def oracle_cyclic_square_zero(brace) -> bool:
+    """Every Sylow component is cyclic with every dot product zero."""
+    return all(
+        len(c.brace.additive.factors) <= 1
+        and all(
+            c.brace.dot(a, b) == 0
+            for a in range(c.brace.order)
+            for b in range(c.brace.order)
+        )
+        for c in brace.sylow_components()
+    )
 
 
 def oracle_is_two_sided(brace) -> bool:

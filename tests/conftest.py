@@ -16,6 +16,21 @@ def cyclic_brace(n: int, c: int) -> LeftBrace:
     return validate_brace(group, table)
 
 
+def with_dot_entries(brace, entries):
+    """The brace with some dot products overwritten, circle table untouched.
+
+    dot_table is a cached property, so an entry in the instance dictionary
+    takes its place; the result is deliberately not a brace.  Call it
+    before any invariant of the brace is read, or the invariants keep the
+    genuine dot table.
+    """
+    dot = [list(row) for row in brace.dot_table]
+    for (a, b), value in entries.items():
+        dot[a][b] = value
+    brace.__dict__["dot_table"] = tuple(tuple(row) for row in dot)
+    return brace
+
+
 @pytest.fixture
 def b4() -> LeftBrace:
     return cyclic_brace(4, 2)

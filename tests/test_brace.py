@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import re
 import weakref
 
 import pytest
@@ -22,7 +23,7 @@ from bracelab.errors import (
 )
 from bracelab.products import semidirect, wreath
 from checks_oracle import e_combination, e_sequence, left_power
-from conftest import cyclic_brace
+from conftest import cyclic_brace, with_dot_entries
 
 
 class TestValidation:
@@ -358,6 +359,33 @@ def test_derived_braces_are_pinned(census):
 
 
 class TestDerivedBraceDrills:
+    def test_two_sided_with_non_associative_dot_product(self):
+        # on (2,2) take the biadditive product with e . e = f and f . e = e
+        # for e = 2 and f = 1, all other generator products zero: then
+        # (e . e) . e = e but e . (e . e) = e . f = 0
+        entries = {
+            (u, v): 2 * ((u & 1) * (v >> 1)) + (u >> 1) * (v >> 1)
+            for u in range(4)
+            for v in range(4)
+        }
+        brace = with_dot_entries(LeftBrace.trivial(make_group((2, 2))), entries)
+        dot = brace.dot_table
+        assert (dot[2][2], dot[1][2], dot[2][1], dot[1][1]) == (1, 2, 0, 0)
+        assert all(
+            dot[a ^ b][c] == dot[a][c] ^ dot[b][c] and dot[c][a ^ b] == dot[c][a] ^ dot[c][b]
+            for a in range(4)
+            for b in range(4)
+            for c in range(4)
+        )
+        with pytest.raises(InternalCheckError) as info:
+            brace.classify()
+        found = re.fullmatch(
+            r"two-sided brace with non-associative dot product at \((\d), (\d), (\d)\)",
+            str(info.value),
+        )
+        a, b, c = map(int, found.groups())
+        assert dot[dot[a][b]][c] != dot[a][dot[b][c]]
+
     def test_sylow_component_not_circle_closed(self):
         # Z/6 addition conjugated by the swap of 1 and 3, unvalidated: the
         # 2-torsion {0, 3} is not closed under it

@@ -36,20 +36,13 @@ from bracelab.checks import (
 )
 from bracelab.errors import InternalCheckError, ResourceLimitError
 from bracelab.products import semidirect, wreath
-from checks_oracle import oracle_power_identities, recurrence_power_identities
-
-
-def with_dot_entries(brace, entries):
-    """The brace with some dot products overwritten, circle table untouched.
-
-    dot_table is a cached property, so an entry in the instance dictionary
-    takes its place; the result is deliberately not a brace.
-    """
-    dot = [list(row) for row in brace.dot_table]
-    for (a, b), value in entries.items():
-        dot[a][b] = value
-    brace.__dict__["dot_table"] = tuple(tuple(row) for row in dot)
-    return brace
+from checks_oracle import (
+    oracle_cyclic_square_zero,
+    oracle_nilpotency_equivalence,
+    oracle_power_identities,
+    recurrence_power_identities,
+)
+from conftest import with_dot_entries
 
 
 def s3_brace() -> LeftBrace:
@@ -206,6 +199,45 @@ class TestForcedFailures:
         report = check_cubefree_socle(b4)
         assert report.verdict == FAIL
         assert report.notes == ("zero socle",)
+
+
+class TestReplacedRouteOracles:
+    """The cached left-power walk and the socle-size test against the scans
+    they replaced."""
+
+    ORDERS = list(range(1, 16)) + [18, 20, 45]
+
+    def test_classes_equal_old_routes(self, census):
+        square_zero = Counter()
+        for order in self.ORDERS:
+            for idx, entry in enumerate(census(order).entries):
+                brace, subject = entry.brace, f"{order}:{idx}"
+                assert check_nilpotency_equivalence(brace, subject) == (
+                    oracle_nilpotency_equivalence(brace, subject)
+                )
+                if order > 1:  # the one-point brace passes before any hypothesis
+                    report = check_level_criteria(brace)
+                    oracle = oracle_cyclic_square_zero(brace)
+                    assert ("cyclic-square-zero" in report.notes) == oracle, subject
+                    square_zero[oracle] += 1
+        assert square_zero == {True: 24, False: 57}
+
+    def test_dot_table_drill(self):
+        # 5 . 5 = 0 makes the cross-prime sum 3 + 2 = 5 left nilpotent while
+        # 3 . 2 = 2 stays nonzero; 1 . 1 = 4 still never reaches 0, so the
+        # left powers do not all vanish and the traits agree
+        genuine = s3_brace()
+        brace = with_dot_entries(
+            LeftBrace(genuine.additive, genuine.circle_table), {(5, 5): 0}
+        )
+        report = check_nilpotency_equivalence(brace)
+        assert report == oracle_nilpotency_equivalence(brace)
+        assert report.verdict == FAIL
+        assert report.witness == (3, 2)
+        assert check_nilpotency_equivalence(genuine).verdict == PASS
+        level = check_level_criteria(brace)
+        assert "cyclic-square-zero" in level.notes
+        assert oracle_cyclic_square_zero(brace)
 
 
 class TestPowerIdentityDrills:

@@ -15,6 +15,7 @@ from bracelab.products import (
     wreath,
 )
 from conftest import cyclic_brace
+from products_oracle import oracle_wreath
 
 Z2 = LeftBrace.trivial(make_group((2,)))
 Z3 = LeftBrace.trivial(make_group((3,)))
@@ -110,6 +111,18 @@ class TestSemidirect:
         with pytest.raises(ResourceLimitError, match="order 64 above configured bound 63"):
             semidirect(t8, t8, max_order=63)
 
+    def test_table_bound_before_building(self, monkeypatch):
+        # a bound past 256 still refuses before the action is validated or
+        # the table is built
+        def refuse(*args):
+            raise AssertionError("built a product above the table bound")
+
+        monkeypatch.setattr(products, "make_action", refuse)
+        monkeypatch.setattr(products, "validate_brace", refuse)
+        t64 = LeftBrace.trivial(make_group((64,)))
+        with pytest.raises(ResourceLimitError, match="order 4096 above 256"):
+            semidirect(t64, t64, max_order=5000)
+
     def test_chain_index_bound(self):
         action = make_action(Z2, Z3, NEG3)
         prod = semidirect(Z3, Z2, action)
@@ -156,6 +169,19 @@ class TestWreath:
         t8 = LeftBrace.trivial(make_group((8,)))
         with pytest.raises(ResourceLimitError, match="order 2048 above 256"):
             wreath(Z2, t8, max_order=5000)
+
+    def test_equals_hand_built_oracle(self, census):
+        # every census pair of orders 1-8 whose wreath has order at most 64
+        classes = [e.brace for order in range(1, 9) for e in census(order).entries]
+        pairs = [
+            (base, top)
+            for base in classes
+            for top in classes
+            if base.order**top.order * top.order <= 64
+        ]
+        assert len(pairs) == 87
+        for base, top in pairs:
+            assert wreath(base, top) == oracle_wreath(base, top)
 
     def test_finite_level_preserved(self):
         for base, top in ((Z2, Z2), (Z3, Z2), (cyclic_brace(4, 2), Z2)):

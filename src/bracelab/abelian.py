@@ -1,10 +1,11 @@
 """Finite abelian groups in invariant-factor form, plus permutation utilities.
 
-Elements are plain integer indices.  An index e in [0, order) decodes to a
-digit tuple (a_1, ..., a_k) with a_i in [0, d_i) through the fixed mixed-radix
+Elements are plain integer indices.  An index e in [0, order) stands for the
+digit tuple (a_1, ..., a_k) with a_i in [0, d_i) under the fixed mixed-radix
 rule e = sum_i a_i * prod_{j>i} d_j, most significant factor first.  Index 0
 is always the zero element.  The rule is part of the file-format contract, so
-it must never change.
+it must never change.  FiniteAbelianGroup.add_rows implements it, and every
+group operation reads that addition table.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class FiniteAbelianGroup:
     of groups can be formed by concatenating factor lists.
     """
 
-    __slots__ = ("factors", "order", "exponent", "_strides", "_rows")
+    __slots__ = ("factors", "order", "_strides", "_rows")
 
     def __init__(self, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
@@ -84,7 +85,6 @@ class FiniteAbelianGroup:
                 )
         self.factors = factors
         self.order = math.prod(factors)
-        self.exponent = math.lcm(*factors) if factors else 1
         strides = []
         acc = 1
         for d in reversed(factors):
@@ -93,39 +93,14 @@ class FiniteAbelianGroup:
         self._strides = tuple(reversed(strides))
         self._rows: tuple[tuple[int, ...], ...] | None = None
 
-    def decode(self, e: int) -> tuple[int, ...]:
-        if not 0 <= e < self.order:
-            raise ValueError(f"element index {e} out of range for order {self.order}")
-        return tuple((e // s) % d for d, s in zip(self.factors, self._strides))
-
-    def encode(self, digits) -> int:
-        if len(digits) != len(self.factors):
-            raise ValueError(
-                f"expected {len(self.factors)} digits, got {len(digits)}"
-            )
-        e = 0
-        for a, d, s in zip(digits, self.factors, self._strides):
-            e += (a % d) * s
-        return e
-
     def add(self, a: int, b: int) -> int:
-        if self._rows is not None:
-            return self._rows[a][b]
-        da, db = self.decode(a), self.decode(b)
-        return self.encode([x + y for x, y in zip(da, db)])
+        return self.add_rows()[a][b]
 
     def neg(self, a: int) -> int:
-        return self.encode([-x for x in self.decode(a)])
-
-    def scale(self, n: int, a: int) -> int:
-        """The sum of n copies of a; n may be any integer."""
-        return self.encode([n * x for x in self.decode(a)])
+        return self.add_rows()[a].index(0)
 
     def order_of(self, a: int) -> int:
-        result = 1
-        for x, d in zip(self.decode(a), self.factors):
-            result = math.lcm(result, d // math.gcd(d, x))
-        return result
+        return len(multiples_of(self.add_rows(), a))
 
     def generators(self) -> tuple[int, ...]:
         """The canonical generators: digit 1 in one slot and 0 elsewhere."""
@@ -178,8 +153,17 @@ class PermutationGroup:
         return iter(sorted(self.elements))
 
 
+# The most elements x degree that closure may list.  The census closes
+# automorphism groups of up to 11,232 x 54 cells, on type (3,3,6); type
+# (2,2,2,6) of order 48 would need 40,320 x 48.
+MAX_CLOSURE_CELLS = 2**22
+
+
 def closure(degree: int, generators) -> PermutationGroup:
-    """Subgroup of Sym(degree) generated by the given permutations."""
+    """Subgroup of Sym(degree) generated by the given permutations.
+
+    Raises ResourceLimitError once the listed elements pass MAX_CLOSURE_CELLS.
+    """
     gens = []
     for g in generators:
         g = tuple(g)
@@ -199,6 +183,12 @@ def closure(degree: int, generators) -> PermutationGroup:
                 if q not in elems:
                     elems.add(q)
                     nxt.append(q)
+                    if len(elems) * degree > MAX_CLOSURE_CELLS:
+                        raise ResourceLimitError(
+                            f"permutation group on {degree} points has at least"
+                            f" {len(elems)} elements, above the limit of"
+                            f" {MAX_CLOSURE_CELLS} cells"
+                        )
         frontier = nxt
     return PermutationGroup(degree, frozenset(elems))
 
@@ -278,35 +268,33 @@ def automorphism_group(
 
 def _compute_automorphisms(group: FiniteAbelianGroup) -> tuple[Perm, ...]:
     n = group.order
-    if n == 1:
-        return (identity_perm(1),)
     rows = group.add_rows()
-    factors = group.factors
-    k = len(factors)
-    digits = [group.decode(e) for e in range(n)]
+    multiples = [multiples_of(rows, x) for x in range(n)]
     # images allowed for the slot-i generator: elements of order dividing d_i
     candidates = [
-        [x for x in range(n) if d % group.order_of(x) == 0] for d in factors
+        [x for x in range(n) if d % len(multiples[x]) == 0] for d in group.factors
     ]
-    # scale_tables[i][img][c] = c copies of img, for digit values c in [0, d_i)
     found: list[Perm] = []
-    scale_tables = [
-        {img: [group.scale(c, img) for c in range(d)] for img in candidates[i]}
-        for i, d in enumerate(factors)
-    ]
     for images in iter_product(*candidates):
-        tables = [scale_tables[i][img] for i, img in enumerate(images)]
-        out = []
-        for e in range(n):
-            de = digits[e]
-            v = 0
-            for i in range(k):
-                v = rows[v][tables[i][de[i]]]
-            out.append(v)
+        out = _linear_extension(rows, multiples, images, group.factors)
         if len(set(out)) == n:
             found.append(tuple(out))
     found.sort()
     return tuple(found)
+
+
+def _linear_extension(add_rows, multiples, images, factors) -> list[int]:
+    """The map sending the index with digits (c_1, ..., c_k) to sum_i c_i images[i].
+
+    multiples[x] lists the multiples of x, and images[i] must have an order
+    dividing factors[i].  The list is grown most significant slot first, as
+    the index rule runs.
+    """
+    out = [0]
+    for img, d in zip(images, factors):
+        steps = multiples[img] * (d // len(multiples[img]))
+        out = [add_rows[v][m] for v in out for m in steps]
+    return out
 
 
 def additive_closure(add_rows, seed) -> frozenset[int]:
@@ -404,11 +392,7 @@ def abelian_structure(add_rows) -> tuple[tuple[int, ...], list[int]]:
     gens_ascending = slot_gens[::-1]
     factors = tuple(len(multiples[g]) for g in gens_ascending)
 
-    # to_parent[canonical index] = sum of digit multiples of the slot
-    # generators, grown most significant factor first as the index rule runs
-    to_parent = [0]
-    for g in gens_ascending:
-        to_parent = [add_rows[v][m] for v in to_parent for m in multiples[g]]
+    to_parent = _linear_extension(add_rows, multiples, gens_ascending, factors)
     if len(to_parent) != order or len(set(to_parent)) != order:
         raise InternalCheckError("canonical relabeling is not a bijection")
     to_canonical = [0] * order

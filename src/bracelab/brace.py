@@ -62,7 +62,7 @@ class LeftBrace:
     @cached_property
     def dot_table(self) -> tuple[tuple[int, ...], ...]:
         add = self.additive.add_rows()
-        neg = [self.additive.neg(a) for a in range(self.order)]
+        neg = [row.index(0) for row in add]
         rows = []
         for a, crow in enumerate(self.circle_table):
             na = neg[a]
@@ -333,7 +333,7 @@ class LeftBrace:
     def _classify(self) -> "BraceTraits":
         n = self.order
         add = self.additive.add_rows()
-        neg = [self.additive.neg(a) for a in range(n)]
+        neg = [row.index(0) for row in add]
         dot = self.dot_table
 
         # the b with (a + b) . c = a . c + b . c for all a and c form a

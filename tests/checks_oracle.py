@@ -4,7 +4,7 @@ Each is slow but simple enough to trust, and the faster route in the
 package must answer as it does on every input it is compared on:
 
 - the power-identity check writes every binomial sum out literally: each
-  term pays a decode/encode ``scale`` and each (a, b) pair rebuilds its
+  term pays a digit-arithmetic ``scale`` and each (a, b) pair rebuilds its
   e-sequence, so one brace costs O(n^4); the route it was replaced by,
   which scans the dotted expansion's Pascal recurrence for every (a, b, m)
   in O(n^3), is kept too, for orders where O(n^4) is too slow;
@@ -48,6 +48,7 @@ from bracelab.errors import (
     NonDegeneracyError,
 )
 from bracelab.solutions import SetTheoreticSolution
+from abelian_oracle import scale
 
 
 def oracle_power_identities(brace, subject: str = ""):
@@ -55,14 +56,14 @@ def oracle_power_identities(brace, subject: str = ""):
     at prime powers, and the coprime square-kill implication."""
     n = brace.order
     add = brace.additive.add_rows()
-    scale = brace.additive.scale
+    group = brace.additive
 
     def literal_sums(a, b):
         seq = e_sequence(brace, a, b, n)
         for m in range(1, n + 1):
             acc = 0
             for i in range(1, m + 1):
-                acc = add[acc][scale(math.comb(m, i), seq[i])]
+                acc = add[acc][scale(group, math.comb(m, i), seq[i])]
             yield acc
 
     return _power_identities(brace, subject, literal_sums)
@@ -90,7 +91,7 @@ def _power_identities(brace, subject, expansions):
     name = "power-identities"
     n = brace.order
     add = brace.additive.add_rows()
-    scale = brace.additive.scale
+    group = brace.additive
     dot = brace.dot_table
 
     for a in range(n):
@@ -104,7 +105,7 @@ def _power_identities(brace, subject, expansions):
         for m in range(1, n + 1):
             acc = 0
             for i in range(1, m + 1):
-                acc = add[acc][scale(math.comb(m, i), lefts[i])]
+                acc = add[acc][scale(group, math.comb(m, i), lefts[i])]
             if acc != powers[m]:
                 return _report(
                     name, subject, FAIL, witness=(a, m),
@@ -381,5 +382,5 @@ def e_combination(brace, a: int, b: int, coeffs) -> int:
     seq = e_sequence(brace, a, b, max(len(coeffs) - 1, 0))
     acc = 0
     for c, e in zip(coeffs, seq):
-        acc = brace.additive.add(acc, brace.additive.scale(c, e))
+        acc = brace.additive.add(acc, scale(brace.additive, c, e))
     return acc

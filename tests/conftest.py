@@ -31,6 +31,23 @@ def with_dot_entries(brace, entries):
     return brace
 
 
+def lyubashenko_rows(cycle_lengths):
+    """(size, sigma, tau) of r(x, y) = (f(y), f^-1(x)), f a product of cycles.
+
+    Its permutation group is generated by f alone, so its order is the lcm
+    of the cycle lengths.
+    """
+    f = []
+    for length in cycle_lengths:
+        start = len(f)
+        f.extend(start + (i + 1) % length for i in range(length))
+    inverse = [0] * len(f)
+    for x, y in enumerate(f):
+        inverse[y] = x
+    size = len(f)
+    return size, (tuple(f),) * size, (tuple(inverse),) * size
+
+
 @pytest.fixture
 def b4() -> LeftBrace:
     return cyclic_brace(4, 2)

@@ -20,14 +20,30 @@ from bracelab.abelian import (
     identity_perm,
     invert_perm,
     is_nilpotent_group,
+    _linear_extension,
     make_group,
+    multiples_of,
 )
 from bracelab.errors import (
     InternalCheckError,
     InvalidGeneratorError,
     ResourceLimitError,
 )
+from abelian_oracle import digit_order, digits, from_digits, oracle_automorphisms, scale
 from checks_oracle import oracle_additive_closure
+
+
+def admitted_types(max_order):
+    """Every additive type up to max_order that the automorphism guard admits."""
+    out = []
+    for n in range(1, max_order + 1):
+        for factors in abelian_group_types(n):
+            try:
+                check_automorphism_work(factors)
+            except ResourceLimitError:
+                continue
+            out.append(factors)
+    return out
 
 
 def brute_force_automorphisms(group: FiniteAbelianGroup) -> set[tuple[int, ...]]:
@@ -51,24 +67,24 @@ class TestGroupArithmetic:
         group = make_group((2, 3, 4))
         assert group.order == 24
         for x in range(24):
-            digits = group.decode(x)
-            assert group.encode(digits) == x
-            assert all(0 <= d < f for d, f in zip(digits, group.factors))
+            ds = digits(group, x)
+            assert from_digits(group, ds) == x
+            assert all(0 <= d < f for d, f in zip(ds, group.factors))
 
     def test_add_matches_componentwise_sum(self):
         group = make_group((4, 6))
         for a in range(group.order):
             for b in range(group.order):
-                da, db = group.decode(a), group.decode(b)
+                da, db = digits(group, a), digits(group, b)
                 expect = tuple((x + y) % f for x, y, f in zip(da, db, group.factors))
-                assert group.decode(group.add(a, b)) == expect
+                assert digits(group, group.add(a, b)) == expect
 
     def test_neg_and_scale(self):
         group = make_group((8,))
         for a in range(8):
             assert group.add(a, group.neg(a)) == 0
-            assert group.scale(5, a) == (5 * a) % 8
-            assert group.scale(-3, a) == (-3 * a) % 8
+            assert scale(group, 5, a) == (5 * a) % 8
+            assert scale(group, -3, a) == (-3 * a) % 8
 
     def test_order_of_elements(self):
         group = make_group((12,))
@@ -76,22 +92,28 @@ class TestGroupArithmetic:
             1, 12, 6, 4, 3, 12, 2, 12, 3, 4, 6, 12,
         ]
 
-    def test_exponent(self):
-        assert make_group((2, 4)).exponent == 4
-        assert make_group((3, 5)).exponent == 15
-        assert make_group(()).exponent == 1
-
     @pytest.mark.parametrize("factors", [(), (5,), (6, 4), (2, 3, 2), (2, 2, 2, 2)])
     def test_add_rows_sum_digits(self, factors):
         group = make_group(factors)
         rows = group.add_rows()
         assert len(rows) == group.order
         for a in range(group.order):
-            da = group.decode(a)
+            da = digits(group, a)
             assert rows[a] == tuple(
-                group.encode([x + y for x, y in zip(da, group.decode(b))])
+                from_digits(group, [x + y for x, y in zip(da, digits(group, b))])
                 for b in range(group.order)
             )
+            assert group.neg(a) == scale(group, -1, a)
+            assert group.order_of(a) == digit_order(group, a)
+
+    @pytest.mark.parametrize("factors", [(), (5,), (6, 4), (2, 3, 2), (2, 2, 2, 2)])
+    def test_linear_extension_of_generators_is_identity(self, factors):
+        # pins the digit order: slot 0 is the most significant
+        group = make_group(factors)
+        rows = group.add_rows()
+        multiples = [multiples_of(rows, x) for x in range(group.order)]
+        extension = _linear_extension(rows, multiples, group.generators(), group.factors)
+        assert extension == list(range(group.order))
 
     def test_trivial_group(self):
         group = make_group(())
@@ -125,6 +147,14 @@ class TestClosure:
         with pytest.raises(InvalidGeneratorError):
             closure(3, [(0, 0, 1)])
 
+    def test_refuses_above_cell_limit(self, monkeypatch):
+        # Z/5 on 5 points lists 5 x 5 = 25 cells
+        monkeypatch.setattr(abelian, "MAX_CLOSURE_CELLS", 25)
+        assert closure(5, [(1, 2, 3, 4, 0)]).order == 5
+        monkeypatch.setattr(abelian, "MAX_CLOSURE_CELLS", 24)
+        with pytest.raises(ResourceLimitError, match="on 5 points has at least 5 elements"):
+            closure(5, [(1, 2, 3, 4, 0)])
+
     def test_nilpotency(self):
         s3 = closure(3, [(1, 0, 2), (1, 2, 0)])
         assert not is_nilpotent_group(s3)
@@ -153,6 +183,21 @@ class TestAutomorphisms:
     def test_elementary_abelian_order(self):
         # GL(3, 2) has order (8-1)(8-2)(8-4) = 168
         assert len(automorphism_group(make_group((2, 2, 2))).elements) == 168
+
+    def test_equals_digit_oracle_to_order_30(self):
+        for factors in admitted_types(30):
+            group = make_group(factors)
+            listed = tuple(sorted(automorphism_group(group).elements))
+            assert listed == oracle_automorphisms(group), factors
+
+    @pytest.mark.slow
+    def test_equals_digit_oracle_to_order_64(self):
+        types = admitted_types(64)
+        assert len(types) == 109
+        for factors in types:
+            group = make_group(factors)
+            listed = tuple(sorted(automorphism_group(group).elements))
+            assert listed == oracle_automorphisms(group), factors
 
     def test_respects_bound(self):
         with pytest.raises(ResourceLimitError):

@@ -31,6 +31,7 @@ from bracelab.checks import PASS, check_sylow_annihilation
 from bracelab.cli import main
 from bracelab.numutil import prime_factorization
 from bracelab.solutions import from_brace
+from abelian_oracle import scale
 
 
 def conclude(num, name, violations, started, budget=None):
@@ -204,7 +205,7 @@ def binomial_violations(brace, a, b, m):
     """Check both binomial expansions for one (a, b, m), from scratch."""
     out = []
     add = brace.additive.add_rows()
-    scale = brace.additive.scale
+    group = brace.additive
     dot = brace.dot_table
     # left powers a, a.a, a.(a.a), ... and the mixed sequence e_i
     lefts = [None, a]
@@ -218,12 +219,12 @@ def binomial_violations(brace, a, b, m):
         circ = brace.circle_table[a][circ]
     acc = 0
     for i in range(1, m + 1):
-        acc = add[acc][scale(math.comb(m, i), lefts[i])]
+        acc = add[acc][scale(group, math.comb(m, i), lefts[i])]
     if acc != circ:
         out.append(f"power expansion fails at a={a}, m={m}")
     acc = 0
     for i in range(1, m + 1):
-        acc = add[acc][scale(math.comb(m, i), seq[i])]
+        acc = add[acc][scale(group, math.comb(m, i), seq[i])]
     if acc != dot[circ][b]:
         out.append(f"mixed expansion fails at a={a}, b={b}, m={m}")
     return out

@@ -302,6 +302,14 @@ def test_orbit_size_must_divide_automorphism_count(monkeypatch):
         _orbit_representatives(tables, listed, 8)
 
 
+def test_largest_census_closure_within_bound():
+    """Aut of (3,3,6), 11,232 permutations of 54 points, closes under the bound."""
+    group = make_group((3, 3, 6))
+    auts = automorphism_group(group).elements
+    assert len(auts) * group.order <= abelian.MAX_CLOSURE_CELLS
+    assert len(_generating_set(auts, group.order)) == 2
+
+
 def test_order_twenty_seven_digest():
     """Order 27 = 3^3, past the reach of the tuple oracle."""
     census = enumerate_braces(27)

@@ -29,6 +29,7 @@ from bracelab.census import enumerate_braces
 from bracelab.checks import FAIL, CheckReport
 from bracelab.errors import InternalCheckError
 from bracelab.solutions import from_brace
+from conftest import lyubashenko_rows
 
 
 def run_module(*args):
@@ -235,6 +236,18 @@ class TestSolutionCommands:
         }))
         assert main(["solution", "check", str(path)]) == 1
         assert capsys.readouterr().err.startswith("check failed:")
+
+    def test_check_refuses_oversized_group(self, tmp_path, capsys):
+        # a permutation group of lcm(2, 3, 5, ..., 41) elements on 238 points
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        path = tmp_path / "big.json"
+        path.write_text(serialize_solution_document(
+            SolutionDocument(*lyubashenko_rows(primes))
+        ))
+        assert main(["solution", "check", str(path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "resource limit: permutation group on 238 points"
+        )
 
     def solution_file(self, tmp_path, brace, name="sol.json"):
         path = tmp_path / name

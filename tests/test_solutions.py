@@ -12,6 +12,7 @@ from bracelab.errors import (
     InvalidPresentationError,
     InvolutivityError,
     NonDegeneracyError,
+    ResourceLimitError,
 )
 from bracelab.solutions import (
     from_brace,
@@ -22,6 +23,7 @@ from bracelab.solutions import (
     validate_solution,
 )
 from checks_oracle import oracle_validate_solution
+from conftest import lyubashenko_rows
 
 IDENT3 = (0, 1, 2)
 
@@ -182,3 +184,14 @@ class TestPermutationGroup:
         )
         # the kernel of a -> lambda_a is the socle, so sizes are 6/6 and 6/3
         assert orders == [1, 2]
+
+    def test_lyubashenko_order_is_lcm_of_cycles(self):
+        solution = validate_solution(*lyubashenko_rows((2, 3, 5, 7)))
+        assert permutation_group_order(solution) == 210
+
+    def test_oversized_group_refused(self):
+        # lcm(2, 3, 5, ..., 41) = 304,250,263,527,210 elements on 238 points
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        solution = validate_solution(*lyubashenko_rows(primes))
+        with pytest.raises(ResourceLimitError, match="on 238 points"):
+            permutation_group_order(solution)

@@ -153,17 +153,24 @@ class PermutationGroup:
         return iter(sorted(self.elements))
 
 
-# The most elements x degree that closure may list.  The census closes
-# automorphism groups of up to 11,232 x 54 cells, on type (3,3,6); type
-# (2,2,2,6) of order 48 would need 40,320 x 48.
-MAX_CLOSURE_CELLS = 2**22
+# The most generator-image tuples the automorphism brute force may try;
+# (2,2,2,2), the costliest additive type of order 16, needs exactly this many.
+MAX_AUT_CANDIDATES = 2**16
+
+# The most elements x degree that closure may list.  An admitted additive
+# type has at most MAX_AUT_CANDIDATES automorphisms on at most
+# MAX_TABLE_ORDER points, so every automorphism group closes under it.
+MAX_CLOSURE_CELLS = MAX_AUT_CANDIDATES * MAX_TABLE_ORDER
 
 
 def closure(degree: int, generators) -> PermutationGroup:
     """Subgroup of Sym(degree) generated by the given permutations.
 
-    Raises ResourceLimitError once the listed elements pass MAX_CLOSURE_CELLS.
+    The elements are listed as byte rows, so degree must fit a table; raises
+    ResourceLimitError once they pass MAX_CLOSURE_CELLS.
     """
+    check_table_order(degree)
+    pad = bytes(MAX_TABLE_ORDER - degree)
     gens = []
     for g in generators:
         g = tuple(g)
@@ -171,15 +178,15 @@ def closure(degree: int, generators) -> PermutationGroup:
             raise InvalidGeneratorError(
                 f"{g!r} is not a permutation of {degree} points"
             )
-        gens.append(g)
-    ident = identity_perm(degree)
+        gens.append(bytes(g) + pad)
+    ident = bytes(range(degree))
     elems = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for p in frontier:
             for g in gens:
-                q = compose_perms(g, p)
+                q = p.translate(g)  # g after p
                 if q not in elems:
                     elems.add(q)
                     nxt.append(q)
@@ -190,7 +197,7 @@ def closure(degree: int, generators) -> PermutationGroup:
                             f" {MAX_CLOSURE_CELLS} cells"
                         )
         frontier = nxt
-    return PermutationGroup(degree, frozenset(elems))
+    return PermutationGroup(degree, frozenset(map(tuple, elems)))
 
 
 def is_nilpotent_group(group: PermutationGroup) -> bool:
@@ -225,10 +232,6 @@ def perm_order(p: Perm) -> int:
 
 
 _AUT_CACHE: dict[tuple[int, ...], tuple[Perm, ...]] = {}
-
-# The most generator-image tuples the automorphism brute force may try;
-# (2,2,2,2), the costliest additive type of order 16, needs exactly this many.
-MAX_AUT_CANDIDATES = 2**16
 
 
 def check_automorphism_work(factors) -> None:

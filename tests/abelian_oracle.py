@@ -3,12 +3,16 @@
 bracelab reads every group operation off ``FiniteAbelianGroup.add_rows``.
 These helpers compute the same operations from the digit tuples of the
 index rule e = sum_i a_i * prod_{j>i} d_j, most significant factor first,
-and ``oracle_automorphisms`` is the digit-based brute force that the
-package's automorphism search replaced.
+``oracle_automorphisms`` is the digit-based brute force that the package's
+automorphism search replaced, and ``automorphism_count`` counts the same
+group by formula, for types too large to search.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from itertools import product
+
+from bracelab.numutil import prime_factorization
 
 
 def _strides(group) -> tuple[int, ...]:
@@ -73,3 +77,22 @@ def oracle_automorphisms(group) -> tuple[tuple[int, ...], ...]:
             found.append(tuple(out))
     found.sort()
     return tuple(found)
+
+
+def automorphism_count(factors) -> int:
+    """|Aut(A)| for A = Z/d_1 + ... + Z/d_k, by the Hillar-Rhea formula.
+
+    A is the product of its Sylow parts.  A p-part with exponents
+    e_1 <= ... <= e_m has prod_k (p^b_k - p^(k-1)) p^(e_k (m - b_k))
+    p^((e_k - 1)(m - a_k + 1)) automorphisms, where a_k and b_k are the
+    first and last positions holding the value e_k.
+    """
+    count = 1
+    primes = {p for d in factors for p in prime_factorization(d)}
+    for p in primes:
+        es = sorted(e for d in factors if (e := prime_factorization(d).get(p)))
+        m = len(es)
+        for k, e in enumerate(es, 1):
+            a, b = bisect_left(es, e) + 1, bisect_right(es, e)
+            count *= (p**b - p ** (k - 1)) * p ** (e * (m - b) + (e - 1) * (m - a + 1))
+    return count

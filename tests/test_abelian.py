@@ -1,6 +1,7 @@
 """Mixed-radix groups, automorphisms, closures, and structure recovery."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -29,7 +30,14 @@ from bracelab.errors import (
     InvalidGeneratorError,
     ResourceLimitError,
 )
-from abelian_oracle import digit_order, digits, from_digits, oracle_automorphisms, scale
+from abelian_oracle import (
+    automorphism_count,
+    digit_order,
+    digits,
+    from_digits,
+    oracle_automorphisms,
+    scale,
+)
 from checks_oracle import oracle_additive_closure
 
 
@@ -155,6 +163,22 @@ class TestClosure:
         with pytest.raises(ResourceLimitError, match="on 5 points has at least 5 elements"):
             closure(5, [(1, 2, 3, 4, 0)])
 
+    def test_refuses_degree_above_table_order(self):
+        cycle = tuple(range(1, 257)) + (0,)
+        with pytest.raises(ResourceLimitError, match="order 257 above 256"):
+            closure(257, [cycle])
+
+    def test_cell_limit_admits_every_automorphism_group(self):
+        # the census and are_isomorphic close Aut(A) for any type the
+        # automorphism guard admits, on up to MAX_TABLE_ORDER points
+        cells = {
+            factors: automorphism_count(factors) * math.prod(factors)
+            for factors in admitted_types(abelian.MAX_TABLE_ORDER)
+        }
+        largest = max(cells, key=cells.get)
+        assert (largest, cells[largest]) == ((16, 16), 24_576 * 256)
+        assert cells[largest] <= abelian.MAX_CLOSURE_CELLS
+
     def test_nilpotency(self):
         s3 = closure(3, [(1, 0, 2), (1, 2, 0)])
         assert not is_nilpotent_group(s3)
@@ -189,6 +213,11 @@ class TestAutomorphisms:
             group = make_group(factors)
             listed = tuple(sorted(automorphism_group(group).elements))
             assert listed == oracle_automorphisms(group), factors
+
+    def test_count_formula_to_order_30(self):
+        for factors in admitted_types(30):
+            group = make_group(factors)
+            assert len(automorphism_group(group).elements) == automorphism_count(factors), factors
 
     @pytest.mark.slow
     def test_equals_digit_oracle_to_order_64(self):

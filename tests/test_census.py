@@ -24,7 +24,7 @@ from bracelab.abelian import (
     invert_perm,
     make_group,
 )
-from bracelab.brace import LeftBrace
+from bracelab.brace import LeftBrace, validate_brace
 from bracelab.census import (
     _generating_set,
     _orbit_representatives,
@@ -302,14 +302,6 @@ def test_orbit_size_must_divide_automorphism_count(monkeypatch):
         _orbit_representatives(tables, listed, 8)
 
 
-def test_largest_census_closure_within_bound():
-    """Aut of (3,3,6), 11,232 permutations of 54 points, closes under the bound."""
-    group = make_group((3, 3, 6))
-    auts = automorphism_group(group).elements
-    assert len(auts) * group.order <= abelian.MAX_CLOSURE_CELLS
-    assert len(_generating_set(auts, group.order)) == 2
-
-
 def test_order_twenty_seven_digest():
     """Order 27 = 3^3, past the reach of the tuple oracle."""
     census = enumerate_braces(27)
@@ -405,6 +397,24 @@ class TestAreIsomorphic:
         )
         other = LeftBrace(make_group((4,)), table)
         assert are_isomorphic(b4, other)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("m", [13, 15, 16])
+    def test_relabeled_copy_on_largest_automorphism_groups(self, m):
+        # x o y = x + y + x_2 y_2 e_1 on Z/m + Z/m against its copy with the
+        # coordinates swapped; Aut(Z/m + Z/m) closes to over 2^22 cells
+        group = make_group((m, m))
+        n = group.order
+        table = tuple(
+            tuple(group.add(group.add(x, y), (x % m) * (y % m) % m * m) for y in range(n))
+            for x in range(n)
+        )
+        swap = [(x % m) * m + x // m for x in range(n)]
+        other = tuple(
+            tuple(swap[table[swap[x]][swap[y]]] for y in range(n)) for x in range(n)
+        )
+        assert other != table
+        assert are_isomorphic(validate_brace(group, table), LeftBrace(group, other))
 
     def test_distinguishes_classes(self, b4):
         assert not are_isomorphic(b4, LeftBrace.trivial(make_group((4,))))

@@ -146,12 +146,6 @@ class PermutationGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements))
-
 
 # The most generator-image tuples the automorphism brute force may try;
 # (2,2,2,2), the costliest additive type of order 16, needs exactly this many.
@@ -361,7 +355,7 @@ def _p_group_basis(add_rows, multiples, component: list[int]) -> list[int]:
     return [x] + _p_group_basis(add_rows, multiples, sorted(comp))
 
 
-def abelian_structure(add_rows) -> tuple[tuple[int, ...], list[int]]:
+def abelian_structure(add_rows) -> tuple[tuple[int, ...], Perm]:
     """Invariant factors and a canonical relabeling of an abstract group.
 
     The group is given by its addition rows on indices 0..order-1, with
@@ -371,7 +365,7 @@ def abelian_structure(add_rows) -> tuple[tuple[int, ...], list[int]]:
     """
     order = len(add_rows)
     if order == 1:
-        return (), [0]
+        return (), (0,)
     multiples = [multiples_of(add_rows, x) for x in range(order)]
     bases = []
     for p, a in sorted(prime_factorization(order).items()):
@@ -398,10 +392,7 @@ def abelian_structure(add_rows) -> tuple[tuple[int, ...], list[int]]:
     to_parent = _linear_extension(add_rows, multiples, gens_ascending, factors)
     if len(to_parent) != order or len(set(to_parent)) != order:
         raise InternalCheckError("canonical relabeling is not a bijection")
-    to_canonical = [0] * order
-    for e, v in enumerate(to_parent):
-        to_canonical[v] = e
-    return factors, to_canonical
+    return factors, invert_perm(to_parent)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ from .abelian import (
     abelian_structure,
     additive_closure,
     check_table_order,
+    invert_perm,
     is_nilpotent_group,
     make_group,
 )
@@ -262,16 +263,14 @@ class LeftBrace:
                             f"prime component not circle-closed at ({x}, {y})"
                         )
             brace, relabel = self._induced(members, local)
-            to_parent = [0] * pa
-            for i, x in enumerate(members):
-                to_parent[relabel[i]] = x
+            to_parent = tuple(members[i] for i in invert_perm(relabel))
             out.append(
                 SylowComponent(
                     prime=p,
                     exponent=alpha,
                     members=tuple(members),
                     brace=brace,
-                    to_parent=tuple(to_parent),
+                    to_parent=to_parent,
                 )
             )
             covered *= pa

@@ -57,8 +57,8 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 
 def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport:
     """Cross-prime products must vanish after the divisibility-driven circle
-    power; when no power of the acting prime divides any q^t - 1 the raw
-    products vanish outright.  The exponent is cross-validated against the
+    power; when no power of the acting prime divides any q^t - 1 that power
+    is p^0, and the raw products vanish outright.  The exponent is cross-validated against the
     field-polynomial computation."""
     name = "sylow-annihilation"
     components = brace.sylow_components()
@@ -73,14 +73,6 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
                 continue
             q, m = right.prime, right.exponent
             k = _residue_valuation(p, q, m)
-            if k == 0:
-                for a in left.members:
-                    for b in right.members:
-                        if dot[a][b] != 0:
-                            return _report(
-                                name, subject, FAIL, witness=(a, b),
-                                notes=(f"p={p} divides no q^t-1 yet a.b != 0",),
-                            )
             poly_k = annihilation_exponent(p, n_exp, q, m)
             if poly_k != min(n_exp, k):
                 return _report(
@@ -96,9 +88,12 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
                 apk = powers[a]
                 for b in right.members:
                     if dot[apk][b] != 0:
+                        note = (
+                            f"circle power p^{k} of {a} does not kill {b}" if k
+                            else f"p={p} divides no q^t-1 yet a.b != 0"
+                        )
                         return _report(
-                            name, subject, FAIL, witness=(a, b),
-                            notes=(f"circle power p^{k} of {a} does not kill {b}",),
+                            name, subject, FAIL, witness=(a, b), notes=(note,)
                         )
             literal = all(
                 dot[apk][b] == 0 for apk in powers for b in right.members
@@ -272,27 +267,26 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     """The binomial expansions of circle powers, their vanishing equivalence
     at prime powers, and the coprime square-kill implication.
 
-    The circle power a^m is checked against the literal sum of C(m, i)
-    copies of the left powers of a.  The dotted expansion
+    The circle power a^m should be the sum S_m of C(m, i) copies of the
+    left powers e_1 = a, e_{i+1} = a.e_i.  The dotted expansion
     a^m . b = sum_i C(m, i) e_i(a, b) is checked through its Pascal
     recurrence B_0 = 0, B_m = B_{m-1} + a.B_{m-1} + a.b, which needs only
     left distributivity; validate_brace has already checked that.  Byte
-    rows decide it.  With lambda_x(b) = b + x.b built from the dot table,
-    an additive lambda_a gives B_m(b) + b = lambda_a^m(b), and
-    a^m.b + b = lambda_{a^m}(b), so the recurrence holds for every b and m
-    exactly when the walk lambda_a, lambda_a^2, ... meets lambda_{a^m} at
+    rows decide both.  With lambda_x(b) = b + x.b built from the dot table,
+    an additive lambda_a turns Pascal's rule into S_m = a + lambda_a(S_{m-1})
+    and B_m(b) + b = lambda_a^m(b), while a^m.b + b = lambda_{a^m}(b).  So
+    both expansions hold for every b and m exactly when the walk lambda_a,
+    lambda_a^2, ... meets a + lambda_a(a^{m-1}) = a^m and lambda_{a^m} at
     each m = 1..n: n translates per a, not n^2 steps.  Additivity is
     checked on the additive generators, as validate_brace does.  Only an a
-    whose walk fails, or whose lambda_a is not additive, is scanned b by b
-    (_scan_dotted_expansion): to name the witness, or for a non-additive
-    lambda_a to decide.
+    whose walk fails, or whose lambda_a is not additive, is scanned sum by
+    sum and b by b (_scan_dotted_expansion): to name the witness, or for a
+    non-additive lambda_a to decide.
     """
     name = "power-identities"
     n = brace.order
     add = brace.additive.add_rows()
     dot = brace.dot_table
-    multiples = [multiples_of(add, x) for x in range(n)]
-    binomials = [[math.comb(m, i) for i in range(m + 1)] for m in range(n + 1)]
     prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
     pad = bytes(MAX_TABLE_ORDER - n)
     add_lookups = [bytes(row) + pad for row in add]
@@ -305,21 +299,6 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
         row = brace.circle_table[a]
         for _ in range(n):
             powers.append(row[powers[-1]])
-        drow = dot[a]
-        lefts = [None, a]
-        for _ in range(n - 1):
-            lefts.append(drow[lefts[-1]])
-        for m in range(1, n + 1):
-            coeffs = binomials[m]
-            acc = 0
-            for i in range(1, m + 1):
-                mult = multiples[lefts[i]]
-                acc = add[acc][mult[coeffs[i] % len(mult)]]
-            if acc != powers[m]:
-                return _report(
-                    name, subject, FAIL, witness=(a, m),
-                    notes=("circle power binomial expansion fails",),
-                )
         lam = lambdas[a]
         lam_lookup = lam + pad
         additive = all(
@@ -327,10 +306,12 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
             for g, shift in shifts
         )
         if additive:
+            add_a = add[a]
             walk = identity
             for m in range(1, n + 1):
                 walk = walk.translate(lam_lookup)
-                if walk != lambdas[powers[m]]:
+                power = powers[m]
+                if add_a[lam[powers[m - 1]]] != power or walk != lambdas[power]:
                     break
             else:
                 continue
@@ -340,10 +321,11 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
             return _report(name, subject, FAIL, witness=witness, notes=(note,))
         if additive:
             raise InternalCheckError(
-                f"row walk of lambda_{a} fails at power {m}, but every (b, m) passes"
+                f"row walk of lambda_{a} fails at power {m},"
+                " but every sum and (b, m) passes"
             )
 
-    additive_pp = [_prime_power(len(multiples[b])) for b in range(n)]
+    additive_pp = [_prime_power(brace.additive.order_of(b)) for b in range(n)]
     for a in range(n):
         pa = _prime_power(brace.circle_order(a))
         if pa is None and a != 0:
@@ -364,10 +346,25 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
 
 
 def _scan_dotted_expansion(add, dot, a: int, powers, prime_power_m):
-    """The dotted expansion for one a, b by b through the Pascal recurrence:
-    the first failing (a, b, m) and its note, or None."""
+    """Both expansions for one a: the first failing (a, m) or (a, b, m)
+    and its note, or None.
+
+    The circle power a^m is compared with its literal binomial sum for
+    every m first; then the dotted expansion goes b by b through the
+    Pascal recurrence.
+    """
     drow = dot[a]
     n = len(drow)
+    lefts = [a]
+    for _ in range(n - 1):
+        lefts.append(drow[lefts[-1]])
+    multiples = [multiples_of(add, x) for x in lefts]
+    for m in range(1, n + 1):
+        acc = 0
+        for i, mult in enumerate(multiples[:m], 1):
+            acc = add[acc][mult[math.comb(m, i) % len(mult)]]
+        if acc != powers[m]:
+            return (a, m), "circle power binomial expansion fails"
     for b in range(n):
         ab = drow[b]
         acc = 0

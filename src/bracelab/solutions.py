@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .abelian import MAX_TABLE_ORDER, check_table_order, closure, invert_perm, is_permutation
+from .abelian import MAX_TABLE_ORDER, check_table_order, closure, is_permutation
 from .brace import LeftBrace
 from .errors import (
     BraidRelationError,
@@ -58,15 +58,20 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
         raise InvalidPresentationError(f"tables must have {size} rows")
     sigma_rows, tau_rows = _byte_rows(sigma, size), _byte_rows(tau, size)
     sol = SetTheoreticSolution(size, sigma, tau)
-    if sigma_rows is None or tau_rows is None:
+    scanned = sigma_rows is None or tau_rows is None
+    if scanned:
         _scan_entries(sol)
-    elif not _rows_involutive(sigma_rows, tau_rows):
+        sigma_rows = [bytes(row) for row in sigma]
+    ident = bytes(range(size))
+    # maketrans(p, ident) maps p[i] to i, so its first size bytes are p^-1
+    inverses = [bytes.maketrans(row, ident)[:size] for row in sigma_rows]
+    if not scanned and not _rows_involutive(sigma_rows, tau_rows, inverses):
         _scan_entries(sol)
         raise InternalCheckError(
             "row checks reject the tables, but every entry passes"
         )
 
-    failure = _cycle_set_failure(sigma)
+    failure = _cycle_set_failure(sigma_rows, inverses)
     if failure is not None:
         _scan_braid_relation(sol)
         raise InternalCheckError(
@@ -88,22 +93,21 @@ def _byte_rows(rows, size: int) -> list[bytes] | None:
     return out
 
 
-def _rows_involutive(sigma_rows: list[bytes], tau_rows: list[bytes]) -> bool:
+def _rows_involutive(
+    sigma_rows: list[bytes], tau_rows: list[bytes], inverses: list[bytes]
+) -> bool:
     """Whether every row is a bijection and r o r = id, one row at a time.
 
     With u = sigma_x(y) and v = tau_y(x), r(u, v) = (x, y) for every pair
     exactly when v = sigma_u^-1(x) for every pair: that equation, taken at
     the pair (u, v), also gives tau_v(u) = sigma_x^-1(u) = y.  So for each
     x, column x of tau must be row x of sigma looked up in column x of the
-    inverse sigma table.
+    inverse sigma table; inverses holds the rows of that table.
     """
     n = len(sigma_rows)
     if any(len(set(row)) != n for row in sigma_rows + tau_rows):
         return False
     pad = bytes(MAX_TABLE_ORDER - n)
-    ident = bytes(range(n))
-    # maketrans(p, ident) maps p[i] to i, so its first n bytes are p^-1
-    inverses = [bytes.maketrans(p, ident)[:n] for p in sigma_rows]
     return all(
         row.translate(bytes(inv_col) + pad) == bytes(tau_col)
         for row, inv_col, tau_col in zip(sigma_rows, zip(*inverses), zip(*tau_rows))
@@ -141,20 +145,18 @@ def _scan_entries(sol: SetTheoreticSolution) -> None:
                 )
 
 
-def _cycle_set_failure(sigma) -> str | None:
+def _cycle_set_failure(rows: list[bytes], inverses: list[bytes]) -> str | None:
     """The first pair x < y with sigma_x sigma_{x.y} != sigma_y sigma_{y.x}.
 
     Here x.y = sigma_x^-1(y).  For an involutive non-degenerate map this is
     the cycle-set identity (x.y).(x.z) = (y.x).(y.z), which holds exactly
     when the braid relation does (Rump, Adv. Math. 193, 2005;
     Etingof-Schedler-Soloviev, Duke Math. J. 100, 1999).  Each pair costs
-    one comparison of composed byte rows.
+    one comparison of composed byte rows; inverses are the inverse rows.
     """
-    n = len(sigma)
+    n = len(rows)
     pad = bytes(MAX_TABLE_ORDER - n)
-    rows = [bytes(row) for row in sigma]
     lookups = [row + pad for row in rows]
-    inverses = [bytes(invert_perm(row)) for row in sigma]
     for x in range(n):
         row_inv_x = inverses[x]
         lookup_x = lookups[x]

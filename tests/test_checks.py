@@ -164,6 +164,22 @@ class TestForcedFailures:
         assert report.verdict == FAIL
         assert report.witness == (2, 1, 3, 1)
 
+    @pytest.mark.parametrize(
+        "entries, witness, note",
+        [
+            # 3 divides no 2^t - 1, so k = 0 and 2 . 3 must vanish outright
+            ({(2, 3): 3}, (2, 3), "p=3 divides no q^t-1 yet a.b != 0"),
+            # 2 divides 3 - 1, so k = 1 and 0 o 0 = 0 must kill 2
+            ({(0, 2): 2}, (0, 2), "circle power p^1 of 0 does not kill 2"),
+        ],
+    )
+    def test_cross_prime_product_is_caught(self, entries, witness, note):
+        brace = with_dot_entries(LeftBrace.trivial(make_group((6,))), entries)
+        report = check_sylow_annihilation(brace)
+        assert report.verdict == FAIL
+        assert report.witness == witness
+        assert report.notes == (note,)
+
     def test_mismatched_nilpotency_is_caught(self, triv6, monkeypatch):
         fake = BraceTraits(
             is_two_sided=True,
@@ -257,6 +273,9 @@ class TestPowerIdentityDrills:
             # from the zero row of 1; m = 6 is no prime power, so the zero
             # on one side only is an inequality, not a vanishing failure
             (6, {(0, 3): 3}, (1, 3, 6), "dotted binomial expansion fails"),
+            # dot row 1 becomes x -> 2x, so lambda_1 = 3x stays additive and
+            # the row walk decides: 1 o 1 = 2, but 2.1 + 1 . 1 = 0
+            (4, {(1, 1): 2, (1, 3): 2}, (1, 2), "circle power binomial expansion fails"),
         ],
     )
     def test_expansion_notes(self, order, entries, witness, note):
@@ -395,6 +414,14 @@ class TestPowerIdentityRows:
         monkeypatch.setattr(checks_module, "_scan_dotted_expansion", lambda *args: None)
         with pytest.raises(InternalCheckError, match="row walk of lambda_0 fails at power 2"):
             check_power_identities(doubling_row_zero())
+
+    def test_walk_decides_the_circle_expansion(self, monkeypatch):
+        import bracelab.checks as checks_module
+
+        monkeypatch.setattr(checks_module, "_scan_dotted_expansion", lambda *args: None)
+        brace = with_dot_entries(LeftBrace.trivial(make_group((4,))), {(1, 1): 2, (1, 3): 2})
+        with pytest.raises(InternalCheckError, match="row walk of lambda_1 fails at power 2"):
+            check_power_identities(brace)
 
 
 class TestRunners:

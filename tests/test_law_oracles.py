@@ -238,7 +238,9 @@ class TestRowCheckDisagreement:
 
     def test_solution(self, b4, monkeypatch):
         sol = from_brace(b4)
-        monkeypatch.setattr(solutions_module, "_cycle_set_failure", lambda sigma: "at (0, 1)")
+        monkeypatch.setattr(
+            solutions_module, "_cycle_set_failure", lambda rows, inverses: "at (0, 1)"
+        )
         with pytest.raises(InternalCheckError, match=r"identity fails at \(0, 1\)"):
             validate_solution(sol.size, sol.sigma, sol.tau)
 

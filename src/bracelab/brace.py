@@ -163,25 +163,23 @@ class LeftBrace:
         soc = self.socle().members
         n = self.order
         add = self.additive.add_rows()
-        coset_rep: dict[int, int] = {}
+        # scanned in index order, each coset is first met at its least member
+        coset_rep = [-1] * n
+        reps = []
         for x in range(n):
-            if x in coset_rep:
-                continue
-            coset = sorted(add[x][s] for s in soc)
-            rep = coset[0]
-            for y in coset:
-                coset_rep[y] = rep
-        reps = sorted(set(coset_rep.values()))
-        for x in reps:
-            for y in reps:
-                value = coset_rep[self.circle_table[x][y]]
+            if coset_rep[x] < 0:
+                reps.append(x)
                 for s in soc:
-                    for t in soc:
-                        if coset_rep[self.circle_table[add[x][s]][add[y][t]]] != value:
-                            raise InternalCheckError(
-                                "induced circle table depends on coset representatives"
-                                f" at ({x}, {y})"
-                            )
+                    coset_rep[add[x][s]] = x
+        circle = self.circle_table
+        for x in range(n):
+            row, rep_row = circle[x], circle[coset_rep[x]]
+            for y in range(n):
+                if coset_rep[row[y]] != coset_rep[rep_row[coset_rep[y]]]:
+                    raise InternalCheckError(
+                        "induced circle table depends on coset representatives"
+                        f" at ({coset_rep[x]}, {coset_rep[y]})"
+                    )
         local = {rep: i for i, rep in enumerate(reps)}
         return self._induced(reps, [local[coset_rep[x]] for x in range(n)])[0]
 

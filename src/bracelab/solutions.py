@@ -46,9 +46,9 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
     """Check non-degeneracy, involutivity and the braid law exactly.
 
     A size above MAX_TABLE_ORDER is refused with ResourceLimitError first.
-    Tables of plain ints are checked on byte rows, and the braid law is
-    decided through the cycle-set identity on pairs.  Only a table that a
-    row check rejects, or one holding other entries, is scanned entry by
+    Every table is checked on byte rows, and the braid law is decided
+    through the cycle-set identity on pairs.  Only a table that a row check
+    rejects, entries out of range or not ints included, is scanned entry by
     entry or triple by triple, and that scan names the witness.
     """
     check_table_order(size)
@@ -58,14 +58,12 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
         raise InvalidPresentationError(f"tables must have {size} rows")
     sigma_rows, tau_rows = _byte_rows(sigma, size), _byte_rows(tau, size)
     sol = SetTheoreticSolution(size, sigma, tau)
-    scanned = sigma_rows is None or tau_rows is None
-    if scanned:
-        _scan_entries(sol)
-        sigma_rows = [bytes(row) for row in sigma]
     ident = bytes(range(size))
     # maketrans(p, ident) maps p[i] to i, so its first size bytes are p^-1
-    inverses = [bytes.maketrans(row, ident)[:size] for row in sigma_rows]
-    if not scanned and not _rows_involutive(sigma_rows, tau_rows, inverses):
+    inverses = [bytes.maketrans(row, ident)[:size] for row in sigma_rows or ()]
+    if None in (sigma_rows, tau_rows) or not _rows_involutive(
+        sigma_rows, tau_rows, inverses
+    ):
         _scan_entries(sol)
         raise InternalCheckError(
             "row checks reject the tables, but every entry passes"
@@ -82,7 +80,8 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
 
 def _byte_rows(rows, size: int) -> list[bytes] | None:
     """The rows as bytes, if each has size entries, all ints below size."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int, bool}:
+    types = set(map(type, chain.from_iterable(rows)))
+    if not all(issubclass(t, int) for t in types):
         return None
     try:
         out = [bytes(row) for row in rows]
@@ -184,27 +183,21 @@ def _scan_braid_relation(sol: SetTheoreticSolution) -> None:
 
 
 def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
-    """The solution on the brace's underlying set.
+    """The solution r(x, y) = (lambda_x(y), lambda_x(y)' o x o y) of the brace.
 
-    For each pair, u = x.y + y and v = z.(x.y + x + y) + x.y + x + y + z
-    where z is the circle inverse of u.  The construction is guaranteed to
-    produce a valid solution, so a validation failure here is reported as an
-    internal error rather than a bad-input error.
+    Here ' is the circle inverse, so sigma_x = lambda_x and tau_y(x) =
+    sigma_x(y)' o x o y.  The construction is guaranteed to produce a valid
+    solution, so a validation failure here is reported as an internal error
+    rather than a bad-input error.
     """
     n = brace.order
-    add = brace.additive.add_rows()
-    dot = brace.dot_table
-    sigma = [[0] * n for _ in range(n)]
+    circle = brace.circle_table
+    sigma = [brace.lambda_row(x) for x in range(n)]
+    inverse_rows = [circle[brace.circle_inverse(u)] for u in range(n)]
     tau = [[0] * n for _ in range(n)]
-    for x in range(n):
+    for x, (row, circle_row) in enumerate(zip(sigma, circle)):
         for y in range(n):
-            w = dot[x][y]
-            u = add[w][y]
-            z = brace.circle_inverse(u)
-            s = add[add[w][x]][y]
-            v = add[add[dot[z][s]][s]][z]
-            sigma[x][y] = u
-            tau[y][x] = v
+            tau[y][x] = inverse_rows[row[y]][circle_row[y]]
     try:
         return validate_solution(n, sigma, tau)
     except SolutionValidationError as exc:
@@ -216,45 +209,33 @@ def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
 def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
     """Quotient by equality of sigma maps, with induced tables.
 
-    Representative independence of both induced tables is asserted; for an
+    Classes are numbered in order of first appearance and the induced
+    tables are read off their first members.  One pass over all pairs
+    asserts that every other member induces the same entries; for an
     involutive non-degenerate solution it cannot fail.
     """
     n = solution.size
-    class_rep: dict[int, int] = {}
-    reps: list[int] = []
-    by_row: dict[tuple[int, ...], int] = {}
+    sigma, tau = solution.sigma, solution.tau
+    class_of_row: dict[tuple[int, ...], int] = {}
+    cls = [class_of_row.setdefault(row, len(class_of_row)) for row in sigma]
+    reps = [cls.index(i) for i in range(len(class_of_row))]
+    induced_sigma = [[cls[sigma[x][y]] for y in reps] for x in reps]
+    induced_tau = [[cls[tau[y][x]] for x in reps] for y in reps]
     for x in range(n):
-        rep = by_row.setdefault(solution.sigma[x], x)
-        class_rep[x] = rep
-        if rep == x:
-            reps.append(x)
-    local = {rep: i for i, rep in enumerate(reps)}
-    m = len(reps)
-
-    classes: dict[int, list[int]] = {rep: [] for rep in reps}
-    for x in range(n):
-        classes[class_rep[x]].append(x)
-
-    sigma = [[0] * m for _ in range(m)]
-    tau = [[0] * m for _ in range(m)]
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            s_value = class_rep[solution.sigma[x][y]]
-            t_value = class_rep[solution.tau[y][x]]
-            for xx in classes[x]:
-                for yy in classes[y]:
-                    if class_rep[solution.sigma[xx][yy]] != s_value:
-                        raise InternalCheckError(
-                            f"induced sigma table ill-defined at classes ({x}, {y})"
-                        )
-                    if class_rep[solution.tau[yy][xx]] != t_value:
-                        raise InternalCheckError(
-                            f"induced tau table ill-defined at classes ({x}, {y})"
-                        )
-            sigma[i][j] = local[s_value]
-            tau[j][i] = local[t_value]
+        row, cx = sigma[x], cls[x]
+        induced_row = induced_sigma[cx]
+        for y in range(n):
+            cy = cls[y]
+            if cls[row[y]] != induced_row[cy]:
+                raise InternalCheckError(
+                    f"induced sigma table ill-defined at classes ({reps[cx]}, {reps[cy]})"
+                )
+            if cls[tau[y][x]] != induced_tau[cy][cx]:
+                raise InternalCheckError(
+                    f"induced tau table ill-defined at classes ({reps[cx]}, {reps[cy]})"
+                )
     try:
-        return validate_solution(m, sigma, tau)
+        return validate_solution(len(reps), induced_sigma, induced_tau)
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"retract of a valid solution fails validation: {exc}"

@@ -3,6 +3,7 @@ import pytest
 from bracelab.abelian import make_group
 from bracelab.brace import LeftBrace, validate_brace
 from bracelab.census import enumerate_braces
+from bracelab.products import semidirect, wreath
 
 
 def cyclic_brace(n: int, c: int) -> LeftBrace:
@@ -74,3 +75,13 @@ def census():
         return cache[order]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def products():
+    """Products of order 48 to 64 built as the file benchmark builds them."""
+    two, four, six, eight = (enumerate_braces(o).classes for o in (2, 4, 6, 8))
+    out = [semidirect(eight[2 * i], eight[2 * i + 1]) for i in range(9)]
+    out += [semidirect(six[i % 2], eight[18 + i]) for i in range(9)]
+    out += [wreath(two[0], four[k]) for k in (1, 3)]
+    return out

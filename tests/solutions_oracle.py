@@ -1,0 +1,71 @@
+"""The solution routes that bracelab.solutions replaced, kept as oracles.
+
+oracle_from_brace builds sigma and tau from the dot and addition tables,
+and oracle_retract_solution asserts the induced tables class pair by class
+pair.  tests/test_solutions.py checks that the shorter routes agree.
+"""
+
+from bracelab.errors import InternalCheckError
+from bracelab.solutions import validate_solution
+
+
+def oracle_from_brace(brace):
+    """(sigma, tau) of the brace's solution, as tuples of rows.
+
+    For each pair, u = x.y + y and v = z.(x.y + x + y) + x.y + x + y + z
+    where z is the circle inverse of u; sigma_x(y) = u and tau_y(x) = v.
+    """
+    n = brace.order
+    add = brace.additive.add_rows()
+    dot = brace.dot_table
+    sigma = [[0] * n for _ in range(n)]
+    tau = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            w = dot[x][y]
+            u = add[w][y]
+            z = brace.circle_inverse(u)
+            s = add[add[w][x]][y]
+            v = add[add[dot[z][s]][s]][z]
+            sigma[x][y] = u
+            tau[y][x] = v
+    return tuple(map(tuple, sigma)), tuple(map(tuple, tau))
+
+
+def oracle_retract_solution(solution):
+    """Quotient by equality of sigma maps, checked class pair by class pair."""
+    n = solution.size
+    class_rep: dict[int, int] = {}
+    reps: list[int] = []
+    by_row: dict[tuple[int, ...], int] = {}
+    for x in range(n):
+        rep = by_row.setdefault(solution.sigma[x], x)
+        class_rep[x] = rep
+        if rep == x:
+            reps.append(x)
+    local = {rep: i for i, rep in enumerate(reps)}
+    m = len(reps)
+
+    classes: dict[int, list[int]] = {rep: [] for rep in reps}
+    for x in range(n):
+        classes[class_rep[x]].append(x)
+
+    sigma = [[0] * m for _ in range(m)]
+    tau = [[0] * m for _ in range(m)]
+    for i, x in enumerate(reps):
+        for j, y in enumerate(reps):
+            s_value = class_rep[solution.sigma[x][y]]
+            t_value = class_rep[solution.tau[y][x]]
+            for xx in classes[x]:
+                for yy in classes[y]:
+                    if class_rep[solution.sigma[xx][yy]] != s_value:
+                        raise InternalCheckError(
+                            f"induced sigma table ill-defined at classes ({x}, {y})"
+                        )
+                    if class_rep[solution.tau[yy][xx]] != t_value:
+                        raise InternalCheckError(
+                            f"induced tau table ill-defined at classes ({x}, {y})"
+                        )
+            sigma[i][j] = local[s_value]
+            tau[j][i] = local[t_value]
+    return validate_solution(m, sigma, tau)

@@ -28,7 +28,7 @@ from bracelab.errors import (
     InvolutivityError,
     ResourceLimitError,
 )
-from bracelab.products import semidirect, wreath
+from bracelab.products import semidirect
 from bracelab.solutions import from_brace, validate_solution
 from checks_oracle import (
     oracle_is_nilpotent_group,
@@ -98,16 +98,6 @@ def flip_union(first, second):
     for x, row in enumerate(second):
         sigma[m + x][m:] = [m + v for v in row]
     return sigma
-
-
-@pytest.fixture(scope="module")
-def products():
-    """Products of order 48 to 64 built as the file benchmark builds them."""
-    two, four, six, eight = (enumerate_braces(o).classes for o in (2, 4, 6, 8))
-    out = [semidirect(eight[2 * i], eight[2 * i + 1]) for i in range(9)]
-    out += [semidirect(six[i % 2], eight[18 + i]) for i in range(9)]
-    out += [wreath(two[0], four[k]) for k in (1, 3)]
-    return out
 
 
 @pytest.mark.parametrize("order", [8, 12])

@@ -15,6 +15,7 @@ from bracelab.errors import (
     ResourceLimitError,
 )
 from bracelab.solutions import (
+    SetTheoreticSolution,
     from_brace,
     mpl_solution,
     permutation_group_order,
@@ -24,6 +25,7 @@ from bracelab.solutions import (
 )
 from checks_oracle import oracle_validate_solution
 from conftest import lyubashenko_rows
+from solutions_oracle import oracle_from_brace, oracle_retract_solution
 
 IDENT3 = (0, 1, 2)
 
@@ -85,7 +87,11 @@ class TestValidation:
         "entry", [-1, 2, 300, 1.0, "1", None, Index(1), Int(1), True]
     )
     def test_odd_entries_as_the_literal_checks(self, entry):
-        """Entries that are not plain ints in range take the literal route."""
+        """Odd entries get the literal checks' outcome.
+
+        An int subclass in range passes the byte rows; every other entry is
+        rejected there and named by the entry scan.
+        """
         flip = ((1, 0), (1, 0))
         for row in range(2):
             sigma = [list(r) for r in flip]
@@ -106,6 +112,10 @@ class TestValidation:
     def test_byte_rows_refuse_out_of_range(self):
         assert solutions._byte_rows(((0, 2), (1, 0)), 2) is None
         assert solutions._byte_rows(((0, 1), (1, 0)), 2) == [b"\x00\x01", b"\x01\x00"]
+        ints = ((Int(0), Int(1)), (Int(1), Int(0)))
+        assert solutions._byte_rows(ints, 2) == [b"\x00\x01", b"\x01\x00"]
+        for entry in (Index(1), 1.0, "1", None):
+            assert solutions._byte_rows(((0, entry), (1, 0)), 2) is None
 
     def test_row_rejection_unconfirmed_is_internal(self, monkeypatch):
         monkeypatch.setattr(solutions, "_rows_involutive", lambda *rows: False)
@@ -140,6 +150,30 @@ class TestFromBrace:
             assert sol.sigma[a] == b9.lambda_row(a)
 
 
+class TestOldRoutes:
+    """from_brace and retract_solution equal the routes they replaced."""
+
+    @staticmethod
+    def assert_old_routes_agree(brace):
+        current = from_brace(brace)
+        assert (current.sigma, current.tau) == oracle_from_brace(brace)
+        while True:
+            retract = retract_solution(current)
+            assert retract == oracle_retract_solution(current)
+            if retract.size == current.size:
+                return
+            current = retract
+
+    @pytest.mark.parametrize("order", [*range(1, 16), 18, 20, 24])
+    def test_census(self, census, order):
+        for brace in census(order).classes:
+            self.assert_old_routes_agree(brace)
+
+    def test_products(self, products):
+        for brace in products:
+            self.assert_old_routes_agree(brace)
+
+
 class TestRetraction:
     def test_b4_tower(self, b4):
         sol = from_brace(b4)
@@ -165,6 +199,31 @@ class TestRetraction:
         sol = validate_solution(4, sigma, tau)
         assert retraction_tower_sizes(sol) == (4,)
         assert mpl_solution(sol) is None
+
+    @pytest.mark.parametrize(
+        "sigma, tau, message",
+        [
+            (
+                (IDENT3, IDENT3, (0, 2, 1)),
+                (IDENT3,) * 3,
+                "induced sigma table ill-defined at classes (2, 0)",
+            ),
+            (
+                (IDENT3, IDENT3, (1, 0, 2)),
+                (IDENT3, (0, 2, 1), IDENT3),
+                "induced tau table ill-defined at classes (0, 0)",
+            ),
+        ],
+    )
+    def test_ill_defined_induced_table_is_internal(self, sigma, tau, message):
+        # built directly, so the tables are never validated
+        solution = SetTheoreticSolution(3, sigma, tau)
+        with pytest.raises(InternalCheckError) as info:
+            retract_solution(solution)
+        assert str(info.value) == message
+        with pytest.raises(InternalCheckError) as info:
+            oracle_retract_solution(solution)
+        assert str(info.value) == message
 
     def test_level_matches_brace_level(self, census):
         for order in (4, 6, 8, 9):

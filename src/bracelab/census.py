@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .abelian import (
     MAX_TABLE_ORDER,
@@ -99,7 +98,8 @@ def _regular_circle_tables(
     carries its members, their set, the covered images of 0 and its
     generators.  Extending H by h builds <H, h> as a union of left cosets
     y o H (Dimino), and gives up as soon as one coset's images of 0 meet
-    the covered points.
+    the covered points; a coset's members are listed only once the
+    closure is accepted.
 
     A node also carries K, automorphisms that normalize H and fix its
     target t.  Conjugation by a in K maps the candidate x -> g(x) + t to
@@ -130,34 +130,60 @@ def _regular_circle_tables(
     Conjugator = tuple[bytes, bytes]
 
     def close(node: Node, images0: bytes, h: bytes) -> Node | None:
+        """The node <H, h>, or None if it is not 0-regular of order dividing n.
+
+        Each new coset y o H is kept as (y, y + padding, its images of 0).
+        Members move 0 to distinct points, so a product y is a member
+        exactly when it equals the one member at y[0]: the member of H if
+        H covers y[0], else base[i] after the coset's representative, at
+        i = images.find(y[0]).  Any other y meets the covered points at
+        y[0], and the closure fails.  The member list and set are built
+        only for a closure that passes n % |G|.
+        """
         base, base_set, base_covered, base_gens = node
-        members, member_set, covered = list(base), set(base_set), set(base_covered)
+        covered = set(base_covered)
         gens = base_gens + [h + pad]
-        reps: list[bytes] = []
+        cosets: list[tuple[bytes, bytes, bytes]] = []
 
         def add_coset(y: bytes) -> bool:
-            # y o H; images disjoint from the covered points keep |G| <= n
+            # images disjoint from the covered points keep |G| <= n
             table = y + pad
             images = images0.translate(table)
             if not covered.isdisjoint(images):
                 return False
-            coset = [x.translate(table) for x in base]
-            members.extend(coset)
-            member_set.update(coset)
             covered.update(images)
-            reps.append(y)
+            cosets.append((y, table, images))
             return True
 
         if not add_coset(h):
             return None
-        for r in reps:  # grows while walked, so every representative is visited
+        for r, _, _ in cosets:  # grows while walked, so every coset is visited
             for s in gens:
                 y = r.translate(s)
-                if y not in member_set and not add_coset(y):
-                    return None
-        if n % len(members):
+                y0 = y[0]
+                if y0 not in covered:
+                    if not add_coset(y):
+                        return None
+                elif y0 in base_covered:
+                    if y not in base_set:
+                        return None
+                else:
+                    for _, table, images in cosets:
+                        i = images.find(y0)
+                        if i >= 0:
+                            break
+                    else:
+                        raise InternalCheckError(
+                            f"covered point {y0} lies in no coset of the closure"
+                        )
+                    if y != base[i].translate(table):
+                        return None
+        if n % (len(base) * (len(cosets) + 1)):
             return None
-        return members, member_set, covered, gens
+        members = list(base)
+        for _, table, _ in cosets:
+            members.extend([x.translate(table) for x in base])
+        return members, set(members), covered, gens
 
     results: list[bytes] = []
 
@@ -206,18 +232,18 @@ def _regular_circle_tables(
 def _relabeler(phi: Sequence[int], n: int) -> Callable[[bytes], bytes]:
     """Relabeling of flat n x n tables along the bijection phi.
 
-    Entry (phi a, phi b) of the result is phi of entry (a, b): values go
-    through translate, and each row is gathered by phi^-1.
+    Entry (phi a, phi b) of the result is phi of entry (a, b), so row phi a
+    of the result is phi o row_a o phi^-1: the whole table goes through phi
+    by one translate, and each row is then composed with phi^-1 by one more.
     """
-    inv = invert_perm(phi)
-    values = bytes(phi) + bytes(MAX_TABLE_ORDER - n)
+    inv = bytes(invert_perm(phi))
+    pad = bytes(MAX_TABLE_ORDER - n)
+    values = bytes(phi) + pad
     starts = [i * n for i in inv]
-    # itemgetter with a single index returns a scalar, not a tuple
-    columns = itemgetter(*inv) if n > 1 else bytes
 
     def relabel(flat: bytes) -> bytes:
         mapped = flat.translate(values)
-        return b"".join([bytes(columns(mapped[s : s + n])) for s in starts])
+        return b"".join([inv.translate(mapped[s : s + n] + pad) for s in starts])
 
     return relabel
 

@@ -13,11 +13,21 @@ once and in the tuple search's order.  The census search must find a
 subset of its tables that meets every orbit, and so give the same
 representatives byte for byte.
 
-`full_aut_orbit_representatives` is the orbit step the census ran before
-it walked each orbit by a generating set of Aut(A): one table per class,
-relabeled by every automorphism with the census's own byte relabeler.
+`eager_regular_circle_tables` is the pruned census search as it ran
+before it listed a closure's cosets lazily: every coset of a candidate
+closure is built in full, and membership is a set lookup, before the
+closure is accepted or rejected.  The census search must return the same
+tables in the same order.
+
+`oracle_relabeler` is the byte relabeler the census ran before it
+relabeled by row conjugation: each row is gathered by phi^-1 through an
+`itemgetter`.  `full_aut_orbit_representatives` is the orbit step the
+census ran before it walked each orbit by a generating set of Aut(A): one
+table per class, relabeled by every automorphism with that relabeler.
 The walk must give the same representatives on the same tables.
 """
+
+from operator import itemgetter
 
 from bracelab.abelian import (
     MAX_TABLE_ORDER,
@@ -25,7 +35,7 @@ from bracelab.abelian import (
     identity_perm,
     invert_perm,
 )
-from bracelab.census import _relabeler
+from bracelab.errors import InternalCheckError
 
 
 def oracle_regular_circle_tables(group, auts):
@@ -121,9 +131,28 @@ def oracle_orbit_representatives(tables, auts, n):
     return reps
 
 
+def oracle_relabeler(phi, n):
+    """Relabeling of flat n x n tables along the bijection phi.
+
+    Entry (phi a, phi b) of the result is phi of entry (a, b): values go
+    through translate, and each row is gathered by phi^-1.
+    """
+    inv = invert_perm(phi)
+    values = bytes(phi) + bytes(MAX_TABLE_ORDER - n)
+    starts = [i * n for i in inv]
+    # itemgetter with a single index returns a scalar, not a tuple
+    columns = itemgetter(*inv) if n > 1 else bytes
+
+    def relabel(flat):
+        mapped = flat.translate(values)
+        return b"".join([bytes(columns(mapped[s : s + n])) for s in starts])
+
+    return relabel
+
+
 def full_aut_orbit_representatives(tables, auts, n):
     """Lexicographically minimal table of each relabeling orbit, sorted."""
-    relabelers = [_relabeler(g, n) for g in auts]
+    relabelers = [oracle_relabeler(g, n) for g in auts]
     seen = set()
     reps = []
     for flat in tables:
@@ -213,4 +242,109 @@ def unpruned_regular_circle_tables(group, auts):
 
     ident = bytes(range(n))
     extend(([ident], {ident}, {0}, []))
+    return results
+
+
+def eager_regular_circle_tables(group, auts):
+    """Circle tables of braces on the group, at least one per class.
+
+    The census search with eager cosets: extending H by h lists every
+    member of each coset y o H of <H, h> as the coset is found, and tests
+    membership in the member set, before the closure is accepted or
+    rejected.
+
+    A node also carries K, automorphisms that normalize H and fix its
+    target t.  Conjugation by a in K maps the candidate x -> g(x) + t to
+    x -> aga^-1(x) + t, and maps each regular subgroup through H to one
+    through H again, since its members covering the covered points are
+    those of H.  So one candidate per K-orbit is tried, and the child's K
+    is the candidate's stabilizer in K; the root's K is all of Aut(A).
+    Each class is still reached, though not every regular subgroup.
+    """
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    add = group.add_rows()
+    aut_bytes = [bytes(g) for g in auts]
+    candidate_cache = {}
+
+    def candidates(t):
+        # holomorph elements moving 0 to t, x -> g(x) + t, by the index of g
+        cached = candidate_cache.get(t)
+        if cached is None:
+            row = bytes(add[t]) + pad
+            cached = {g.translate(row): i for i, g in enumerate(aut_bytes)}
+            candidate_cache[t] = cached
+        return cached
+
+    def close(node, images0, h):
+        base, base_set, base_covered, base_gens = node
+        members, member_set, covered = list(base), set(base_set), set(base_covered)
+        gens = base_gens + [h + pad]
+        reps = []
+
+        def add_coset(y):
+            # y o H; images disjoint from the covered points keep |G| <= n
+            table = y + pad
+            images = images0.translate(table)
+            if not covered.isdisjoint(images):
+                return False
+            coset = [x.translate(table) for x in base]
+            members.extend(coset)
+            member_set.update(coset)
+            covered.update(images)
+            reps.append(y)
+            return True
+
+        if not add_coset(h):
+            return None
+        for r in reps:  # grows while walked, so every representative is visited
+            for s in gens:
+                y = r.translate(s)
+                if y not in member_set and not add_coset(y):
+                    return None
+        if n % len(members):
+            return None
+        return members, member_set, covered, gens
+
+    results = []
+
+    def extend(node, stab):
+        members, _, covered, _ = node
+        if len(members) == n:
+            # first bytes are distinct, so sorting orders the rows by a = p(0)
+            results.append(b"".join(sorted(members)))
+            return
+        images0 = bytes(x[0] for x in members)
+        target = next(t for t in range(n) if t not in covered)
+        stab = [a for a in stab if a[0][target] == target]
+        cands = candidates(target)
+        tried = bytearray(len(aut_bytes))
+        for h, i in cands.items():
+            # most candidates fail on their first coset, and so do their
+            # conjugates: test it before the orbit and before copying
+            if tried[i] or not covered.isdisjoint(images0.translate(h + pad)):
+                continue
+            fixers = stab  # a K of at most the identity has one-point orbits
+            if len(stab) > 1:
+                table = h + pad
+                fixers = []
+                for a in stab:
+                    a_pad, a_inv = a
+                    conj = a_inv.translate(table).translate(a_pad)
+                    j = cands.get(conj)
+                    if j is None:
+                        raise InternalCheckError(
+                            f"a conjugate of automorphism {i} is missing"
+                            " from the automorphism list"
+                        )
+                    tried[j] = 1
+                    if conj == h:
+                        fixers.append(a)
+            child = close(node, images0, h)
+            if child is not None:
+                extend(child, fixers)
+
+    ident = bytes(range(n))
+    root_stab = [(g + pad, bytes(invert_perm(g))) for g in aut_bytes]
+    extend(([ident], {ident}, {0}, []), root_stab)
     return results

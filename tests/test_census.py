@@ -29,6 +29,7 @@ from bracelab.census import (
     _generating_set,
     _orbit_representatives,
     _regular_circle_tables,
+    _relabeler,
     are_isomorphic,
     check_census_order,
     enumerate_braces,
@@ -36,9 +37,11 @@ from bracelab.census import (
 from bracelab.errors import InternalCheckError, ResourceLimitError
 from bracelab.products import direct_sum
 from census_oracle import (
+    eager_regular_circle_tables,
     full_aut_orbit_representatives,
     oracle_orbit_representatives,
     oracle_regular_circle_tables,
+    oracle_relabel,
     unpruned_regular_circle_tables,
 )
 from conftest import cyclic_brace
@@ -161,13 +164,19 @@ class TestAgainstOracle:
 
 
 # class counts past order 17; 16 and 27 are the counts in the literature
-LARGE_ORDER_COUNTS = {16: 357, 18: 8, 20: 11, 24: 96, 27: 37, 36: 46, 45: 4, 54: 80}
+LARGE_ORDER_COUNTS = {
+    16: 357, 18: 8, 20: 11, 24: 96, 27: 37, 36: 46, 45: 4, 54: 80, 72: 489
+}
 
 # SHA-256 of the concatenated class tables, taken with the unpruned search
 CENSUS_DIGESTS = {
     16: "4d527b73d2194edff5e3f9f23b741a9c3b9626941a82351e671f9f81de131557",
     27: "6262e7102579b5d479949acadff2b57204de97d032fb5eb4a7172a50f2beab28",
     54: "04ff71e21f19bf28e084a06fc564f98028090039589ea7768c71ace4555697d4",
+    # past the unpruned search's reach: taken with the eager-coset search
+    # and the itemgetter relabeler, and equal with lazy cosets and row
+    # conjugation
+    72: "bcff640ac793c72c134a214877ea9ab5e78765937252505e338d180dbe55a150",
 }
 
 
@@ -215,6 +224,50 @@ def test_byte_identical_to_tuple_search(order):
 @pytest.mark.parametrize("order", [24, 36])
 def test_byte_identical_to_tuple_search_slow(order):
     assert_matches_tuple_search(order)
+
+
+def assert_matches_eager_search(order):
+    for factors in abelian_group_types(order):
+        group = make_group(factors)
+        auts = sorted(automorphism_group(group).elements)
+        expected = eager_regular_circle_tables(group, auts)
+        assert _regular_circle_tables(group, auts) == expected, factors
+
+
+@pytest.mark.parametrize("order", [n for n in range(1, 25) if n != 16] + [27])
+def test_lazy_cosets_match_eager_search(order):
+    """Listing a closure's cosets only once it is accepted changes no
+    decision: the same tables come out in the same order."""
+    assert_matches_eager_search(order)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("order", [16, 54])
+def test_lazy_cosets_match_eager_search_slow(order):
+    assert_matches_eager_search(order)
+
+
+# relabelings per type in test_relabeler_matches_entrywise_oracle; the
+# types past it are (4,4), (2,2,6), (2,2,4) and (2,2,2,2), the last with
+# 20160 automorphisms and 1173 searched tables
+MAX_RELABEL_PAIRS = 25_000
+
+
+@pytest.mark.parametrize("order", range(1, 25))
+def test_relabeler_matches_entrywise_oracle(order):
+    """Row conjugation relabels as the entry-by-entry oracle does, for
+    every automorphism of every type; where |Aut| x |tables| passes
+    MAX_RELABEL_PAIRS, on an evenly strided share of the tables."""
+    for factors in abelian_group_types(order):
+        group = make_group(factors)
+        auts = sorted(automorphism_group(group).elements)
+        tables = _regular_circle_tables(group, auts)
+        stride = -(-len(auts) * len(tables) // MAX_RELABEL_PAIRS)
+        for phi in auts:
+            relabel, inv = _relabeler(phi, order), invert_perm(phi)
+            for flat in tables[::stride]:
+                expected = oracle_relabel(flat, phi, inv, order)
+                assert relabel(flat) == expected, (factors, phi)
 
 
 @pytest.mark.parametrize("factors", [(2, 2, 2), (2, 2, 6)])
@@ -323,6 +376,18 @@ def test_order_fifty_four_digest():
     assert len(census) == LARGE_ORDER_COUNTS[54]
     assert [per_type.count(f) for f in abelian_group_types(54)] == [34, 42, 4]
     assert hashlib.sha256(census_bytes(census)).hexdigest() == CENSUS_DIGESTS[54]
+
+
+@pytest.mark.slow
+def test_order_seventy_two_digest():
+    """Six additive types; (2,6,6), with 8064 automorphisms, costs most."""
+    census = enumerate_braces(72)
+    per_type = [e.invariant_factors for e in census.entries]
+    assert len(census) == LARGE_ORDER_COUNTS[72]
+    assert [per_type.count(f) for f in abelian_group_types(72)] == [
+        42, 111, 66, 51, 200, 19
+    ]
+    assert hashlib.sha256(census_bytes(census)).hexdigest() == CENSUS_DIGESTS[72]
 
 
 class TestCensusBehavior:

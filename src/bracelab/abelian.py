@@ -34,19 +34,13 @@ MAX_TABLE_ORDER = 256
 
 def check_table_order(order: int) -> None:
     if order > MAX_TABLE_ORDER:
+        # an order past 64 bits is named by its size: its decimal form may
+        # pass the interpreter's limit on int-to-str conversion
+        shown = order if order.bit_length() <= 64 else f"of {order.bit_length()} bits"
         raise ResourceLimitError(
-            f"order {order} above {MAX_TABLE_ORDER}, the largest order"
+            f"order {shown} above {MAX_TABLE_ORDER}, the largest order"
             " whose tables fit in bytes"
         )
-
-
-def identity_perm(degree: int) -> Perm:
-    return tuple(range(degree))
-
-
-def compose_perms(p: Perm, q: Perm) -> Perm:
-    """Composition p after q: the result maps i to p[q[i]]."""
-    return tuple(p[qi] for qi in q)
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -355,6 +349,26 @@ def _p_group_basis(add_rows, multiples, component: list[int]) -> list[int]:
     return [x] + _p_group_basis(add_rows, multiples, sorted(comp))
 
 
+def primary_components(multiples) -> list[tuple[int, int, list[int]]]:
+    """The p-primary components of a finite abelian group, primes ascending.
+
+    multiples[x] lists the multiples of x (multiples_of), so its length is
+    the additive order of x.  For each p^a exactly dividing the order,
+    returns (p, a, members): the elements whose order divides p^a, ascending.
+    """
+    order = len(multiples)
+    out = []
+    for p, a in sorted(prime_factorization(order).items()):
+        pa = p**a
+        members = [x for x in range(order) if pa % len(multiples[x]) == 0]
+        if len(members) != pa:
+            raise InternalCheckError(
+                f"torsion component for prime {p} has size {len(members)}, expected {pa}"
+            )
+        out.append((p, a, members))
+    return out
+
+
 def abelian_structure(add_rows) -> tuple[tuple[int, ...], Perm]:
     """Invariant factors and a canonical relabeling of an abstract group.
 
@@ -367,15 +381,10 @@ def abelian_structure(add_rows) -> tuple[tuple[int, ...], Perm]:
     if order == 1:
         return (), (0,)
     multiples = [multiples_of(add_rows, x) for x in range(order)]
-    bases = []
-    for p, a in sorted(prime_factorization(order).items()):
-        pa = p**a
-        component = [x for x in range(order) if pa % len(multiples[x]) == 0]
-        if len(component) != pa:
-            raise InternalCheckError(
-                f"torsion component for prime {p} has size {len(component)}, expected {pa}"
-            )
-        bases.append(_p_group_basis(add_rows, multiples, component))
+    bases = [
+        _p_group_basis(add_rows, multiples, members)
+        for _, _, members in primary_components(multiples)
+    ]
 
     # slot j of the canonical chain, counted from the largest factor, is
     # generated by the sum of the j-th basis elements, which have coprime orders

@@ -24,6 +24,8 @@ from .abelian import (
     invert_perm,
     is_nilpotent_group,
     make_group,
+    multiples_of,
+    primary_components,
 )
 from .errors import (
     CircleAssociativityError,
@@ -33,7 +35,6 @@ from .errors import (
     InternalCheckError,
     InvalidPresentationError,
 )
-from .numutil import prime_factorization
 
 
 @dataclass(frozen=True)
@@ -243,16 +244,10 @@ class LeftBrace:
 
     @cached_property
     def _sylow_components(self) -> tuple["SylowComponent", ...]:
-        n = self.order
+        add = self.additive.add_rows()
+        multiples = [multiples_of(add, x) for x in range(self.order)]
         out = []
-        covered = 1
-        for p, alpha in sorted(prime_factorization(n).items()):
-            pa = p**alpha
-            members = [x for x in range(n) if pa % self.additive.order_of(x) == 0]
-            if len(members) != pa:
-                raise InternalCheckError(
-                    f"torsion component for prime {p} has wrong size {len(members)}"
-                )
+        for p, alpha, members in primary_components(multiples):
             local = {x: i for i, x in enumerate(members)}
             for x in members:
                 for y in members:
@@ -271,9 +266,6 @@ class LeftBrace:
                     to_parent=to_parent,
                 )
             )
-            covered *= pa
-        if covered != n:
-            raise InternalCheckError("prime components do not cover the brace")
         return tuple(out)
 
     def canonical_form(self) -> "LeftBrace":

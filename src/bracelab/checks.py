@@ -325,17 +325,21 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
                 " but every sum and (b, m) passes"
             )
 
-    additive_pp = [_prime_power(brace.additive.order_of(b)) for b in range(n)]
+    # the prime of each nonzero element of prime-power additive order
+    additive_prime = [None] * n
+    for component in brace.sylow_components():
+        for b in component.members[1:]:  # members ascend from 0
+            additive_prime[b] = component.prime
     for a in range(n):
         pa = _prime_power(brace.circle_order(a))
         if pa is None and a != 0:
             continue
         drow = dot[a]
         for b in range(n):
-            qb = additive_pp[b]
-            if qb is None:
+            q = additive_prime[b]
+            if q is None:
                 continue
-            if pa is not None and pa[0] == qb[0]:
+            if pa is not None and pa[0] == q:
                 continue
             if drow[drow[b]] == 0 and drow[b] != 0:
                 return _report(

@@ -146,9 +146,15 @@ def parse_brace_document(text: str) -> BraceDocument:
             "field 'invariant_factors' must be a list of integers >= 2"
         )
     product = 1
-    for d in factors:
+    for count, d in enumerate(factors, 1):
         product *= d
+        if product > order:
+            break
     if product != order:
+        # the loop stops once the product passes the order, so past it the
+        # product is named only when it is whole and fits in 64 bits
+        if product > order and (count < len(factors) or product.bit_length() > 64):
+            product = f"more than {order}"
         raise DocumentError(
             f"field 'order' is {order} but the invariant factors multiply to {product}"
         )

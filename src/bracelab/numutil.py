@@ -6,18 +6,7 @@ from functools import lru_cache
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and prime_factorization(n) == {n: 1}
 
 
 def prime_factorization(n: int) -> dict[int, int]:

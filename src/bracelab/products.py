@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import (
-    Perm,
-    check_table_order,
-    compose_perms,
-    identity_perm,
-    is_permutation,
-    make_group,
-)
+from .abelian import Perm, check_table_order, is_permutation, make_group
 from .brace import LeftBrace, validate_brace
 from .errors import ActionError, ResourceLimitError
 
@@ -42,6 +35,8 @@ def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
         raise ActionError(
             f"need one map per acting element, got {len(maps)} for order {nh}"
         )
+    add = target.additive.add_rows()
+    circle = target.circle_table
     for h, f in enumerate(maps):
         if not is_permutation(f, nt):
             raise ActionError(
@@ -49,22 +44,26 @@ def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
                 witness=(h,),
             )
         for a in range(nt):
+            add_a, add_fa = add[a], add[f[a]]
+            circle_a, circle_fa = circle[a], circle[f[a]]
             for b in range(nt):
-                if f[target.add(a, b)] != target.add(f[a], f[b]):
+                if f[add_a[b]] != add_fa[f[b]]:
                     raise ActionError(
                         f"map of {h} does not preserve addition at ({a}, {b})",
                         witness=(h, a, b),
                     )
-                if f[target.circle(a, b)] != target.circle(f[a], f[b]):
+                if f[circle_a[b]] != circle_fa[f[b]]:
                     raise ActionError(
                         f"map of {h} does not preserve the circle product at ({a}, {b})",
                         witness=(h, a, b),
                     )
-    if maps[0] != identity_perm(nt):
+    if maps[0] != tuple(range(nt)):
         raise ActionError("the zero element must act as the identity", witness=(0,))
-    for h1 in range(nh):
-        for h2 in range(nh):
-            if maps[acting.circle(h1, h2)] != compose_perms(maps[h1], maps[h2]):
+    for h1, row in enumerate(acting.circle_table):
+        f1 = maps[h1]
+        for h2, f2 in enumerate(maps):
+            # maps[h1 o h2] must be maps[h1] after maps[h2]
+            if maps[row[h2]] != tuple([f1[x] for x in f2]):
                 raise ActionError(
                     f"assignment is not a circle-group homomorphism at ({h1}, {h2})",
                     witness=(h1, h2),
@@ -73,7 +72,7 @@ def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
 
 
 def trivial_action(acting: LeftBrace, target: LeftBrace) -> BraceAction:
-    ident = identity_perm(target.order)
+    ident = tuple(range(target.order))
     return BraceAction(acting, target, tuple(ident for _ in range(acting.order)))
 
 

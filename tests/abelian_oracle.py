@@ -5,7 +5,10 @@ These helpers compute the same operations from the digit tuples of the
 index rule e = sum_i a_i * prod_{j>i} d_j, most significant factor first,
 ``oracle_automorphisms`` is the digit-based brute force that the package's
 automorphism search replaced, and ``automorphism_count`` counts the same
-group by formula, for types too large to search.
+group by formula, for types too large to search.  ``oracle_primary_components``
+is the per-prime split that ``abelian.primary_components`` replaced, and
+``identity_perm`` and ``compose_perms`` are the tuple permutations the test
+oracles compose; the package composes byte rows.
 """
 
 import math
@@ -13,6 +16,30 @@ from bisect import bisect_left, bisect_right
 from itertools import product
 
 from bracelab.numutil import prime_factorization
+
+
+def identity_perm(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
+
+
+def compose_perms(p, q) -> tuple[int, ...]:
+    """Composition p after q: the result maps i to p[q[i]]."""
+    return tuple(p[qi] for qi in q)
+
+
+def oracle_primary_components(n: int, order_of) -> list[tuple[int, int, list[int]]]:
+    """(p, a, members) for each p^a exactly dividing n, primes ascending.
+
+    order_of(x) is the additive order of x, asked again for every element
+    and prime, as ``LeftBrace.sylow_components`` once asked
+    ``FiniteAbelianGroup.order_of``.
+    """
+    out = []
+    for p, a in sorted(prime_factorization(n).items()):
+        members = [x for x in range(n) if p**a % order_of(x) == 0]
+        assert len(members) == p**a, (p, members)
+        out.append((p, a, members))
+    return out
 
 
 def _strides(group) -> tuple[int, ...]:

@@ -28,13 +28,7 @@ needed them.
 
 import math
 
-from bracelab.abelian import (
-    closure,
-    compose_perms,
-    identity_perm,
-    invert_perm,
-    is_permutation,
-)
+from bracelab.abelian import closure, invert_perm, is_permutation
 from bracelab.brace import LeftBrace
 from bracelab.checks import FAIL, PASS, _prime_power, _report
 from bracelab.errors import (
@@ -48,7 +42,7 @@ from bracelab.errors import (
     NonDegeneracyError,
 )
 from bracelab.solutions import SetTheoreticSolution
-from abelian_oracle import scale
+from abelian_oracle import compose_perms, identity_perm, scale
 
 
 def oracle_power_identities(brace, subject: str = ""):

@@ -1,13 +1,59 @@
-"""The wreath product with its base group W built by hand, kept as a reference.
+"""Routes the products module replaced, kept as references.
 
-``bracelab.products.wreath`` folds W out of direct sums of the base.  This
-route writes the pointwise circle table of W out function by function and
-validates it, as the package once did; the two must give the same brace.
+``bracelab.products.wreath`` folds W out of direct sums of the base.
+``oracle_wreath`` writes the pointwise circle table of W out function by
+function and validates it, as the package once did; the two must give the
+same brace.  ``bracelab.products.make_action`` reads the addition and circle
+tables row by row and composes maps inline; ``oracle_make_action`` asks the
+braces for every sum and product and composes maps with ``compose_perms``.
+The two must give the same maps, or the same ActionError and witness.
 """
 
-from bracelab.abelian import make_group
+from bracelab.abelian import is_permutation, make_group
 from bracelab.brace import validate_brace
+from bracelab.errors import ActionError
 from bracelab.products import BraceAction, semidirect
+from abelian_oracle import compose_perms, identity_perm
+
+
+def oracle_make_action(acting, target, maps) -> BraceAction:
+    """Validate that every map is a brace automorphism of the target and the
+    assignment is a homomorphism out of the acting circle group."""
+    maps = tuple(tuple(m) for m in maps)
+    nh = acting.order
+    nt = target.order
+    if len(maps) != nh:
+        raise ActionError(
+            f"need one map per acting element, got {len(maps)} for order {nh}"
+        )
+    for h, f in enumerate(maps):
+        if not is_permutation(f, nt):
+            raise ActionError(
+                f"map of acting element {h} is not a bijection of the target",
+                witness=(h,),
+            )
+        for a in range(nt):
+            for b in range(nt):
+                if f[target.add(a, b)] != target.add(f[a], f[b]):
+                    raise ActionError(
+                        f"map of {h} does not preserve addition at ({a}, {b})",
+                        witness=(h, a, b),
+                    )
+                if f[target.circle(a, b)] != target.circle(f[a], f[b]):
+                    raise ActionError(
+                        f"map of {h} does not preserve the circle product at ({a}, {b})",
+                        witness=(h, a, b),
+                    )
+    if maps[0] != identity_perm(nt):
+        raise ActionError("the zero element must act as the identity", witness=(0,))
+    for h1 in range(nh):
+        for h2 in range(nh):
+            if maps[acting.circle(h1, h2)] != compose_perms(maps[h1], maps[h2]):
+                raise ActionError(
+                    f"assignment is not a circle-group homomorphism at ({h1}, {h2})",
+                    witness=(h1, h2),
+                )
+    return BraceAction(acting, target, maps)
 
 
 def oracle_wreath(base, top, max_order: int = 64):

@@ -17,13 +17,12 @@ from bracelab.abelian import (
     automorphism_group,
     check_automorphism_work,
     closure,
-    compose_perms,
-    identity_perm,
     invert_perm,
     is_nilpotent_group,
     _linear_extension,
     make_group,
     multiples_of,
+    primary_components,
 )
 from bracelab.errors import (
     InternalCheckError,
@@ -32,10 +31,13 @@ from bracelab.errors import (
 )
 from abelian_oracle import (
     automorphism_count,
+    compose_perms,
     digit_order,
     digits,
     from_digits,
+    identity_perm,
     oracle_automorphisms,
+    oracle_primary_components,
     scale,
 )
 from checks_oracle import oracle_additive_closure
@@ -244,6 +246,23 @@ class TestAutomorphisms:
         monkeypatch.setattr(abelian, "MAX_AUT_CANDIDATES", tuples - 1)
         with pytest.raises(ResourceLimitError, match=f"needs {tuples} automorphism"):
             check_automorphism_work(factors)
+
+
+class TestPrimaryComponents:
+    def test_equals_per_prime_oracle_on_every_type_to_64(self):
+        types = [factors for n in range(1, 65) for factors in abelian_group_types(n)]
+        assert len(types) == 117
+        for factors in types:
+            group = make_group(factors)
+            rows = group.add_rows()
+            multiples = [multiples_of(rows, x) for x in range(group.order)]
+            expected = oracle_primary_components(group.order, group.order_of)
+            assert primary_components(multiples) == expected, factors
+
+    def test_size_check_names_the_prime(self):
+        # element orders 1, 2, 2 and 3: no group of order 4 has them
+        with pytest.raises(InternalCheckError, match="prime 2 has size 3, expected 4"):
+            primary_components([[0], [0, 1], [0, 2], [0, 3, 1]])
 
 
 class TestStructureRecovery:

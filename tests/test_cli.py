@@ -88,6 +88,21 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: not valid JSON")
 
+    @pytest.mark.parametrize("count", [20000, 300000])
+    def test_long_factor_list_exits_2(self, tmp_path, capsys, count):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({
+            "type": "brace",
+            "order": 2,
+            "invariant_factors": [2] * count,
+            "operation": "circle_table",
+            "table": [[0, 1], [1, 0]],
+        }))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'order' is 2 but")
+        assert len(err) < 200
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

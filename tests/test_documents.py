@@ -164,6 +164,20 @@ class TestBraceParseErrors:
         with pytest.raises(DocumentError, match="multiply to 4"):
             parse_brace_document(self.payload(invariant_factors=[2, 2]))
 
+    @pytest.mark.parametrize("count", [20000, 300000])
+    def test_long_factor_list_stops_past_the_order(self, count):
+        # the product is not formed past the order, nor printed
+        text = self.payload(invariant_factors=[2] * count)
+        with pytest.raises(DocumentError, match="multiply to more than 2$") as info:
+            parse_brace_document(text)
+        assert len(str(info.value)) < 200
+
+    def test_product_past_64_bits_is_not_printed(self):
+        big = 10**30
+        text = self.payload(order=big, invariant_factors=[big, big])
+        with pytest.raises(DocumentError, match=f"multiply to more than {big}$"):
+            parse_brace_document(text)
+
     def test_factors_below_two_rejected(self):
         with pytest.raises(DocumentError, match="integers >= 2"):
             parse_brace_document(self.payload(order=2, invariant_factors=[1, 2]))

@@ -6,6 +6,29 @@ from sympy.abc import x as X
 
 from bracelab.errors import InternalCheckError, PolynomialError
 from bracelab.fqpoly import FqPolynomial, annihilation_exponent, poly_gcd, shifted_power
+from bracelab.numutil import is_prime
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """The odd-divisor loop is_prime ran before it read prime_factorization."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    for n in range(-5, 20000):
+        assert is_prime(n) == trial_division_is_prime(n), n
 
 
 def to_sympy(poly: FqPolynomial):

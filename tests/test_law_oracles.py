@@ -6,6 +6,8 @@ Adjoint nilpotency is read off element orders, and classify decides
 two-sidedness on additive generators.  Each is compared here with its
 literal version in tests/checks_oracle.py: the validators must give the
 same exception class, message and witness, or the same validated object.
+The p-primary split of every induced addition table is compared with the
+per-prime walk of tests/abelian_oracle.py.
 """
 
 import random
@@ -16,7 +18,14 @@ import pytest
 
 import bracelab.brace as brace_module
 import bracelab.solutions as solutions_module
-from bracelab.abelian import MAX_TABLE_ORDER, is_nilpotent_group, make_group
+from bracelab.abelian import (
+    MAX_TABLE_ORDER,
+    abelian_structure,
+    is_nilpotent_group,
+    make_group,
+    multiples_of,
+    primary_components,
+)
 from bracelab.brace import validate_brace
 from bracelab.census import enumerate_braces
 from bracelab.errors import (
@@ -28,8 +37,10 @@ from bracelab.errors import (
     InvolutivityError,
     ResourceLimitError,
 )
+from bracelab.numutil import prime_factorization
 from bracelab.products import semidirect
 from bracelab.solutions import from_brace, validate_solution
+from abelian_oracle import oracle_primary_components
 from checks_oracle import (
     oracle_is_nilpotent_group,
     oracle_is_two_sided,
@@ -259,6 +270,12 @@ class TestAboveTableOrder:
         with pytest.raises(ResourceLimitError, match=self.refusal):
             validate_brace(make_group((n,)), table)
 
+    def test_order_past_the_digit_limit(self):
+        # 2^20000 has more digits than str() converts; it is named by its size
+        with pytest.raises(ResourceLimitError, match="^order of 20001 bits above 256") as info:
+            validate_brace(make_group([2] * 20000), [])
+        assert len(str(info.value)) < 200
+
     def test_solution(self):
         # fails the braid relation at (0, 0, 1), but is refused first
         sigma = flip_union(BAD_SIGMA, [list(range(self.n - 3))] * (self.n - 3))
@@ -295,3 +312,33 @@ def test_two_sided_on_generators_agrees(products):
         assert (traits.ring_nilpotent is None) == (not traits.is_two_sided)
         seen[traits.is_two_sided] += 1
     assert seen[True] > 0 and seen[False] > 0
+
+
+def test_primary_components_of_induced_rows_agree(monkeypatch):
+    # the addition rows _induced builds for every Sylow component and retract
+    # quotient of the verify census, split by the one routine and by the
+    # per-prime walk it replaced
+    braces = [b for o in VERIFY_ORDERS for b in enumerate_braces(o, max_order=45).classes]
+    seen = []
+
+    def recording(add_rows):
+        seen.append(add_rows)
+        return abelian_structure(add_rows)
+
+    monkeypatch.setattr(brace_module, "abelian_structure", recording)
+    for brace in braces:
+        fresh = validate_brace(brace.additive, brace.circle_table)
+        fresh.sylow_components()
+        fresh.retract_quotient()
+    # one table per prime divisor and one quotient per brace
+    assert len(seen) == sum(len(prime_factorization(b.order)) + 1 for b in braces)
+    for rows in seen:
+        multiples = [multiples_of(rows, x) for x in range(len(rows))]
+
+        def order_of(x):
+            k, acc = 1, x
+            while acc != 0:
+                acc, k = rows[acc][x], k + 1
+            return k
+
+        assert primary_components(multiples) == oracle_primary_components(len(rows), order_of)

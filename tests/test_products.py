@@ -1,9 +1,12 @@
 """Semidirect sums, wreath products, and actions between braces."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from bracelab import products
-from bracelab.abelian import make_group
+from bracelab.abelian import automorphism_group, make_group
 from bracelab.brace import LeftBrace
 from bracelab.census import are_isomorphic, enumerate_braces
 from bracelab.errors import ActionError, ResourceLimitError
@@ -15,7 +18,8 @@ from bracelab.products import (
     wreath,
 )
 from conftest import cyclic_brace
-from products_oracle import oracle_wreath
+from abelian_oracle import compose_perms
+from products_oracle import oracle_make_action, oracle_wreath
 
 Z2 = LeftBrace.trivial(make_group((2,)))
 Z3 = LeftBrace.trivial(make_group((3,)))
@@ -60,6 +64,101 @@ class TestActionValidation:
         b4 = cyclic_brace(4, 2)
         action = make_action(Z2, b4, ((0, 1, 2, 3), (0, 3, 2, 1)))
         assert semidirect(b4, Z2, action).order == 8
+
+
+def action_outcome(validate, acting, target, maps):
+    try:
+        return "valid", validate(acting, target, maps).maps
+    except ActionError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+ACTION_MESSAGES = (
+    "need one map per acting element",
+    "is not a bijection of the target",
+    "does not preserve addition",
+    "does not preserve the circle product",
+    "the zero element must act as the identity",
+    "is not a circle-group homomorphism",
+)
+
+
+class TestActionOracle:
+    def brace_automorphisms(self, target):
+        circle = target.circle_table
+        pairs = [(a, b) for a in range(target.order) for b in range(target.order)]
+        return [
+            f
+            for f in sorted(automorphism_group(target.additive).elements)
+            if all(f[circle[a][b]] == circle[f[a]][f[b]] for a, b in pairs)
+        ]
+
+    def cyclic_action(self, rng, acting, brace_auts):
+        """maps[g^k] = phi^k for a circle generator g, or None if there is none."""
+        nh = acting.order
+        gens = [g for g in range(nh) if acting.circle_order(g) == nh]
+        if not gens:
+            return None
+        g = rng.choice(gens)
+        ident = tuple(range(len(brace_auts[0])))
+        phis = []
+        for phi in brace_auts:
+            power = ident
+            for _ in range(nh):
+                power = compose_perms(phi, power)
+            if power == ident:
+                phis.append(phi)
+        phi = rng.choice(phis)
+        maps = [None] * nh
+        element, power = 0, ident
+        for _ in range(nh):
+            maps[element] = power
+            element, power = acting.circle(g, element), compose_perms(phi, power)
+        return maps
+
+    def random_maps(self, rng, acting, target, brace_auts, additive_auts):
+        nh, nt = acting.order, target.order
+        ident = tuple(range(nt))
+        kind = rng.randrange(7)
+        if kind == 0:
+            return [ident] * rng.choice([n for n in (nh - 1, nh + 1) if n >= 0])
+        if kind == 1:
+            maps = [ident] * nh
+            bad = [rng.randrange(nt) for _ in range(nt)]
+            if sorted(bad) == list(ident):
+                bad = bad[:-1]
+            maps[rng.randrange(nh)] = bad
+            return maps
+        if kind == 2:
+            return [tuple(rng.sample(range(nt), nt)) for _ in range(nh)]
+        if kind == 3:
+            return [rng.choice(additive_auts) for _ in range(nh)]
+        if kind == 4:
+            return [rng.choice(brace_auts) for _ in range(nh)]
+        if kind == 5:
+            return [ident] + [rng.choice(brace_auts) for _ in range(nh - 1)]
+        return self.cyclic_action(rng, acting, brace_auts) or [ident] * nh
+
+    def test_equals_method_chain_oracle(self, census):
+        # seeded actions between census braces of orders 1-8: the same maps,
+        # or the same ActionError class, message and witness
+        classes = [e.brace for order in range(1, 9) for e in census(order).entries]
+        auts = {
+            id(t): (self.brace_automorphisms(t), sorted(automorphism_group(t.additive).elements))
+            for t in classes
+        }
+        rng = random.Random(20261019)
+        seen = Counter()
+        for _ in range(3000):
+            acting, target = rng.choice(classes), rng.choice(classes)
+            maps = self.random_maps(rng, acting, target, *auts[id(target)])
+            got = action_outcome(make_action, acting, target, maps)
+            assert got == action_outcome(oracle_make_action, acting, target, maps), maps
+            if got[0] == "valid":
+                seen["valid" if any(m != got[1][0] for m in got[1]) else "trivial"] += 1
+            else:
+                seen[next(m for m in ACTION_MESSAGES if m in got[1])] += 1
+        assert set(seen) == set(ACTION_MESSAGES) | {"valid", "trivial"}, seen
 
 
 class TestSemidirect:

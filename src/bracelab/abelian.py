@@ -32,13 +32,19 @@ Perm = tuple[int, ...]
 MAX_TABLE_ORDER = 256
 
 
+def int_name(n: int) -> str:
+    """n in decimal, or, past 64 bits, by its size: the decimal form of a
+    long integer may pass the interpreter's limit on int-to-str conversion,
+    and would fill a message."""
+    if n.bit_length() <= 64:
+        return str(n)
+    return "-" * (n < 0) + f"<{n.bit_length()}-bit integer>"
+
+
 def check_table_order(order: int) -> None:
     if order > MAX_TABLE_ORDER:
-        # an order past 64 bits is named by its size: its decimal form may
-        # pass the interpreter's limit on int-to-str conversion
-        shown = order if order.bit_length() <= 64 else f"of {order.bit_length()} bits"
         raise ResourceLimitError(
-            f"order {shown} above {MAX_TABLE_ORDER}, the largest order"
+            f"order {int_name(order)} above {MAX_TABLE_ORDER}, the largest order"
             " whose tables fit in bytes"
         )
 

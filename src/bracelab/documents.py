@@ -3,16 +3,29 @@
 Serialization is canonical: fixed key order, two-space indent, trailing
 newline.  parse(serialize(x)) returns an equal document and serialize is
 injective on canonical documents, which makes golden-file tests exact.
+
+One layout writer, _document, emits every document: the text of
+json.dumps(payload, indent=2) + "\n", built by str.join with each row's
+entries written by int.__repr__.  Keys and strings still go through
+json.dumps, so escaping is unchanged; an entry is written as its integer
+value, so a bool entry comes out as 0 or 1, never as false or true.
+
+Parsing decides each table by one set-based test (row types, row lengths,
+entry types over every entry, then the least and greatest entry), all in C
+loops; only a table that the test rejects is scanned entry by entry, to
+name the first bad row or entry.  A message that quotes an integer from
+the document names one past 64 bits by its bit length.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
-from .abelian import is_permutation, make_group
+from .abelian import int_name, is_permutation, make_group
 from .brace import LeftBrace, validate_brace
-from .errors import DocumentError, ResourceLimitError
+from .errors import DocumentError, InternalCheckError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
 
 BRACE_OPERATIONS = ("circle_table", "lambda_table")
@@ -100,38 +113,87 @@ def _load(text: str) -> dict:
     return payload
 
 
+def _quote(value) -> str:
+    """A document value for a message: its repr, an int by int_name."""
+    return int_name(value) if type(value) is int else repr(value)
+
+
 def _expect_type(payload: dict, kind: str) -> None:
     value = payload.get("type")
     if value != kind:
-        raise DocumentError(f"field 'type' must be {kind!r}, got {value!r}")
+        raise DocumentError(f"field 'type' must be {kind!r}, got {_quote(value)}")
 
 
 def _get_int(payload: dict, field: str, minimum: int = 0) -> int:
     value = payload.get(field)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise DocumentError(
-            f"field {field!r} must be an integer >= {minimum}, got {value!r}"
+            f"field {field!r} must be an integer >= {minimum}, got {_quote(value)}"
         )
     return value
 
 
 def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tuple[tuple[int, ...], ...]:
+    """The field as a tuple of rows, each of cols ints in range(limit).
+
+    rows and cols are >= 1.  The set test below decides; the scan after it
+    runs only to name the first bad row or entry.
+    """
     value = payload.get(field)
     if not isinstance(value, list) or len(value) != rows:
-        raise DocumentError(f"field {field!r} must be a list of {rows} rows")
-    out = []
+        raise DocumentError(f"field {field!r} must be a list of {int_name(rows)} rows")
+    # entry types are collected over every entry, not over a set of the
+    # entries: True == 1 hashes alike, so a dedup would hide a bool
+    if (
+        set(map(type, value)) == {list}
+        and set(map(len, value)) == {cols}
+        and set(map(type, chain.from_iterable(value))) == {int}
+        and min(map(min, value)) >= 0
+        and max(map(max, value)) < limit
+    ):
+        return tuple(map(tuple, value))
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(
-                f"field {field!r} row {i} must be a list of {cols} entries"
+                f"field {field!r} row {i} must be a list of {int_name(cols)} entries"
             )
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < limit:
                 raise DocumentError(
-                    f"field {field!r} row {i} has out-of-range entry {v!r}"
+                    f"field {field!r} row {i} has out-of-range entry {_quote(v)}"
                 )
-        out.append(tuple(row))
-    return tuple(out)
+    raise InternalCheckError(
+        f"field {field!r} fails the row test, but every entry passes"
+    )
+
+
+def _document(payload: dict) -> str:
+    """json.dumps(payload, indent=2) + "\n" for a payload of str, int and
+    sequences of ints or of int rows, with every int written by int.__repr__."""
+    fields = []
+    for key, value in payload.items():
+        if isinstance(value, str):
+            text = json.dumps(value)
+        elif isinstance(value, int):
+            text = int.__repr__(value)
+        elif value and not isinstance(value[0], int):
+            text = _array(
+                (_array(map(int.__repr__, row), "    ") for row in value), "  "
+            )
+        else:
+            text = _array(map(int.__repr__, value), "  ")
+        fields.append(f"{json.dumps(key)}: {text}")
+    return _array(fields, "", "{}") + "\n"
+
+
+def _array(items, indent: str, brackets: str = "[]") -> str:
+    """The items one to a line, two spaces in from indent, as json.dumps
+    with indent=2 lays out a list (or an object); bare brackets if empty."""
+    inner = indent + "  "
+    body = (",\n" + inner).join(items)
+    if not body:
+        return brackets
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def parse_brace_document(text: str) -> BraceDocument:
@@ -154,14 +216,15 @@ def parse_brace_document(text: str) -> BraceDocument:
         # the loop stops once the product passes the order, so past it the
         # product is named only when it is whole and fits in 64 bits
         if product > order and (count < len(factors) or product.bit_length() > 64):
-            product = f"more than {order}"
+            product = f"more than {int_name(order)}"
         raise DocumentError(
-            f"field 'order' is {order} but the invariant factors multiply to {product}"
+            f"field 'order' is {int_name(order)} but the invariant factors"
+            f" multiply to {product}"
         )
     operation = payload.get("operation")
     if operation not in BRACE_OPERATIONS:
         raise DocumentError(
-            f"field 'operation' must be one of {BRACE_OPERATIONS}, got {operation!r}"
+            f"field 'operation' must be one of {BRACE_OPERATIONS}, got {_quote(operation)}"
         )
     table = _get_rows(payload, "table", order, order, order)
     return BraceDocument(order, tuple(factors), operation, table)
@@ -171,11 +234,11 @@ def serialize_brace_document(doc: BraceDocument) -> str:
     payload = {
         "type": "brace",
         "order": doc.order,
-        "invariant_factors": list(doc.invariant_factors),
+        "invariant_factors": doc.invariant_factors,
         "operation": doc.operation,
-        "table": [list(row) for row in doc.table],
+        "table": doc.table,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _document(payload)
 
 
 def parse_solution_document(text: str) -> SolutionDocument:
@@ -191,10 +254,10 @@ def serialize_solution_document(doc: SolutionDocument) -> str:
     payload = {
         "type": "solution",
         "size": doc.size,
-        "sigma": [list(row) for row in doc.sigma],
-        "tau": [list(row) for row in doc.tau],
+        "sigma": doc.sigma,
+        "tau": doc.tau,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _document(payload)
 
 
 def parse_action_document(text: str) -> ActionDocument:
@@ -214,6 +277,6 @@ def serialize_action_document(doc: ActionDocument) -> str:
         "type": "action",
         "acting_order": doc.acting_order,
         "target_order": doc.target_order,
-        "maps": [list(row) for row in doc.maps],
+        "maps": doc.maps,
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return _document(payload)

@@ -103,6 +103,21 @@ class TestValidate:
         assert err.startswith("error: field 'order' is 2 but")
         assert len(err) < 200
 
+    def test_order_past_64_bits_exits_2(self, tmp_path, capsys):
+        # 4,001 digits, quoted twice by the old message; named by size now
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "type": "brace",
+            "order": 10**4000,
+            "invariant_factors": [10**4000, 10**4000],
+            "operation": "circle_table",
+            "table": [],
+        }))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'order' is <13288-bit integer> but")
+        assert len(err) < 200
+
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -272,7 +272,7 @@ class TestAboveTableOrder:
 
     def test_order_past_the_digit_limit(self):
         # 2^20000 has more digits than str() converts; it is named by its size
-        with pytest.raises(ResourceLimitError, match="^order of 20001 bits above 256") as info:
+        with pytest.raises(ResourceLimitError, match="^order <20001-bit integer> above 256") as info:
             validate_brace(make_group([2] * 20000), [])
         assert len(str(info.value)) < 200
 

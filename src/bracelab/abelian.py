@@ -30,6 +30,8 @@ Perm = tuple[int, ...]
 # values, so a permutation is a bytes row and p after q is q.translate(p +
 # padding).  The census search and the law checks work on such rows.
 MAX_TABLE_ORDER = 256
+# the groups of make_group: one per factor list, if its tables can be built
+_GROUPS: dict[tuple[int, ...], FiniteAbelianGroup] = {}
 
 
 def int_name(n: int) -> str:
@@ -74,7 +76,7 @@ class FiniteAbelianGroup:
     of groups can be formed by concatenating factor lists.
     """
 
-    __slots__ = ("factors", "order", "_strides", "_rows")
+    __slots__ = ("factors", "order", "_strides", "_rows", "_auts")
 
     def __init__(self, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
@@ -92,6 +94,7 @@ class FiniteAbelianGroup:
             acc *= d
         self._strides = tuple(reversed(strides))
         self._rows: tuple[tuple[int, ...], ...] | None = None
+        self._auts: tuple[Perm, ...] | None = None
 
     def add(self, a: int, b: int) -> int:
         return self.add_rows()[a][b]
@@ -134,7 +137,12 @@ class FiniteAbelianGroup:
 
 
 def make_group(invariant_factors=()) -> FiniteAbelianGroup:
-    return FiniteAbelianGroup(invariant_factors)
+    """The shared group on these factors, so its tables are built once."""
+    factors = tuple(int(d) for d in invariant_factors)
+    group = _GROUPS.get(factors) or FiniteAbelianGroup(factors)
+    if group.order <= MAX_TABLE_ORDER:
+        _GROUPS[factors] = group
+    return group
 
 
 @dataclass(frozen=True)
@@ -225,9 +233,6 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-_AUT_CACHE: dict[tuple[int, ...], tuple[Perm, ...]] = {}
-
-
 def check_automorphism_work(factors) -> None:
     """Refuse a type whose brute force tries more than MAX_AUT_CANDIDATES tuples.
 
@@ -256,11 +261,9 @@ def automorphism_group(
             f"automorphism search above order bound {max_order} (order {group.order})"
         )
     check_automorphism_work(group.factors)
-    cached = _AUT_CACHE.get(group.factors)
-    if cached is None:
-        cached = _compute_automorphisms(group)
-        _AUT_CACHE[group.factors] = cached
-    return PermutationGroup(group.order, frozenset(cached))
+    if group._auts is None:
+        group._auts = _compute_automorphisms(group)
+    return PermutationGroup(group.order, frozenset(group._auts))
 
 
 def _compute_automorphisms(group: FiniteAbelianGroup) -> tuple[Perm, ...]:

@@ -105,9 +105,13 @@ class LeftBrace:
 
     def lambda_row(self, a: int) -> Perm:
         """The additive automorphism b -> a o b - a."""
-        na = self.additive.neg(a)
+        return tuple(self._lambda_rows[a])
+
+    @cached_property
+    def _lambda_rows(self) -> tuple[bytes, ...]:
+        """lambda_a(b) = b + a . b for each a, byte rows read off dot_table."""
         add = self.additive.add_rows()
-        return tuple(add[c][na] for c in self.circle_table[a])
+        return tuple(bytes([sums[d] for sums, d in zip(add, row)]) for row in self.dot_table)
 
     def adjoint_group(self) -> PermutationGroup:
         """The circle group in its left regular representation."""
@@ -141,9 +145,8 @@ class LeftBrace:
                         f"socle not additively closed at ({s}, {t})"
                     )
         inv = self._circle_inverses
-        for a in range(n):
+        for a, lam in enumerate(self._lambda_rows):
             arow = self.circle_table[a]
-            lam = self.lambda_row(a)
             for s in members:
                 if self.circle_table[arow[s]][inv[a]] not in members:
                     raise InternalCheckError(
@@ -464,9 +467,7 @@ def _brace_row_failure(group: FiniteAbelianGroup, table) -> str | None:
     with (x o g) o y = x o (g o y) for all x and y form a submagma, so
     generators of A as a magma suffice, and for each of them the law is
     rows[x o g] == rows[g] composed with rows[x].  Compatibility says that
-    lambda_a(b) = -a + a o b is additive; the b with
-    lambda_a(b + c) = lambda_a(b) + lambda_a(c) for all c form a subgroup,
-    so the canonical additive generators suffice.
+    lambda_a(b) = -a + a o b is additive, as _nonadditive_generators tests.
     """
     n = group.order
     pad = bytes(MAX_TABLE_ORDER - n)
@@ -478,15 +479,26 @@ def _brace_row_failure(group: FiniteAbelianGroup, table) -> str | None:
             if rows[row_x[g]] != gen_row.translate(lookups[x]):
                 return f"associativity at generator {g} with {x} on the left"
     add = group.add_rows()
+    lambdas = [row.translate(bytes(add[group.neg(a)]) + pad) for a, row in enumerate(rows)]
+    for a, g in enumerate(_nonadditive_generators(group, lambdas)):
+        if g is not None:
+            return f"compatibility at {a} with additive generator {g}"
+    return None
+
+
+def _nonadditive_generators(group: FiniteAbelianGroup, lambdas):
+    """For each byte row lambda in turn, the first canonical generator g with
+    lambda(g + c) != lambda(g) + lambda(c) for some c, or None.  Those g
+    that pass form a subgroup, so lambda is additive exactly when it is None."""
+    pad = bytes(MAX_TABLE_ORDER - group.order)
+    add = group.add_rows()
     add_lookups = [bytes(row) + pad for row in add]
     shifts = [(g, bytes(add[g])) for g in group.generators()]
-    for a, row_a in enumerate(rows):
-        lam = row_a.translate(add_lookups[add[a].index(0)])
+    for lam in lambdas:
         lam_lookup = lam + pad
-        for g, shift in shifts:
-            if shift.translate(lam_lookup) != lam.translate(add_lookups[lam[g]]):
-                return f"compatibility at {a} with additive generator {g}"
-    return None
+        failing = (g for g, shift in shifts
+                   if shift.translate(lam_lookup) != lam.translate(add_lookups[lam[g]]))
+        yield next(failing, None)
 
 
 def _magma_generators(table) -> list[int]:

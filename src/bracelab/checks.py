@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .abelian import MAX_TABLE_ORDER, multiples_of
-from .brace import LeftBrace
+from .brace import LeftBrace, _nonadditive_generators
 from .census import enumerate_braces
 from .errors import InternalCheckError
 from .fqpoly import annihilation_exponent
@@ -272,13 +272,13 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     a^m . b = sum_i C(m, i) e_i(a, b) is checked through its Pascal
     recurrence B_0 = 0, B_m = B_{m-1} + a.B_{m-1} + a.b, which needs only
     left distributivity; validate_brace has already checked that.  Byte
-    rows decide both.  With lambda_x(b) = b + x.b built from the dot table,
+    rows decide both.  With lambda_x(b) = b + x.b, the brace's lambda rows,
     an additive lambda_a turns Pascal's rule into S_m = a + lambda_a(S_{m-1})
     and B_m(b) + b = lambda_a^m(b), while a^m.b + b = lambda_{a^m}(b).  So
     both expansions hold for every b and m exactly when the walk lambda_a,
     lambda_a^2, ... meets a + lambda_a(a^{m-1}) = a^m and lambda_{a^m} at
     each m = 1..n: n translates per a, not n^2 steps.  Additivity is
-    checked on the additive generators, as validate_brace does.  Only an a
+    checked on the additive generators, by validate_brace's test.  Only an a
     whose walk fails, or whose lambda_a is not additive, is scanned sum by
     sum and b by b (_scan_dotted_expansion): to name the witness, or for a
     non-additive lambda_a to decide.
@@ -289,23 +289,18 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     dot = brace.dot_table
     prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
     pad = bytes(MAX_TABLE_ORDER - n)
-    add_lookups = [bytes(row) + pad for row in add]
-    shifts = [(g, bytes(add[g])) for g in brace.additive.generators()]
-    lambdas = [bytes([sums[d] for sums, d in zip(add, row)]) for row in dot]
+    lambdas = brace._lambda_rows
     identity = bytes(range(n))
 
-    for a in range(n):
+    nonadditive = _nonadditive_generators(brace.additive, lambdas)
+    for a, (lam, bad_generator) in enumerate(zip(lambdas, nonadditive)):
         powers = [0]
         row = brace.circle_table[a]
         for _ in range(n):
             powers.append(row[powers[-1]])
-        lam = lambdas[a]
-        lam_lookup = lam + pad
-        additive = all(
-            shift.translate(lam_lookup) == lam.translate(add_lookups[lam[g]])
-            for g, shift in shifts
-        )
+        additive = bad_generator is None
         if additive:
+            lam_lookup = lam + pad
             add_a = add[a]
             walk = identity
             for m in range(1, n + 1):

@@ -22,6 +22,7 @@ from .checks import FAIL, HYPOTHESIS_NOT_MET, PASS, run_census_checks
 from .documents import (
     BraceDocument,
     SolutionDocument,
+    _quote,
     parse_action_document,
     parse_brace_document,
     parse_solution_document,
@@ -41,7 +42,6 @@ from .products import DEFAULT_BRACE_BOUND, BraceAction, semidirect, wreath
 from .solutions import (
     SetTheoreticSolution,
     from_brace,
-    mpl_solution,
     permutation_group_order,
     retract_solution,
     retraction_tower_sizes,
@@ -63,7 +63,7 @@ def _env_bound(default: int | None) -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        raise DocumentError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}")
+        raise DocumentError(f"{ENV_MAX_ORDER} must be an integer, got {_quote(raw)}")
     if value < 1:
         raise DocumentError(f"{ENV_MAX_ORDER} must be positive, got {value}")
     return value
@@ -175,11 +175,10 @@ def cmd_solution_retract(args: argparse.Namespace) -> int:
     if args.tower:
         sizes = retraction_tower_sizes(solution)
         print(" -> ".join(str(s) for s in sizes))
-        level = mpl_solution(solution)
-        if level is None:
-            print(f"multipermutation level: none (tower stabilizes at size {sizes[-1]})")
+        if sizes[-1] == 1:
+            print(f"multipermutation level: {len(sizes) - 1}")
         else:
-            print(f"multipermutation level: {level}")
+            print(f"multipermutation level: none (tower stabilizes at size {sizes[-1]})")
         return EXIT_OK
     retracted = retract_solution(solution)
     _print_document(

@@ -14,7 +14,7 @@ Parsing decides each table by one set-based test (row types, row lengths,
 entry types over every entry, then the least and greatest entry), all in C
 loops; only a table that the test rejects is scanned entry by entry, to
 name the first bad row or entry.  A message that quotes an integer from
-the document names one past 64 bits by its bit length.
+the document names one past 64 bits by its bit length, a long value by type.
 """
 
 from __future__ import annotations
@@ -114,8 +114,9 @@ def _load(text: str) -> dict:
 
 
 def _quote(value) -> str:
-    """A document value for a message: its repr, an int by int_name."""
-    return int_name(value) if type(value) is int else repr(value)
+    """A value for a message: its repr, an int by int_name, a long value by type."""
+    text = int_name(value) if type(value) is int else repr(value)
+    return text if len(text) <= 80 else f"a {type(value).__name__} of length {len(value)}"
 
 
 def _expect_type(payload: dict, kind: str) -> None:

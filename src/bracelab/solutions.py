@@ -192,7 +192,7 @@ def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
     """
     n = brace.order
     circle = brace.circle_table
-    sigma = [brace.lambda_row(x) for x in range(n)]
+    sigma = brace._lambda_rows
     inverse_rows = [circle[brace.circle_inverse(u)] for u in range(n)]
     tau = [[0] * n for _ in range(n)]
     for x, (row, circle_row) in enumerate(zip(sigma, circle)):

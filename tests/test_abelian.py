@@ -248,6 +248,64 @@ class TestAutomorphisms:
             check_automorphism_work(factors)
 
 
+class TestGroupInterning:
+    """make_group returns one group per factor list, holding its tables."""
+
+    def test_one_group_per_factor_list(self):
+        group = make_group((2, 6))
+        assert make_group([2, 6]) is group
+        assert make_group(d for d in (2, 6)) is group
+        assert make_group([2, 6]).add_rows() is group.add_rows()
+        assert make_group((6, 2)) is not group
+
+    def test_groups_past_the_table_order_are_not_kept(self):
+        kept = dict(abelian._GROUPS)
+        for factors in ([2] * 20000, [257], [16, 17]):
+            assert make_group(factors) is not make_group(factors)
+            assert tuple(factors) not in abelian._GROUPS
+        assert abelian._GROUPS == kept
+        assert make_group([256]) is make_group([256])
+
+    def test_automorphisms_are_kept_on_the_group(self, monkeypatch):
+        calls = []
+        real = abelian._compute_automorphisms
+
+        def counting(group):
+            calls.append(group.factors)
+            return real(group)
+
+        monkeypatch.setattr(abelian, "_compute_automorphisms", counting)
+        group = FiniteAbelianGroup((2, 4))  # a copy the intern table does not hold
+        first = automorphism_group(group)
+        assert automorphism_group(group) == first
+        assert calls == [(2, 4)]
+        assert not hasattr(abelian, "_AUT_CACHE")
+
+    def test_no_addition_table_is_built_twice(self, monkeypatch):
+        from bracelab import BraceDocument, enumerate_braces, from_brace, semidirect
+
+        monkeypatch.setattr(abelian, "_GROUPS", {})
+        builds = []
+        real = FiniteAbelianGroup.add_rows
+
+        def counting(group):
+            if group._rows is None:
+                builds.append(group.factors)
+            return real(group)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "add_rows", counting)
+        six, eight = (enumerate_braces(n).classes for n in (6, 8))
+        for first, second in ((six[0], eight[3]), (eight[5], six[1]), (eight[2], eight[7])):
+            product = semidirect(first, second)
+            brace = BraceDocument.from_brace(product, "lambda_table").to_brace()
+            brace.classify()
+            brace.multipermutation_level()
+            brace.sylow_components()
+            from_brace(brace)
+        assert builds
+        assert len(builds) == len(set(builds))
+
+
 class TestPrimaryComponents:
     def test_equals_per_prime_oracle_on_every_type_to_64(self):
         types = [factors for n in range(1, 65) for factors in abelian_group_types(n)]

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import math
+import random
 import re
 import weakref
 
@@ -255,6 +256,56 @@ class TestInvariantMemo:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def circle_lambda_rows(brace):
+    """lambda_a(b) = -a + a o b for each a, read off the circle table."""
+    add = brace.additive.add_rows()
+    return tuple(
+        bytes(add[c][brace.neg(a)] for c in row)
+        for a, row in enumerate(brace.circle_table)
+    )
+
+
+class TestLambdaTable:
+    """The brace's one lambda table, b + a . b off the dot table, equals
+    -a + a o b off the circle table, and every lambda reader takes it."""
+
+    @pytest.mark.parametrize(
+        "order",
+        [n if n != 16 else pytest.param(16, marks=pytest.mark.slow) for n in range(1, 25)],
+    )
+    def test_census_classes(self, census, order):
+        for brace in census(order).classes:
+            assert brace._lambda_rows == circle_lambda_rows(brace)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_products(self, census, seed):
+        two, four, six, eight = (census(o).classes for o in (2, 4, 6, 8))
+        rng = random.Random(seed)
+        products = [
+            semidirect(rng.choice(eight), rng.choice(eight)),
+            semidirect(rng.choice(six), rng.choice(eight)),
+            semidirect(rng.choice(eight), rng.choice(six)),
+            wreath(two[0], rng.choice(four)),
+        ]
+        assert sorted(p.order for p in products) == [48, 48, 64, 64]
+        for brace in products:
+            assert brace._lambda_rows == circle_lambda_rows(brace)
+
+    def test_readers_take_the_table(self, census):
+        from bracelab.documents import BraceDocument
+        from bracelab.solutions import from_brace
+
+        entry = census(8).entries[5].brace
+        brace = validate_brace(entry.additive, entry.circle_table)
+        rows = tuple(map(tuple, brace._lambda_rows))
+        assert tuple(brace.lambda_row(a) for a in range(8)) == rows
+        assert from_brace(brace).sigma == rows
+        assert BraceDocument.from_brace(brace, "lambda_table").table == rows
+        # a foreign table put in its place is what lambda_row then reads
+        brace.__dict__["_lambda_rows"] = tuple(reversed(brace._lambda_rows))
+        assert brace.lambda_row(0) == rows[7]
 
 
 class TestCanonicalForm:

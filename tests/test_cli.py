@@ -232,6 +232,22 @@ class TestEnumerate:
         assert main(["enumerate", "--order", "4"]) == 2
         assert "BRACELAB_MAX_ORDER" in capsys.readouterr().err
 
+    def test_env_bound_quotes_a_short_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("BRACELAB_MAX_ORDER", "abc")
+        assert main(["enumerate", "--order", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: BRACELAB_MAX_ORDER must be an integer, got 'abc'\n"
+        )
+
+    def test_env_bound_names_a_long_value_by_length(self, monkeypatch, capsys):
+        monkeypatch.setenv("BRACELAB_MAX_ORDER", "x" * 100_000)
+        assert main(["enumerate", "--order", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: BRACELAB_MAX_ORDER must be an integer, got a str of length 100000\n"
+        )
+        assert len(err) < 200
+
     def test_env_bound_must_be_positive(self, monkeypatch, capsys):
         monkeypatch.setenv("BRACELAB_MAX_ORDER", "0")
         assert main(["enumerate", "--order", "4"]) == 2
@@ -297,6 +313,31 @@ class TestSolutionCommands:
         assert capsys.readouterr().out == (
             "8\nmultipermutation level: none (tower stabilizes at size 8)\n"
         )
+
+    @pytest.mark.parametrize(
+        "order, idx, sizes", [(4, 1, [4, 2, 1]), (8, 16, [8]), (12, 6, [12, 4, 2, 1])]
+    )
+    def test_retract_tower_retracts_once_per_step(
+        self, tmp_path, census, monkeypatch, capsys, order, idx, sizes
+    ):
+        import bracelab.solutions as solutions_module
+
+        brace = census(order).entries[idx].brace
+        assert list(solutions_module.retraction_tower_sizes(from_brace(brace))) == sizes
+        calls = []
+        real = solutions_module.retract_solution
+
+        def counting(solution):
+            calls.append(solution.size)
+            return real(solution)
+
+        monkeypatch.setattr(solutions_module, "retract_solution", counting)
+        path = self.solution_file(tmp_path, brace)
+        assert main(["solution", "retract", "--tower", str(path)]) == 0
+        # one retraction per size in the tower, the last one finding the
+        # fixed point
+        assert calls == sizes
+        assert capsys.readouterr().out.startswith(" -> ".join(map(str, sizes)) + "\n")
 
     def test_retract_once_emits_document(self, tmp_path, b4, capsys):
         path = self.solution_file(tmp_path, b4)

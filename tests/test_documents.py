@@ -369,6 +369,74 @@ class TestLongIntegersInMessages:
         }, "got -<13288-bit integer>$")
 
 
+LONG = "x" * 100_000
+ONE_POINT = {
+    "type": "brace", "order": 1, "invariant_factors": [],
+    "operation": "circle_table", "table": [[0]],
+}
+LONG_VALUE_DOCUMENTS = [
+    pytest.param(
+        {"type": "brace", "order": [0] * 100_000},
+        "^field 'order' must be an integer >= 1, got a list of length 100000$",
+        id="order",
+    ),
+    pytest.param(
+        {"type": LONG}, "^field 'type' must be 'brace', got a str of length 100000$",
+        id="type",
+    ),
+    pytest.param(
+        {**ONE_POINT, "table": [[LONG]]},
+        "^field 'table' row 0 has out-of-range entry a str of length 100000$",
+        id="table-entry",
+    ),
+    pytest.param(
+        {**ONE_POINT, "operation": LONG},
+        r"^field 'operation' must be one of \('circle_table', 'lambda_table'\),"
+        " got a str of length 100000$",
+        id="operation",
+    ),
+]
+
+
+class TestLongValuesInMessages:
+    """A value whose repr passes 80 characters is named by type and length."""
+
+    @pytest.mark.parametrize("payload, message", LONG_VALUE_DOCUMENTS)
+    def test_message_is_bounded(self, payload, message):
+        with pytest.raises(DocumentError, match=message) as info:
+            parse_brace_document(json.dumps(payload))
+        assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("payload, message", LONG_VALUE_DOCUMENTS)
+    def test_cli_exits_2_with_a_short_message(self, tmp_path, capsys, payload, message):
+        from bracelab.cli import main
+
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(payload))
+        assert main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: field ")
+        assert len(captured.err) < 200
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "value, quoted",
+        [
+            ("x", "'x'"),
+            ("x" * 78, repr("x" * 78)),
+            ("x" * 79, "a str of length 79"),
+            ([1.5, None, True], "[1.5, None, True]"),
+            (list(range(100)), "a list of length 100"),
+            ({"k": "v" * 100}, "a dict of length 1"),
+        ],
+        ids=["str", "str-repr-80", "str-repr-81", "list", "long-list", "dict"],
+    )
+    def test_short_values_keep_their_repr(self, value, quoted):
+        with pytest.raises(DocumentError) as info:
+            parse_brace_document(json.dumps({"type": value}))
+        assert str(info.value) == f"field 'type' must be 'brace', got {quoted}"
+
+
 class Level(enum.IntEnum):
     LOW = 0
     HIGH = 1

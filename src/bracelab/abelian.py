@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 
 from .errors import (
     InternalCheckError,
@@ -49,6 +49,21 @@ def check_table_order(order: int) -> None:
             f"order {int_name(order)} above {MAX_TABLE_ORDER}, the largest order"
             " whose tables fit in bytes"
         )
+
+
+def _byte_rows(rows, size: int) -> list[bytes] | None:
+    """The rows as bytes, if each has size entries, all ints below size."""
+    types = set(map(type, chain.from_iterable(rows)))
+    if not all(issubclass(t, int) for t in types):
+        return None
+    try:
+        out = [bytes(row) for row in rows]
+    except ValueError:  # a negative entry
+        return None
+    # deleting every value below size leaves the out-of-range entries
+    if any(len(row) != size for row in out) or b"".join(out).translate(None, bytes(range(size))):
+        return None
+    return out
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -209,7 +224,16 @@ def is_nilpotent_group(group: PermutationGroup) -> bool:
     p-subgroup is normal, and more when there are several; a finite group
     is nilpotent iff every Sylow subgroup is normal.
     """
-    orders = [perm_order(p) for p in group.elements]
+    check_table_order(group.degree)
+    ident = bytes(range(group.degree))
+    pad = bytes(MAX_TABLE_ORDER - group.degree)
+    orders = []
+    for p in group.elements:
+        acc, k = bytes(p), 1  # p^k as a byte row, which is ident for some k <= |G|
+        lookup = acc + pad
+        while acc != ident:
+            acc, k = acc.translate(lookup), k + 1
+        orders.append(k)
     for p, a in prime_factorization(group.order).items():
         pa = p**a
         if sum(1 for k in orders if pa % k == 0) != pa:

@@ -18,6 +18,7 @@ from .abelian import (
     FiniteAbelianGroup,
     Perm,
     PermutationGroup,
+    _byte_rows,
     abelian_structure,
     additive_closure,
     check_table_order,
@@ -63,13 +64,13 @@ class LeftBrace:
 
     @cached_property
     def dot_table(self) -> tuple[tuple[int, ...], ...]:
+        """a . b = lambda_a(b) - b: each circle row a is shifted by -a, which
+        gives lambda_a, and then each lambda column b by -b."""
+        pad = bytes(MAX_TABLE_ORDER - self.order)
         add = self.additive.add_rows()
-        neg = [row.index(0) for row in add]
-        rows = []
-        for a, crow in enumerate(self.circle_table):
-            na = neg[a]
-            rows.append(tuple(add[add[c][na]][neg[b]] for b, c in enumerate(crow)))
-        return tuple(rows)
+        minus = [bytes(add[row.index(0)]) + pad for row in add]
+        lambdas = [bytes(row).translate(minus[a]) for a, row in enumerate(self.circle_table)]
+        return tuple(zip(*(bytes(col).translate(minus[b]) for b, col in enumerate(zip(*lambdas)))))
 
     def dot(self, a: int, b: int) -> int:
         return self.dot_table[a][b]
@@ -109,9 +110,12 @@ class LeftBrace:
 
     @cached_property
     def _lambda_rows(self) -> tuple[bytes, ...]:
-        """lambda_a(b) = b + a . b for each a, byte rows read off dot_table."""
-        add = self.additive.add_rows()
-        return tuple(bytes([sums[d] for sums, d in zip(add, row)]) for row in self.dot_table)
+        """lambda_a(b) = b + a . b for each a, byte rows read off dot_table:
+        column b of the dot table shifted by b."""
+        pad = bytes(MAX_TABLE_ORDER - self.order)
+        add = [bytes(row) + pad for row in self.additive.add_rows()]
+        columns = [bytes(col).translate(add[b]) for b, col in enumerate(zip(*self.dot_table))]
+        return tuple(map(bytes, zip(*columns)))
 
     def adjoint_group(self) -> PermutationGroup:
         """The circle group in its left regular representation."""
@@ -175,15 +179,19 @@ class LeftBrace:
                 reps.append(x)
                 for s in soc:
                     coset_rep[add[x][s]] = x
-        circle = self.circle_table
-        for x in range(n):
-            row, rep_row = circle[x], circle[coset_rep[x]]
-            for y in range(n):
-                if coset_rep[row[y]] != coset_rep[rep_row[coset_rep[y]]]:
-                    raise InternalCheckError(
-                        "induced circle table depends on coset representatives"
-                        f" at ({coset_rep[x]}, {coset_rep[y]})"
-                    )
+        pad = bytes(MAX_TABLE_ORDER - n)
+        lookup = bytes(coset_rep) + pad
+        # y -> the coset of x o y, and of rep(x) o rep(y) for x a representative
+        mapped = [bytes(row).translate(lookup) for row in self.circle_table]
+        induced = {x: lookup[:n].translate(mapped[x] + pad) for x in reps}
+        for x, row in enumerate(mapped):
+            expected = induced[coset_rep[x]]
+            if row != expected:
+                y = next(y for y in range(n) if row[y] != expected[y])
+                raise InternalCheckError(
+                    "induced circle table depends on coset representatives"
+                    f" at ({coset_rep[x]}, {coset_rep[y]})"
+                )
         local = {rep: i for i, rep in enumerate(reps)}
         return self._induced(reps, [local[coset_rep[x]] for x in range(n)])[0]
 
@@ -291,15 +299,21 @@ class LeftBrace:
         Returns the validated brace and the relabeling from positions in
         reps to its element indices.
         """
-        m = len(reps)
+        pad = bytes(MAX_TABLE_ORDER - self.order)
+        # each parent element's position in reps, for cls a dict or a sequence
+        position = bytearray(MAX_TABLE_ORDER)
+        for v in cls if isinstance(cls, dict) else range(len(cls)):
+            position[v] = cls[v]
+        reps = bytes(reps)
         add = self.additive.add_rows()
-        factors, relabel = abelian_structure([[cls[add[x][y]] for y in reps] for x in reps])
-        table = [[0] * m for _ in range(m)]
-        for i, x in enumerate(reps):
-            row = table[relabel[i]]
-            circle_row = self.circle_table[x]
-            for j, y in enumerate(reps):
-                row[relabel[j]] = relabel[cls[circle_row[y]]]
+        factors, relabel = abelian_structure(
+            [reps.translate(bytes(add[x]) + pad).translate(position) for x in reps]
+        )
+        # the parent element at each new index, and the new index of each
+        placed = bytes(reps[i] for i in invert_perm(relabel))
+        new_index = position.translate(bytes(relabel) + bytes(MAX_TABLE_ORDER - len(reps)))
+        circle = self.circle_table
+        table = [placed.translate(bytes(circle[x]) + pad).translate(new_index) for x in placed]
         brace = validate_brace(make_group(factors), table)
         return brace, relabel
 
@@ -323,23 +337,16 @@ class LeftBrace:
 
     @cached_property
     def _classify(self) -> "BraceTraits":
-        n = self.order
-        add = self.additive.add_rows()
-        neg = [row.index(0) for row in add]
+        pad = bytes(MAX_TABLE_ORDER - self.order)
+        neg = bytes(row.index(0) for row in self.additive.add_rows()) + pad
         dot = self.dot_table
+        rows = [bytes(row) for row in dot]
 
-        # the b with (a + b) . c = a . c + b . c for all a and c form a
-        # subgroup, so the canonical additive generators decide two-sidedness
-        gens = self.additive.generators()
-        two_sided = all(
-            dot[add[a][g]] == tuple(add[u][v] for u, v in zip(dot[a], dot[g]))
-            for g in gens
-            for a in range(n)
-        )
+        # two-sided: each column a -> a . c is additive
+        columns = [bytes(col) for col in zip(*dot)]
+        two_sided = all(g is None for g in _nonadditive_generators(self.additive, columns))
 
-        minus_rule = all(
-            dot[neg[a]][b] == neg[dot[a][b]] for a in range(n) for b in range(n)
-        )
+        minus_rule = all(rows[neg[a]] == row.translate(neg) for a, row in enumerate(rows))
 
         steps = self._left_power_steps
         left_nil_index = None if None in steps else max(steps)
@@ -348,6 +355,7 @@ class LeftBrace:
 
         ring_nilpotent: bool | None = None
         if two_sided:
+            gens = self.additive.generators()
             # the dot product is biadditive now, so both sides of
             # (a . b) . c = a . (b . c) are additive in each argument
             for a, b, c in iter_product(gens, repeat=3):
@@ -414,8 +422,9 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     Raises CircleIdentityError, CircleInverseError, CircleAssociativityError
     or CompatibilityError with the first offending tuple as witness, and
     ResourceLimitError above order MAX_TABLE_ORDER before reading the table.
-    The two laws on triples are decided by composing byte rows; only a
-    table they reject is scanned triple by triple, to name the witness.
+    The table is taken in as byte rows, and the two laws on triples are
+    decided by composing them; only a table that a row test rejects is
+    scanned entry by entry or triple by triple, to name the witness.
     """
     n = group.order
     check_table_order(n)
@@ -424,12 +433,15 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
         raise InvalidPresentationError(
             f"circle table must be {n}x{n}"
         )
-    for a, row in enumerate(table):
-        for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise InvalidPresentationError(
-                    f"circle table entry [{a}][{b}] = {v!r} out of range"
-                )
+    rows = _byte_rows(table, n)
+    if rows is None:
+        for a, row in enumerate(table):
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise InvalidPresentationError(
+                        f"circle table entry [{a}][{b}] = {v!r} out of range"
+                    )
+        raise InternalCheckError("byte rows reject the table, but every entry passes")
 
     for b in range(n):
         if table[0][b] != b:
@@ -450,7 +462,7 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
                 f"element {a} has no circle inverse", witness=(a,)
             )
 
-    failure = _brace_row_failure(group, table)
+    failure = _brace_row_failure(group, rows)
     if failure is not None:
         _scan_brace_laws(group, table)
         raise InternalCheckError(
@@ -459,23 +471,23 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     return LeftBrace(group, table)
 
 
-def _brace_row_failure(group: FiniteAbelianGroup, table) -> str | None:
-    """Where the circle table fails associativity or compatibility, or None.
+def _brace_row_failure(group: FiniteAbelianGroup, rows) -> str | None:
+    """Where the byte rows fail associativity or compatibility, or None.
 
     Both laws are checked exactly by composing byte rows, for a table with
     the two-sided identity 0.  Associativity follows Light's test: the g
-    with (x o g) o y = x o (g o y) for all x and y form a submagma, so
-    generators of A as a magma suffice, and for each of them the law is
-    rows[x o g] == rows[g] composed with rows[x].  Compatibility says that
-    lambda_a(b) = -a + a o b is additive, as _nonadditive_generators tests.
+    with (x o g) o y = x o (g o y) for all x and y form a submagma, so it is
+    enough that a set whose left closure is the whole table passes, and for
+    each of its g the law is rows[x o g] == rows[g] composed with rows[x].
+    Compatibility says that lambda_a(b) = -a + a o b is additive, as
+    _nonadditive_generators tests.
     """
     n = group.order
     pad = bytes(MAX_TABLE_ORDER - n)
-    rows = [bytes(row) for row in table]
     lookups = [row + pad for row in rows]
-    for g in _magma_generators(table):
+    for g in _left_generators(lookups):
         gen_row = rows[g]
-        for x, row_x in enumerate(table):
+        for x, row_x in enumerate(rows):
             if rows[row_x[g]] != gen_row.translate(lookups[x]):
                 return f"associativity at generator {g} with {x} on the left"
     add = group.add_rows()
@@ -501,33 +513,22 @@ def _nonadditive_generators(group: FiniteAbelianGroup, lambdas):
         yield next(failing, None)
 
 
-def _magma_generators(table) -> list[int]:
-    """A greedy generating set of the table's magma, 0 left out.
-
-    The closure takes every product of two members in both orders, so it
-    assumes neither associativity nor inverses.
-    """
-    n = len(table)
-    covered = [False] * n
-    covered[0] = True
-    members = [0]
+def _left_generators(lookups) -> list[int]:
+    """A greedy set S, 0 left out, whose closure under left multiplication
+    by S is the whole table.  It lies in the magma S generates, and grows
+    breadth first through the generators' padded rows in lookups; nothing
+    else about the table is assumed."""
+    covered = {0}
     gens = []
-    for t in range(1, n):
-        if covered[t]:
+    for t in range(1, len(lookups)):
+        if t in covered:
             continue
         gens.append(t)
-        covered[t] = True
-        members.append(t)
-        i = len(members) - 1
-        while i < len(members):
-            z = members[i]
-            row_z = table[z]
-            for c in members[: i + 1]:
-                for v in (row_z[c], table[c][z]):
-                    if not covered[v]:
-                        covered[v] = True
-                        members.append(v)
-            i += 1
+        frontier = bytes(covered)
+        while frontier:
+            fresh = set(b"".join([frontier.translate(lookups[g]) for g in gens])) - covered
+            covered |= fresh
+            frontier = bytes(fresh)
     return gens
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .abelian import (
     MAX_TABLE_ORDER,
@@ -113,6 +114,8 @@ def _regular_circle_tables(
     pad = bytes(MAX_TABLE_ORDER - n)
     add = group.add_rows()
     aut_bytes = [bytes(g) for g in auts]
+    columns = [bytes(col) for col in zip(*aut_bytes)]  # columns[c][i] = auts[i][c]
+    ones = int.from_bytes(b"\x01" * len(auts), "big")
     candidate_cache: dict[int, dict[bytes, int]] = {}
 
     def candidates(t: int) -> dict[bytes, int]:
@@ -196,15 +199,26 @@ def _regular_circle_tables(
         images0 = bytes(x[0] for x in members)
         target = next(t for t in range(n) if t not in covered)
         stab = [a for a in stab if a[0][target] == target]
-        cands = candidates(target)
+        # most candidates fail on their first coset, and so do their
+        # conjugates: test all at once, before the orbit and before copying.
+        # Candidate i sends c to target + auts[i](c), a covered point
+        # exactly when hit[auts[i](c)] is 1; columns[c] lists the auts[i](c).
+        shift = bytes(add[target]) + pad
+        mask = bytearray(MAX_TABLE_ORDER)
+        for c in covered:
+            mask[c] = 1
+        hit = shift.translate(mask)
+        fails = 0
+        for c in covered - {0}:
+            fails |= int.from_bytes(columns[c].translate(hit), "big")
         tried = bytearray(len(aut_bytes))
-        for h, i in cands.items():
-            # most candidates fail on their first coset, and so do their
-            # conjugates: test it before the orbit and before copying
-            if tried[i] or not covered.isdisjoint(images0.translate(h + pad)):
+        for i in compress(range(len(aut_bytes)), (ones & ~fails).to_bytes(len(aut_bytes), "big")):
+            if tried[i]:
                 continue
+            h = aut_bytes[i].translate(shift)
             fixers = stab  # a K of at most the identity has one-point orbits
             if len(stab) > 1:
+                cands = candidates(target)
                 table = h + pad
                 fixers = []
                 for a in stab:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import Perm, check_table_order, is_permutation, make_group
+from .abelian import MAX_TABLE_ORDER, Perm, check_table_order, is_permutation, make_group
 from .brace import LeftBrace, validate_brace
 from .errors import ActionError, ResourceLimitError
 
@@ -101,16 +101,19 @@ def semidirect(
         raise ActionError("action does not connect the given braces")
     action = make_action(acting, target, action.maps)
     group = make_group(target.additive.factors + acting.additive.factors)
-    table = [[0] * order for _ in range(order)]
-    for g1 in range(nt):
-        for h1 in range(nh):
-            row = table[g1 * nh + h1]
-            twist = action.maps[h1]
-            for g2 in range(nt):
-                for h2 in range(nh):
-                    g = target.circle(g1, twist[g2])
-                    h = acting.circle(h1, h2)
-                    row[g2 * nh + h2] = g * nh + h
+    # (g1, h1) o (g2, h2) = (g1 o twist_h1(g2), h1 o h2): row (g1, h1) joins,
+    # over g2, the block of g * nh + h1 o h2 over h2 for g = g1 o twist_h1(g2)
+    pad = bytes(MAX_TABLE_ORDER - nt)
+    blocks = [
+        [bytes(g * nh + h for h in row) for g in range(nt)] for row in acting.circle_table
+    ]
+    twists = [bytes(f) for f in action.maps]
+    lookups = [bytes(row) + pad for row in target.circle_table]
+    table = [
+        b"".join(map(blocks[h1].__getitem__, twists[h1].translate(lookup)))
+        for lookup in lookups
+        for h1 in range(nh)
+    ]
     return validate_brace(group, table)
 
 

@@ -8,9 +8,8 @@ permutation applied to x when y is the right component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .abelian import MAX_TABLE_ORDER, check_table_order, closure, is_permutation
+from .abelian import MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, is_permutation
 from .brace import LeftBrace
 from .errors import (
     BraidRelationError,
@@ -76,20 +75,6 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
             f"cycle-set identity fails {failure}, but every triple braids"
         )
     return sol
-
-
-def _byte_rows(rows, size: int) -> list[bytes] | None:
-    """The rows as bytes, if each has size entries, all ints below size."""
-    types = set(map(type, chain.from_iterable(rows)))
-    if not all(issubclass(t, int) for t in types):
-        return None
-    try:
-        out = [bytes(row) for row in rows]
-    except ValueError:  # a negative entry
-        return None
-    if any(len(row) != size or (row and max(row) >= size) for row in out):
-        return None
-    return out
 
 
 def _rows_involutive(
@@ -183,23 +168,20 @@ def _scan_braid_relation(sol: SetTheoreticSolution) -> None:
 
 
 def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
-    """The solution r(x, y) = (lambda_x(y), lambda_x(y)' o x o y) of the brace.
+    """The solution r(x, y) = (lambda_x(y), lambda^-1_{lambda_x(y)}(x)) of the brace.
 
-    Here ' is the circle inverse, so sigma_x = lambda_x and tau_y(x) =
-    sigma_x(y)' o x o y.  The construction is guaranteed to produce a valid
-    solution, so a validation failure here is reported as an internal error
-    rather than a bad-input error.
+    So sigma_x = lambda_x, and column x of tau is row x of sigma looked up
+    in column x of the inverse lambda table.  The construction is
+    guaranteed to produce a valid solution, so a validation failure here is
+    reported as an internal error rather than a bad-input error.
     """
     n = brace.order
-    circle = brace.circle_table
     sigma = brace._lambda_rows
-    inverse_rows = [circle[brace.circle_inverse(u)] for u in range(n)]
-    tau = [[0] * n for _ in range(n)]
-    for x, (row, circle_row) in enumerate(zip(sigma, circle)):
-        for y in range(n):
-            tau[y][x] = inverse_rows[row[y]][circle_row[y]]
+    pad = bytes(MAX_TABLE_ORDER - n)
+    inverses = [bytes.maketrans(row, bytes(range(n)))[:n] for row in sigma]
+    tau_columns = [row.translate(bytes(col) + pad) for row, col in zip(sigma, zip(*inverses))]
     try:
-        return validate_solution(n, sigma, tau)
+        return validate_solution(n, sigma, zip(*tau_columns))
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"solution built from a valid brace fails validation: {exc}"
@@ -210,32 +192,38 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
     """Quotient by equality of sigma maps, with induced tables.
 
     Classes are numbered in order of first appearance and the induced
-    tables are read off their first members.  One pass over all pairs
-    asserts that every other member induces the same entries; for an
-    involutive non-degenerate solution it cannot fail.
+    tables are read off their first members.  Each row of sigma and column
+    of tau, mapped to classes, must equal its class's induced row expanded
+    through the classes: every other member induces the same entries.  For
+    an involutive non-degenerate solution it cannot fail.
     """
     n = solution.size
-    sigma, tau = solution.sigma, solution.tau
     class_of_row: dict[tuple[int, ...], int] = {}
-    cls = [class_of_row.setdefault(row, len(class_of_row)) for row in sigma]
-    reps = [cls.index(i) for i in range(len(class_of_row))]
-    induced_sigma = [[cls[sigma[x][y]] for y in reps] for x in reps]
-    induced_tau = [[cls[tau[y][x]] for x in reps] for y in reps]
-    for x in range(n):
-        row, cx = sigma[x], cls[x]
-        induced_row = induced_sigma[cx]
-        for y in range(n):
-            cy = cls[y]
-            if cls[row[y]] != induced_row[cy]:
-                raise InternalCheckError(
-                    f"induced sigma table ill-defined at classes ({reps[cx]}, {reps[cy]})"
-                )
-            if cls[tau[y][x]] != induced_tau[cy][cx]:
-                raise InternalCheckError(
-                    f"induced tau table ill-defined at classes ({reps[cx]}, {reps[cy]})"
-                )
+    cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in solution.sigma)
+    reps = bytes(cls.index(i) for i in range(len(class_of_row)))
+    pad = bytes(MAX_TABLE_ORDER - n)
+    lookup = cls + pad
+    # for each x, y -> the class of sigma_x(y), and y -> the class of tau_y(x)
+    sigma_rows = [bytes(row).translate(lookup) for row in solution.sigma]
+    tau_columns = [bytes(col).translate(lookup) for col in zip(*solution.tau)]
+    induced_sigma = [reps.translate(sigma_rows[x] + pad) for x in reps]
+    induced_tau_columns = [reps.translate(tau_columns[x] + pad) for x in reps]
+    pad_classes = bytes(MAX_TABLE_ORDER - len(reps))
+    expanded = [
+        [cls.translate(row + pad_classes) for row in induced]
+        for induced in (induced_sigma, induced_tau_columns)
+    ]
+    for x, c in enumerate(cls):
+        found = [("sigma", sigma_rows[x], expanded[0][c]), ("tau", tau_columns[x], expanded[1][c])]
+        if any(got != want for _, got, want in found):
+            name, y = next(
+                (name, y) for y in range(n) for name, got, want in found if got[y] != want[y]
+            )
+            raise InternalCheckError(
+                f"induced {name} table ill-defined at classes ({reps[c]}, {reps[cls[y]]})"
+            )
     try:
-        return validate_solution(len(reps), induced_sigma, induced_tau)
+        return validate_solution(len(reps), induced_sigma, zip(*induced_tau_columns))
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"retract of a valid solution fails validation: {exc}"

@@ -1,0 +1,195 @@
+"""The entry-by-entry brace loops that byte-row translates replaced, kept as
+oracles.
+
+bracelab.brace builds the dot and lambda tables, the induced table of
+``LeftBrace._induced`` and the coset check of ``retract_quotient`` by
+translating byte rows; ``classify`` decides two-sidedness with the
+additivity test ``_nonadditive_generators`` on the dot columns and the
+minus rule by one translate per row; ``abelian.is_nilpotent_group`` finds
+element orders by composing byte rows; and ``validate_brace`` takes Light's
+generators from a left closure.  The functions here do the same jobs one
+entry at a time, as the package once did.  tests/test_byte_row_oracles.py
+checks that both routes agree.
+"""
+
+import math
+from itertools import product as iter_product
+
+from bracelab.abelian import MAX_TABLE_ORDER, abelian_structure, make_group
+from bracelab.brace import BraceTraits, _nonadditive_generators, validate_brace
+from bracelab.errors import InternalCheckError
+from bracelab.numutil import prime_factorization
+
+
+def oracle_dot_table(brace):
+    """a . b = -a + a o b - b, two addition lookups per entry."""
+    add = brace.additive.add_rows()
+    neg = [row.index(0) for row in add]
+    rows = []
+    for a, crow in enumerate(brace.circle_table):
+        na = neg[a]
+        rows.append(tuple(add[add[c][na]][neg[b]] for b, c in enumerate(crow)))
+    return tuple(rows)
+
+
+def oracle_lambda_rows(brace):
+    """lambda_a(b) = b + a . b, one addition lookup per entry."""
+    add = brace.additive.add_rows()
+    return tuple(bytes([sums[d] for sums, d in zip(add, row)]) for row in brace.dot_table)
+
+
+def oracle_induced(brace, reps, cls):
+    """LeftBrace._induced with the addition rows and the table filled entry
+    by entry: the validated brace and the relabeling."""
+    m = len(reps)
+    add = brace.additive.add_rows()
+    factors, relabel = abelian_structure([[cls[add[x][y]] for y in reps] for x in reps])
+    table = [[0] * m for _ in range(m)]
+    for i, x in enumerate(reps):
+        row = table[relabel[i]]
+        circle_row = brace.circle_table[x]
+        for j, y in enumerate(reps):
+            row[relabel[j]] = relabel[cls[circle_row[y]]]
+    return validate_brace(make_group(factors), table), relabel
+
+
+def oracle_retract_quotient(brace):
+    """retract_quotient with representative independence checked pair by pair."""
+    soc = brace.socle().members
+    n = brace.order
+    add = brace.additive.add_rows()
+    coset_rep = [-1] * n
+    reps = []
+    for x in range(n):
+        if coset_rep[x] < 0:
+            reps.append(x)
+            for s in soc:
+                coset_rep[add[x][s]] = x
+    circle = brace.circle_table
+    for x in range(n):
+        row, rep_row = circle[x], circle[coset_rep[x]]
+        for y in range(n):
+            if coset_rep[row[y]] != coset_rep[rep_row[coset_rep[y]]]:
+                raise InternalCheckError(
+                    "induced circle table depends on coset representatives"
+                    f" at ({coset_rep[x]}, {coset_rep[y]})"
+                )
+    local = {rep: i for i, rep in enumerate(reps)}
+    return oracle_induced(brace, reps, [local[coset_rep[x]] for x in range(n)])[0]
+
+
+def perm_order_is_nilpotent_group(group) -> bool:
+    """is_nilpotent_group with element orders from abelian.perm_order's
+    cycle walk, point by point."""
+    orders = [perm_order(p) for p in group.elements]
+    for p, a in prime_factorization(group.order).items():
+        pa = p**a
+        if sum(1 for k in orders if pa % k == 0) != pa:
+            return False
+    return True
+
+
+def perm_order(p) -> int:
+    """The lcm of the cycle lengths of p."""
+    seen = [False] * len(p)
+    order = 1
+    for start in range(len(p)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = p[i]
+            length += 1
+        if length:
+            order = math.lcm(order, length)
+    return order
+
+
+def oracle_classify(brace) -> BraceTraits:
+    """classify with two-sidedness and the minus rule decided entry by entry
+    and adjoint nilpotency from cycle walks."""
+    n = brace.order
+    add = brace.additive.add_rows()
+    neg = [row.index(0) for row in add]
+    dot = brace.dot_table
+
+    # the b with (a + b) . c = a . c + b . c for all a and c form a
+    # subgroup, so the canonical additive generators decide two-sidedness
+    gens = brace.additive.generators()
+    two_sided = all(
+        dot[add[a][g]] == tuple(add[u][v] for u, v in zip(dot[a], dot[g]))
+        for g in gens
+        for a in range(n)
+    )
+    minus_rule = all(
+        dot[neg[a]][b] == neg[dot[a][b]] for a in range(n) for b in range(n)
+    )
+    steps = brace._left_power_steps
+    left_nil_index = None if None in steps else max(steps)
+    adjoint_nilpotent = perm_order_is_nilpotent_group(brace.adjoint_group())
+    ring_nilpotent = None
+    if two_sided:
+        for a, b, c in iter_product(gens, repeat=3):
+            if dot[dot[a][b]][c] != dot[a][dot[b][c]]:
+                raise InternalCheckError(
+                    "two-sided brace with non-associative dot product"
+                    f" at ({a}, {b}, {c})"
+                )
+        ring_nilpotent = brace.radical_chain_index() is not None
+    return BraceTraits(
+        is_two_sided=two_sided,
+        left_nil_index=left_nil_index,
+        adjoint_nilpotent=adjoint_nilpotent,
+        minus_rule=minus_rule,
+        ring_nilpotent=ring_nilpotent,
+    )
+
+
+def magma_generators(table) -> list[int]:
+    """A greedy generating set of the table's magma, 0 left out.
+
+    The closure takes every product of two members in both orders, so it
+    assumes neither associativity nor inverses.
+    """
+    n = len(table)
+    covered = [False] * n
+    covered[0] = True
+    members = [0]
+    gens = []
+    for t in range(1, n):
+        if covered[t]:
+            continue
+        gens.append(t)
+        covered[t] = True
+        members.append(t)
+        i = len(members) - 1
+        while i < len(members):
+            z = members[i]
+            row_z = table[z]
+            for c in members[: i + 1]:
+                for v in (row_z[c], table[c][z]):
+                    if not covered[v]:
+                        covered[v] = True
+                        members.append(v)
+            i += 1
+    return gens
+
+
+def oracle_row_failure(group, table) -> str | None:
+    """brace._brace_row_failure with Light's test run on magma generators
+    of the table, read off its tuple rows."""
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    rows = [bytes(row) for row in table]
+    lookups = [row + pad for row in rows]
+    for g in magma_generators(table):
+        gen_row = rows[g]
+        for x, row_x in enumerate(table):
+            if rows[row_x[g]] != gen_row.translate(lookups[x]):
+                return f"associativity at generator {g} with {x} on the left"
+    add = group.add_rows()
+    lambdas = [row.translate(bytes(add[group.neg(a)]) + pad) for a, row in enumerate(rows)]
+    for a, g in enumerate(_nonadditive_generators(group, lambdas)):
+        if g is not None:
+            return f"compatibility at {a} with additive generator {g}"
+    return None

@@ -7,6 +7,8 @@ same brace.  ``bracelab.products.make_action`` reads the addition and circle
 tables row by row and composes maps inline; ``oracle_make_action`` asks the
 braces for every sum and product and composes maps with ``compose_perms``.
 The two must give the same maps, or the same ActionError and witness.
+``bracelab.products.semidirect`` joins byte blocks per row;
+``oracle_semidirect_table`` fills the product table entry by entry.
 """
 
 from bracelab.abelian import is_permutation, make_group
@@ -89,3 +91,20 @@ def oracle_wreath(base, top, max_order: int = 64):
         maps.append(tuple(out))
     action = BraceAction(top, w_brace, tuple(maps))
     return semidirect(w_brace, top, action, max_order=max_order)
+
+
+def oracle_semidirect_table(target, acting, maps):
+    """(g1, h1) o (g2, h2) = (g1 o maps[h1](g2), h1 o h2), at index g * |acting| + h."""
+    nt, nh = target.order, acting.order
+    order = nt * nh
+    table = [[0] * order for _ in range(order)]
+    for g1 in range(nt):
+        for h1 in range(nh):
+            row = table[g1 * nh + h1]
+            twist = maps[h1]
+            for g2 in range(nt):
+                for h2 in range(nh):
+                    g = target.circle(g1, twist[g2])
+                    h = acting.circle(h1, h2)
+                    row[g2 * nh + h2] = g * nh + h
+    return table

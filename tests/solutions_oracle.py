@@ -3,9 +3,13 @@
 oracle_from_brace builds sigma and tau from the dot and addition tables,
 and oracle_retract_solution asserts the induced tables class pair by class
 pair.  tests/test_solutions.py checks that the shorter routes agree.
+circle_tau reads tau_y(x) = sigma_x(y)' o x o y off the circle table, and
+one_pass_retract_solution checks every pair of the induced tables in one
+loop; bracelab.solutions now translates byte columns and rows instead, and
+tests/test_byte_row_oracles.py compares the two.
 """
 
-from bracelab.errors import InternalCheckError
+from bracelab.errors import InternalCheckError, SolutionValidationError
 from bracelab.solutions import validate_solution
 
 
@@ -69,3 +73,45 @@ def oracle_retract_solution(solution):
             sigma[i][j] = local[s_value]
             tau[j][i] = local[t_value]
     return validate_solution(m, sigma, tau)
+
+
+def circle_tau(brace):
+    """tau of the brace's solution, tau_y(x) = sigma_x(y)' o x o y, entry by entry."""
+    n = brace.order
+    circle = brace.circle_table
+    inverse_rows = [circle[brace.circle_inverse(u)] for u in range(n)]
+    tau = [[0] * n for _ in range(n)]
+    for x, (row, circle_row) in enumerate(zip(brace._lambda_rows, circle)):
+        for y in range(n):
+            tau[y][x] = inverse_rows[row[y]][circle_row[y]]
+    return tuple(map(tuple, tau))
+
+
+def one_pass_retract_solution(solution):
+    """retract_solution with the induced tables checked in one pass over all pairs."""
+    n = solution.size
+    sigma, tau = solution.sigma, solution.tau
+    class_of_row: dict[tuple[int, ...], int] = {}
+    cls = [class_of_row.setdefault(row, len(class_of_row)) for row in sigma]
+    reps = [cls.index(i) for i in range(len(class_of_row))]
+    induced_sigma = [[cls[sigma[x][y]] for y in reps] for x in reps]
+    induced_tau = [[cls[tau[y][x]] for x in reps] for y in reps]
+    for x in range(n):
+        row, cx = sigma[x], cls[x]
+        induced_row = induced_sigma[cx]
+        for y in range(n):
+            cy = cls[y]
+            if cls[row[y]] != induced_row[cy]:
+                raise InternalCheckError(
+                    f"induced sigma table ill-defined at classes ({reps[cx]}, {reps[cy]})"
+                )
+            if cls[tau[y][x]] != induced_tau[cy][cx]:
+                raise InternalCheckError(
+                    f"induced tau table ill-defined at classes ({reps[cx]}, {reps[cy]})"
+                )
+    try:
+        return validate_solution(len(reps), induced_sigma, induced_tau)
+    except SolutionValidationError as exc:
+        raise InternalCheckError(
+            f"retract of a valid solution fails validation: {exc}"
+        ) from exc

@@ -1,0 +1,300 @@
+"""The byte-row kernels of the brace, product and solution layers against
+the entry-by-entry loops they replaced.
+
+The oracles are in tests/brace_oracle.py, tests/products_oracle.py and
+tests/solutions_oracle.py.  The subjects are every census class of orders
+1-24 (16 under -m slow); the products of the file benchmark's op lists
+for seeds 1-3, whose wreath products act by translation on the top; dot
+tables corrupted by with_dot_entries; socles and solutions forced to be
+wrong; and random tables with a two-sided identity and inverses, mostly
+non-associative.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bracelab.brace as brace_module
+import bracelab.products as products_module
+from bracelab.abelian import (
+    MAX_TABLE_ORDER,
+    PermutationGroup,
+    additive_closure,
+    is_nilpotent_group,
+    make_group,
+)
+from bracelab.brace import LeftBrace, validate_brace
+from bracelab.census import enumerate_braces
+from bracelab.documents import (
+    BraceDocument,
+    SolutionDocument,
+    serialize_brace_document,
+    serialize_solution_document,
+)
+from bracelab.errors import BraceLabError, InternalCheckError, ResourceLimitError
+from bracelab.products import semidirect, wreath
+from bracelab.solutions import SetTheoreticSolution, from_brace, retract_solution
+from brace_oracle import (
+    magma_generators,
+    oracle_classify,
+    oracle_dot_table,
+    oracle_induced,
+    oracle_lambda_rows,
+    oracle_retract_quotient,
+    oracle_row_failure,
+    perm_order_is_nilpotent_group,
+)
+from checks_oracle import oracle_validate_brace
+from conftest import with_dot_entries
+from products_oracle import oracle_semidirect_table
+from solutions_oracle import circle_tau, one_pass_retract_solution
+
+ORDERS = [n if n != 16 else pytest.param(16, marks=pytest.mark.slow) for n in range(1, 25)]
+
+
+def left_generators(rows):
+    pad = bytes(MAX_TABLE_ORDER - len(rows))
+    return brace_module._left_generators([row + pad for row in rows])
+
+
+def outcome(compute, *args):
+    try:
+        result = compute(*args)
+    except BraceLabError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return "ok", result
+
+
+def fresh(brace) -> LeftBrace:
+    """The same brace with no invariant cached yet."""
+    return LeftBrace(brace.additive, brace.circle_table)
+
+
+def file_ops(census, seed):
+    """The op list of the file benchmark for a seed: 9 semidirect products of
+    two order-8 braces, 9 of an order-6 and an order-8 brace in either
+    order, and 2 wreath products of the order-2 brace by order-4 tops."""
+    pools = {n: census(n).classes for n in (2, 4, 6, 8)}
+    rng = random.Random(seed)
+    eights = rng.sample(pools[8], 27)
+    ops = [("semidirect", eights.pop(), eights.pop()) for _ in range(9)]
+    for i, eight in enumerate(eights):
+        pair = [pools[6][i % len(pools[6])], eight]
+        rng.shuffle(pair)
+        ops.append(("semidirect", *pair))
+    ops += [("wreath", pools[2][0], top) for top in rng.sample(pools[4], 2)]
+    rng.shuffle(ops)
+    return ops
+
+
+def build(op):
+    kind, first, second = op
+    return (semidirect if kind == "semidirect" else wreath)(first, second)
+
+
+@pytest.fixture
+def checked_induced(monkeypatch):
+    """LeftBrace._induced, compared with the oracle on every call."""
+    calls = []
+    real = LeftBrace._induced
+
+    def checked(self, reps, cls):
+        got = real(self, reps, cls)
+        assert got == oracle_induced(self, reps, cls)
+        calls.append(len(reps))
+        return got
+
+    monkeypatch.setattr(LeftBrace, "_induced", checked)
+    return calls
+
+
+def assert_kernels_agree(brace, checked_induced):
+    subject = fresh(brace)
+    dot = subject.dot_table
+    assert dot == oracle_dot_table(subject)
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in dot)
+    assert subject._lambda_rows == oracle_lambda_rows(subject)
+    assert outcome(subject.classify) == outcome(oracle_classify, fresh(brace))
+    group = subject.adjoint_group()
+    assert is_nilpotent_group(group) == perm_order_is_nilpotent_group(group)
+    rows = [bytes(row) for row in subject.circle_table]
+    assert brace_module._brace_row_failure(subject.additive, rows) is None
+    # in a group, the left closure of a set is the subgroup it generates
+    assert left_generators(rows) == magma_generators(subject.circle_table)
+    assert oracle_row_failure(subject.additive, subject.circle_table) is None
+
+    before = len(checked_induced)
+    subject.sylow_components()
+    subject.canonical_form()
+    assert subject.retract_quotient() == oracle_retract_quotient(fresh(brace))
+    assert len(checked_induced) > before
+
+    solution = from_brace(subject)
+    assert solution.sigma == tuple(map(tuple, subject._lambda_rows))
+    assert solution.tau == circle_tau(subject)
+    assert retract_solution(solution) == one_pass_retract_solution(solution)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_census_classes(census, order, checked_induced):
+    for brace in census(order).classes:
+        assert_kernels_agree(brace, checked_induced)
+
+
+@pytest.fixture
+def checked_semidirect(monkeypatch):
+    """products.semidirect, its table compared with the oracle's on every
+    call, wreath's nontrivial actions included."""
+    calls = []
+    real = products_module.semidirect
+
+    def checked(target, acting, action=None, max_order=products_module.DEFAULT_BRACE_BOUND):
+        got = real(target, acting, action, max_order)
+        maps = (action or products_module.trivial_action(acting, target)).maps
+        table = oracle_semidirect_table(target, acting, maps)
+        assert got.circle_table == tuple(map(tuple, table))
+        calls.append(any(m != maps[0] for m in maps))
+        return got
+
+    monkeypatch.setattr(products_module, "semidirect", checked)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_file_products(census, seed, checked_semidirect, checked_induced):
+    orders = []
+    for kind, first, second in file_ops(census, seed):
+        if kind == "semidirect":
+            product = products_module.semidirect(first, second)
+        else:
+            product = wreath(first, second)
+        assert_kernels_agree(product, checked_induced)
+        orders.append(product.order)
+    assert sorted(orders) == [48] * 9 + [64] * 11
+    # the wreath products' last semidirect step has a nontrivial action
+    assert sum(checked_semidirect) >= 2
+
+
+def test_file_product_documents_are_pinned(census):
+    """The brace and solution documents of the file benchmark's products for
+    seeds 1-3, as the entry-by-entry kernels wrote them."""
+    digest = hashlib.sha256()
+    for seed in (1, 2, 3):
+        for op in file_ops(census, seed):
+            product = build(op)
+            digest.update(serialize_brace_document(BraceDocument.from_brace(product)).encode())
+            solution = from_brace(product)
+            digest.update(serialize_solution_document(SolutionDocument.from_solution(solution)).encode())
+    assert digest.hexdigest() == (
+        "caf2d7e61ead2ba76bcf323fb02f9d1b2090ec4c6a8df97a4face54b039b08a6"
+    )
+
+
+def test_classify_on_corrupted_dot_tables(census):
+    rng = random.Random(5)
+    subjects = []
+    for order in range(2, 13):
+        for brace in census(order).classes:
+            for _ in range(3):
+                entries = {
+                    (rng.randrange(order), rng.randrange(order)): rng.randrange(order)
+                    for _ in range(rng.randint(1, 3))
+                }
+                subjects.append((brace, entries))
+    # on (2,2), a biadditive dot product that is not associative
+    entries = {
+        (u, v): 2 * ((u & 1) * (v >> 1)) + (u >> 1) * (v >> 1) for u in range(4) for v in range(4)
+    }
+    subjects.append((LeftBrace.trivial(make_group((2, 2))), entries))
+    verdicts = set()
+    for brace, entries in subjects:
+        got = outcome(with_dot_entries(fresh(brace), entries).classify)
+        assert got == outcome(oracle_classify, with_dot_entries(fresh(brace), entries))
+        verdicts.add(got[0] if got[0] != "ok" else (got[1].is_two_sided, got[1].minus_rule))
+    assert {(True, True), (False, False), (False, True)} <= verdicts
+    assert InternalCheckError in verdicts
+
+
+def test_retract_quotient_with_forced_socles(census):
+    rng = random.Random(3)
+    seen = set()
+    for order in range(2, 13):
+        for brace in census(order).classes:
+            add = brace.additive.add_rows()
+            soc = additive_closure(add, [rng.randrange(order)])
+            subjects = [fresh(brace), fresh(brace)]
+            for subject in subjects:
+                subject.__dict__["_socle"] = soc
+            got = outcome(subjects[0].retract_quotient)
+            assert got == outcome(oracle_retract_quotient, subjects[1])
+            seen.add(got[0])
+    assert len(seen) == 2
+
+
+def test_nilpotency_refuses_degree_past_table_order():
+    n = MAX_TABLE_ORDER + 1
+    with pytest.raises(ResourceLimitError, match=f"order {n} above {MAX_TABLE_ORDER}"):
+        is_nilpotent_group(PermutationGroup(n, frozenset({tuple(range(n))})))
+
+
+def test_retract_solution_on_unvalidated_tables():
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        pool = [rng.sample(range(n), n) for _ in range(rng.randint(1, 3))]
+        sigma = tuple(tuple(rng.choice(pool)) for _ in range(n))
+        tau = tuple(tuple(rng.sample(range(n), n)) for _ in range(n))
+        solution = SetTheoreticSolution(n, sigma, tau)
+        got = outcome(retract_solution, solution)
+        assert got == outcome(one_pass_retract_solution, solution)
+        seen.add(got[1].split(" table")[0] if got[0] != "ok" else "ok")
+    assert {"ok", "induced sigma", "induced tau"} <= seen
+
+
+SMALL_TYPES = [(2,), (3,), (4,), (2, 2), (5,), (6,), (2, 4), (8,), (2, 2, 2), (9,), (3, 3)]
+
+
+@st.composite
+def loop_tables(draw):
+    """A group and a table with two-sided identity 0 and 0 in every row:
+    random entries, or a census class relabeled by a bijection fixing 0."""
+    factors = draw(st.sampled_from(SMALL_TYPES))
+    n = math.prod(factors)
+    group = make_group(factors)
+    if draw(st.integers(0, 3)) == 0:
+        classes = enumerate_braces(n).classes
+        table = draw(st.sampled_from(classes)).circle_table
+        pi = [0] + draw(st.permutations(range(1, n)))
+        inv = [pi.index(i) for i in range(n)]
+        return group, [[pi[table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+    rows = [list(range(n))]
+    for a in range(1, n):
+        row = [a] + draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1))
+        if 0 not in row:
+            row[draw(st.integers(1, n - 1))] = 0
+        rows.append(row)
+    return group, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(loop_tables())
+def test_validate_brace_agrees_on_loop_tables(case):
+    group, table = case
+    got = outcome(validate_brace, group, table)
+    assert got == outcome(oracle_validate_brace, group, table)
+    rows = [bytes(row) for row in table]
+    gens = left_generators(rows)
+    covered, frontier = {0}, [0]
+    while frontier:
+        new = {table[g][x] for g in gens for x in frontier} - covered
+        covered |= new
+        frontier = list(new)
+    assert covered == set(range(len(table)))
+    new_verdict = brace_module._brace_row_failure(group, rows) is None
+    assert new_verdict == (oracle_row_failure(group, table) is None)
+    assert new_verdict == (got[0] == "ok")

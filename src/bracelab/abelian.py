@@ -52,8 +52,9 @@ def check_table_order(order: int) -> None:
 
 
 def _byte_rows(rows, size: int) -> list[bytes] | None:
-    """The rows as bytes, if each has size entries, all ints below size."""
-    types = set(map(type, chain.from_iterable(rows)))
+    """The rows as bytes, if each has size entries, all ints below size.
+    A bytes row holds only ints, so only the other rows' entry types are read."""
+    types = set(map(type, chain.from_iterable(r for r in rows if not isinstance(r, bytes))))
     if not all(issubclass(t, int) for t in types):
         return None
     try:

@@ -36,6 +36,7 @@ from .errors import (
     InternalCheckError,
     InvalidPresentationError,
 )
+from .numutil import prime_factorization
 
 
 @dataclass(frozen=True)
@@ -236,11 +237,10 @@ class LeftBrace:
         level = 0
         stage = self
         while stage.order > 1:
-            quotient = stage.retract_quotient()
-            if quotient.order == stage.order:
+            if stage.socle().is_zero():
                 level = None
                 break
-            stage = quotient
+            stage = stage.retract_quotient()
             level += 1
         finite_chain = self.radical_chain_index() is not None
         if (level is not None) != finite_chain:
@@ -250,7 +250,13 @@ class LeftBrace:
         return level
 
     def sylow_components(self) -> list["SylowComponent"]:
-        """One sub-brace per prime divisor, on the p-power-order elements."""
+        """One sub-brace per prime divisor, on the p-power-order elements.  A
+        chain-form brace of prime-power order is its own component, built on
+        each call, as a cached value must not hold the brace."""
+        primes = prime_factorization(self.order)
+        if len(primes) == 1 and _is_chain(self.additive.factors):
+            whole = tuple(range(self.order))
+            return [SylowComponent(*primes.popitem(), whole, self, whole)]
         return list(self._sylow_components)
 
     @cached_property
@@ -286,8 +292,7 @@ class LeftBrace:
         census output is untouched; products built over mixed-radix groups
         get a canonical additive coordinate system.
         """
-        factors = self.additive.factors
-        if all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1)):
+        if _is_chain(self.additive.factors):
             return self
         return self._induced(range(self.order), range(self.order))[0]
 
@@ -416,6 +421,10 @@ class BraceTraits:
         return self.left_nil_index is not None
 
 
+def _is_chain(factors) -> bool:
+    return all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
+
+
 def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     """Check the brace laws exactly and return the validated brace.
 
@@ -428,7 +437,7 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     """
     n = group.order
     check_table_order(n)
-    table = tuple(tuple(row) for row in circle_table)
+    table = [row if isinstance(row, bytes) else tuple(row) for row in circle_table]
     if len(table) != n or any(len(row) != n for row in table):
         raise InvalidPresentationError(
             f"circle table must be {n}x{n}"
@@ -468,7 +477,7 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
         raise InternalCheckError(
             f"row check fails {failure}, but every triple passes"
         )
-    return LeftBrace(group, table)
+    return LeftBrace(group, tuple(map(tuple, table)))
 
 
 def _brace_row_failure(group: FiniteAbelianGroup, rows) -> str | None:

@@ -62,12 +62,10 @@ class BraceDocument:
             )
         group = make_group(self.invariant_factors)
         if self.operation == "circle_table":
-            rows = self.table
+            rows = map(bytes, self.table)
         else:
             add = group.add_rows()
-            rows = tuple(
-                tuple(add[a][v] for v in row) for a, row in enumerate(self.table)
-            )
+            rows = (bytes(add[a][v] for v in row) for a, row in enumerate(self.table))
         return validate_brace(group, rows)
 
 
@@ -87,7 +85,10 @@ class SolutionDocument:
             raise ResourceLimitError(
                 f"solution size {self.size} above configured bound {max_size}"
             )
-        return validate_solution(self.size, self.sigma, self.tau)
+        validate_solution(self.size, map(bytes, self.sigma), map(bytes, self.tau))
+        # the solution keeps the document's rows, not a second copy of each table
+        sigma, tau = (tuple(map(tuple, rows)) for rows in (self.sigma, self.tau))
+        return SetTheoreticSolution(self.size, sigma, tau)
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,8 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
     entry or triple by triple, and that scan names the witness.
     """
     check_table_order(size)
-    sigma = tuple(tuple(row) for row in sigma)
-    tau = tuple(tuple(row) for row in tau)
+    sigma = [row if isinstance(row, bytes) else tuple(row) for row in sigma]
+    tau = [row if isinstance(row, bytes) else tuple(row) for row in tau]
     if len(sigma) != size or len(tau) != size:
         raise InvalidPresentationError(f"tables must have {size} rows")
     sigma_rows, tau_rows = _byte_rows(sigma, size), _byte_rows(tau, size)
@@ -74,7 +74,7 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
         raise InternalCheckError(
             f"cycle-set identity fails {failure}, but every triple braids"
         )
-    return sol
+    return SetTheoreticSolution(size, tuple(map(tuple, sigma)), tuple(map(tuple, tau)))
 
 
 def _rows_involutive(
@@ -181,7 +181,7 @@ def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
     inverses = [bytes.maketrans(row, bytes(range(n)))[:n] for row in sigma]
     tau_columns = [row.translate(bytes(col) + pad) for row, col in zip(sigma, zip(*inverses))]
     try:
-        return validate_solution(n, sigma, zip(*tau_columns))
+        return validate_solution(n, sigma, map(bytes, zip(*tau_columns)))
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"solution built from a valid brace fails validation: {exc}"
@@ -223,7 +223,7 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
                 f"induced {name} table ill-defined at classes ({reps[c]}, {reps[cls[y]]})"
             )
     try:
-        return validate_solution(len(reps), induced_sigma, zip(*induced_tau_columns))
+        return validate_solution(len(reps), induced_sigma, map(bytes, zip(*induced_tau_columns)))
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"retract of a valid solution fails validation: {exc}"

@@ -10,13 +10,30 @@ element orders by composing byte rows; and ``validate_brace`` takes Light's
 generators from a left closure.  The functions here do the same jobs one
 entry at a time, as the package once did.  tests/test_byte_row_oracles.py
 checks that both routes agree.
+
+``oracle_sylow_components`` is the split that induced and validated every
+Sylow component anew, even the whole brace when its order is a prime power
+and its factors form a chain; ``sylow_components`` returns such a brace as
+its own component.
 """
 
 import math
 from itertools import product as iter_product
 
-from bracelab.abelian import MAX_TABLE_ORDER, abelian_structure, make_group
-from bracelab.brace import BraceTraits, _nonadditive_generators, validate_brace
+from bracelab.abelian import (
+    MAX_TABLE_ORDER,
+    abelian_structure,
+    invert_perm,
+    make_group,
+    multiples_of,
+    primary_components,
+)
+from bracelab.brace import (
+    BraceTraits,
+    SylowComponent,
+    _nonadditive_generators,
+    validate_brace,
+)
 from bracelab.errors import InternalCheckError
 from bracelab.numutil import prime_factorization
 
@@ -76,6 +93,26 @@ def oracle_retract_quotient(brace):
                 )
     local = {rep: i for i, rep in enumerate(reps)}
     return oracle_induced(brace, reps, [local[coset_rep[x]] for x in range(n)])[0]
+
+
+def oracle_sylow_components(brace):
+    """sylow_components with every component induced and validated anew,
+    a brace of prime-power order in chain form included."""
+    add = brace.additive.add_rows()
+    multiples = [multiples_of(add, x) for x in range(brace.order)]
+    out = []
+    for p, alpha, members in primary_components(multiples):
+        local = {x: i for i, x in enumerate(members)}
+        for x in members:
+            for y in members:
+                if brace.circle_table[x][y] not in local:
+                    raise InternalCheckError(
+                        f"prime component not circle-closed at ({x}, {y})"
+                    )
+        sub, relabel = brace._induced(members, local)
+        to_parent = tuple(members[i] for i in invert_perm(relabel))
+        out.append(SylowComponent(p, alpha, tuple(members), sub, to_parent))
+    return out
 
 
 def perm_order_is_nilpotent_group(group) -> bool:

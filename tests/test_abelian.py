@@ -29,6 +29,7 @@ from bracelab.errors import (
     InvalidGeneratorError,
     ResourceLimitError,
 )
+from bracelab.numutil import prime_factorization
 from abelian_oracle import (
     automorphism_count,
     compose_perms,
@@ -316,6 +317,21 @@ class TestPrimaryComponents:
             multiples = [multiples_of(rows, x) for x in range(group.order)]
             expected = oracle_primary_components(group.order, group.order_of)
             assert primary_components(multiples) == expected, factors
+
+    def test_prime_power_types_are_already_canonical(self):
+        # so a brace of prime-power order in chain form is its own Sylow
+        # component: the relabeling onto canonical coordinates is the identity
+        types = [
+            factors
+            for n in range(2, 257)
+            if len(prime_factorization(n)) == 1
+            for factors in abelian_group_types(n)
+        ]
+        assert len(types) == 147
+        for factors in types:
+            # a fresh group, so the 147 tables are not kept for the session
+            rows = FiniteAbelianGroup(factors).add_rows()
+            assert abelian_structure(rows) == (factors, tuple(range(len(rows)))), factors
 
     def test_size_check_names_the_prime(self):
         # element orders 1, 2, 2 and 3: no group of order 4 has them

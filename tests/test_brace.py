@@ -186,6 +186,44 @@ class TestSylow:
             parts = sylow_decompose(entry.brace)
             assert [p.order for p in parts] == [4, 3]
 
+    @staticmethod
+    def counting_induced(monkeypatch):
+        calls = []
+        real = LeftBrace._induced
+
+        def counting(self, reps, cls):
+            calls.append(len(reps))
+            return real(self, reps, cls)
+
+        monkeypatch.setattr(LeftBrace, "_induced", counting)
+        return calls
+
+    def test_chain_form_prime_power_brace_is_its_own_component(self, census, monkeypatch):
+        calls = self.counting_induced(monkeypatch)
+        for order, (p, a) in ((8, (2, 3)), (9, (3, 2))):
+            for brace in census(order).classes:
+                fresh = validate_brace(brace.additive, brace.circle_table)
+                (comp,) = fresh.sylow_components()
+                assert (comp.prime, comp.exponent) == (p, a)
+                assert comp.brace is fresh
+                assert comp.members == comp.to_parent == tuple(range(order))
+        assert calls == []
+
+    def test_non_chain_product_gets_a_relabeled_copy(self, census, monkeypatch):
+        # factors (8, 2) and (2, 4, 2) do not form a chain: the component
+        # is the brace moved onto canonical coordinates (2, 8) and (2, 2, 4)
+        eight, two = census(8).classes, census(2).classes
+        calls = self.counting_induced(monkeypatch)
+        for k, factors in ((24, (2, 8)), (12, (2, 2, 4))):
+            product = semidirect(eight[k], two[0])
+            calls.clear()
+            (comp,) = product.sylow_components()
+            assert calls == [16]
+            assert comp.brace is not product
+            assert comp.brace.additive.factors == factors
+            assert comp.members == tuple(range(16)) != comp.to_parent
+            assert comp.brace == product.canonical_form()
+
     def test_component_embedding_preserves_both_operations(self, census):
         for entry in census(6).entries:
             brace = entry.brace

@@ -3,11 +3,11 @@ the entry-by-entry loops they replaced.
 
 The oracles are in tests/brace_oracle.py, tests/products_oracle.py and
 tests/solutions_oracle.py.  The subjects are every census class of orders
-1-24 (16 under -m slow); the products of the file benchmark's op lists
-for seeds 1-3, whose wreath products act by translation on the top; dot
-tables corrupted by with_dot_entries; socles and solutions forced to be
-wrong; and random tables with a two-sided identity and inverses, mostly
-non-associative.
+1-24 (16 under -m slow), and for the Sylow split of 25, 27 and 49 too; the
+products of the file benchmark's op lists for seeds 1-3, whose wreath
+products act by translation on the top; dot tables corrupted by
+with_dot_entries; socles and solutions forced to be wrong; and random
+tables with a two-sided identity and inverses, mostly non-associative.
 """
 
 import hashlib
@@ -46,6 +46,7 @@ from brace_oracle import (
     oracle_lambda_rows,
     oracle_retract_quotient,
     oracle_row_failure,
+    oracle_sylow_components,
     perm_order_is_nilpotent_group,
 )
 from checks_oracle import oracle_validate_brace
@@ -128,7 +129,7 @@ def assert_kernels_agree(brace, checked_induced):
     assert oracle_row_failure(subject.additive, subject.circle_table) is None
 
     before = len(checked_induced)
-    subject.sylow_components()
+    assert subject.sylow_components() == oracle_sylow_components(fresh(brace))
     subject.canonical_form()
     assert subject.retract_quotient() == oracle_retract_quotient(fresh(brace))
     assert len(checked_induced) > before
@@ -143,6 +144,12 @@ def assert_kernels_agree(brace, checked_induced):
 def test_census_classes(census, order, checked_induced):
     for brace in census(order).classes:
         assert_kernels_agree(brace, checked_induced)
+
+
+@pytest.mark.parametrize("order", [25, 27, 49])
+def test_sylow_components_of_prime_power_orders(census, order):
+    for brace in census(order).classes:
+        assert brace.sylow_components() == oracle_sylow_components(fresh(brace))
 
 
 @pytest.fixture

@@ -330,8 +330,10 @@ def test_primary_components_of_induced_rows_agree(monkeypatch):
         fresh = validate_brace(brace.additive, brace.circle_table)
         fresh.sylow_components()
         fresh.retract_quotient()
-    # one table per prime divisor and one quotient per brace
-    assert len(seen) == sum(len(prime_factorization(b.order)) + 1 for b in braces)
+    # one table per prime divisor of a brace with more than one, and one
+    # quotient per brace: a brace of prime-power order is its own component
+    primes = [len(prime_factorization(b.order)) for b in braces]
+    assert len(seen) == sum((k if k > 1 else 0) + 1 for k in primes)
     for rows in seen:
         multiples = [multiples_of(rows, x) for x in range(len(rows))]
 

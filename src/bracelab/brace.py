@@ -9,6 +9,7 @@ with an order x order circle table.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
@@ -37,6 +38,11 @@ from .errors import (
     InvalidPresentationError,
 )
 from .numutil import prime_factorization
+
+# the braces of LeftBrace._induced: one live brace per additive factors and
+# circle table, so an equal table is validated, and its invariants computed,
+# only once while some holder keeps it
+_INDUCED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,13 @@ class LeftBrace:
         Cosets are represented by their smallest member; the induced circle
         table is checked for representative independence before relabeling.
         """
+        quotient = self._retract_quotient
+        return self if quotient is None else quotient
+
+    # None when the quotient is the brace itself (a derived brace with zero
+    # socle), which must not be cached on itself
+    @cached_property
+    def _retract_quotient(self) -> "LeftBrace | None":
         soc = self.socle().members
         n = self.order
         add = self.additive.add_rows()
@@ -194,7 +207,8 @@ class LeftBrace:
                     f" at ({coset_rep[x]}, {coset_rep[y]})"
                 )
         local = {rep: i for i, rep in enumerate(reps)}
-        return self._induced(reps, [local[coset_rep[x]] for x in range(n)])[0]
+        quotient = self._induced(reps, [local[coset_rep[x]] for x in range(n)])[0]
+        return None if quotient is self else quotient
 
     def radical_chain_index(self) -> int | None:
         """Smallest n with the n-th right-multiplication span chain zero.
@@ -301,8 +315,9 @@ class LeftBrace:
 
         reps lists parent elements, and cls sends each sum and circle product
         of two of them to a position in reps (its coset's, or its own).
-        Returns the validated brace and the relabeling from positions in
-        reps to its element indices.
+        Returns the brace and the relabeling from positions in reps to its
+        element indices.  The brace is the live one on the same factors and
+        table, if there is one; else it is validated here and kept.
         """
         pad = bytes(MAX_TABLE_ORDER - self.order)
         # each parent element's position in reps, for cls a dict or a sequence
@@ -319,7 +334,10 @@ class LeftBrace:
         new_index = position.translate(bytes(relabel) + bytes(MAX_TABLE_ORDER - len(reps)))
         circle = self.circle_table
         table = [placed.translate(bytes(circle[x]) + pad).translate(new_index) for x in placed]
-        brace = validate_brace(make_group(factors), table)
+        key = (factors, b"".join(table))
+        brace = _INDUCED.get(key)
+        if brace is None:
+            brace = _INDUCED[key] = validate_brace(make_group(factors), table)
         return brace, relabel
 
     @cached_property

@@ -277,11 +277,15 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     and B_m(b) + b = lambda_a^m(b), while a^m.b + b = lambda_{a^m}(b).  So
     both expansions hold for every b and m exactly when the walk lambda_a,
     lambda_a^2, ... meets a + lambda_a(a^{m-1}) = a^m and lambda_{a^m} at
-    each m = 1..n: n translates per a, not n^2 steps.  Additivity is
-    checked on the additive generators, by validate_brace's test.  Only an a
-    whose walk fails, or whose lambda_a is not additive, is scanned sum by
-    sum and b by b (_scan_dotted_expansion): to name the witness, or for a
-    non-additive lambda_a to decide.
+    each m = 1..ord(a), for ord(a) the circle order of a.  At m = ord(a)
+    the walk has reached lambda_0 = id and a^m = 0, so every later m repeats
+    an earlier one: ord(a) translates per a, not n^2 steps.  That needs
+    lambda_0 = id, which validate_brace guarantees; a brace whose lambda_0
+    is not the identity (a corrupted dot table) is walked to m = n.
+    Additivity is checked on the additive generators, by validate_brace's
+    test.  Only an a whose walk fails, or whose lambda_a is not additive, is
+    scanned sum by sum and b by b (_scan_dotted_expansion): to name the
+    witness, or for a non-additive lambda_a to decide.
     """
     name = "power-identities"
     n = brace.order
@@ -291,25 +295,33 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     pad = bytes(MAX_TABLE_ORDER - n)
     lambdas = brace._lambda_rows
     identity = bytes(range(n))
+    periodic = lambdas[0] == identity
 
+    orders = []
     nonadditive = _nonadditive_generators(brace.additive, lambdas)
     for a, (lam, bad_generator) in enumerate(zip(lambdas, nonadditive)):
-        powers = [0]
+        # a^0, a^1, ... up to a^ord(a) = 0
+        cycle = [0, a]
         row = brace.circle_table[a]
-        for _ in range(n):
-            powers.append(row[powers[-1]])
+        while cycle[-1] != 0:
+            cycle.append(row[cycle[-1]])
+        order = len(cycle) - 1
+        orders.append(order)
         additive = bad_generator is None
         if additive:
             lam_lookup = lam + pad
             add_a = add[a]
             walk = identity
-            for m in range(1, n + 1):
+            previous = 0
+            for m in range(1, (order if periodic else n) + 1):
                 walk = walk.translate(lam_lookup)
-                power = powers[m]
-                if add_a[lam[powers[m - 1]]] != power or walk != lambdas[power]:
+                power = cycle[m % order]
+                if add_a[lam[previous]] != power or walk != lambdas[power]:
                     break
+                previous = power
             else:
                 continue
+        powers = [cycle[m % order] for m in range(n + 1)]
         failure = _scan_dotted_expansion(add, dot, a, powers, prime_power_m)
         if failure is not None:
             witness, note = failure
@@ -326,7 +338,7 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
         for b in component.members[1:]:  # members ascend from 0
             additive_prime[b] = component.prime
     for a in range(n):
-        pa = _prime_power(brace.circle_order(a))
+        pa = _prime_power(orders[a])
         if pa is None and a != 0:
             continue
         drow = dot[a]

@@ -23,9 +23,14 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 
-from .abelian import int_name, is_permutation, make_group
+from .abelian import MAX_TABLE_ORDER, _byte_rows, int_name, is_permutation, make_group
 from .brace import LeftBrace, validate_brace
-from .errors import DocumentError, InternalCheckError, ResourceLimitError
+from .errors import (
+    DocumentError,
+    InternalCheckError,
+    InvalidPresentationError,
+    ResourceLimitError,
+)
 from .solutions import SetTheoreticSolution, validate_solution
 
 BRACE_OPERATIONS = ("circle_table", "lambda_table")
@@ -62,11 +67,8 @@ class BraceDocument:
             )
         group = make_group(self.invariant_factors)
         if self.operation == "circle_table":
-            rows = map(bytes, self.table)
-        else:
-            add = group.add_rows()
-            rows = (bytes(add[a][v] for v in row) for a, row in enumerate(self.table))
-        return validate_brace(group, rows)
+            return validate_brace(group, _bytes_or_given(self.table))
+        return validate_brace(group, _circle_rows(group, self.table))
 
 
 @dataclass(frozen=True)
@@ -85,10 +87,41 @@ class SolutionDocument:
             raise ResourceLimitError(
                 f"solution size {self.size} above configured bound {max_size}"
             )
-        validate_solution(self.size, map(bytes, self.sigma), map(bytes, self.tau))
+        validate_solution(self.size, _bytes_or_given(self.sigma), _bytes_or_given(self.tau))
         # the solution keeps the document's rows, not a second copy of each table
         sigma, tau = (tuple(map(tuple, rows)) for rows in (self.sigma, self.tau))
         return SetTheoreticSolution(self.size, sigma, tau)
+
+
+def _bytes_or_given(rows):
+    """Each row as bytes for a validator, or as given where bytes() refuses
+    an entry (a hand-built document's), so the validator names it.  Lazy,
+    so the validator refuses an order above MAX_TABLE_ORDER first."""
+    for row in rows:
+        try:
+            yield bytes(row)
+        except (TypeError, ValueError):
+            yield row
+
+
+def _circle_rows(group, lambdas) -> list[bytes]:
+    """The circle rows a o b = a + lambda_a(b) of a lambda table, whose
+    entries are checked to be in range first."""
+    n = group.order
+    add = group.add_rows()
+    rows = _byte_rows(lambdas, n) if len(lambdas) == n else None
+    if rows is None:
+        if len(lambdas) != n or any(len(row) != n for row in lambdas):
+            raise InvalidPresentationError(f"lambda table must be {n}x{n}")
+        for a, row in enumerate(lambdas):
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise InvalidPresentationError(
+                        f"lambda table entry [{a}][{b}] = {v!r} out of range"
+                    )
+        raise InternalCheckError("byte rows reject the lambda table, but every entry passes")
+    pad = bytes(MAX_TABLE_ORDER - n)
+    return [lam.translate(bytes(add[a]) + pad) for a, lam in enumerate(rows)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ checks that both routes agree.
 ``oracle_sylow_components`` is the split that induced and validated every
 Sylow component anew, even the whole brace when its order is a prime power
 and its factors form a chain; ``sylow_components`` returns such a brace as
-its own component.
+its own component.  Like ``oracle_retract_quotient``, it builds each brace
+through ``oracle_induced``, which validates a new object every time, where
+``LeftBrace._induced`` returns the live brace on an equal table.
 """
 
 import math
@@ -109,7 +111,7 @@ def oracle_sylow_components(brace):
                     raise InternalCheckError(
                         f"prime component not circle-closed at ({x}, {y})"
                     )
-        sub, relabel = brace._induced(members, local)
+        sub, relabel = oracle_induced(brace, members, local)
         to_parent = tuple(members[i] for i in invert_perm(relabel))
         out.append(SylowComponent(p, alpha, tuple(members), sub, to_parent))
     return out

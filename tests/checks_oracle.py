@@ -7,7 +7,9 @@ package must answer as it does on every input it is compared on:
   term pays a digit-arithmetic ``scale`` and each (a, b) pair rebuilds its
   e-sequence, so one brace costs O(n^4); the route it was replaced by,
   which scans the dotted expansion's Pascal recurrence for every (a, b, m)
-  in O(n^3), is kept too, for orders where O(n^4) is too slow;
+  in O(n^3), is kept too, for orders where O(n^4) is too slow; so is the
+  lambda row walk as it first ran, to m = n for every a, where the package
+  stops each walk at the circle order of a;
 - the brace and solution validators check every law on every triple and
   raise the same exception class, message and witness as the package;
 - adjoint nilpotency is decided by the lower central series, and
@@ -28,15 +30,16 @@ needed them.
 
 import math
 
-from bracelab.abelian import closure, invert_perm, is_permutation
-from bracelab.brace import LeftBrace
-from bracelab.checks import FAIL, PASS, _prime_power, _report
+from bracelab.abelian import MAX_TABLE_ORDER, closure, invert_perm, is_permutation
+from bracelab.brace import LeftBrace, _nonadditive_generators
+from bracelab.checks import FAIL, PASS, _prime_power, _report, _scan_dotted_expansion
 from bracelab.errors import (
     BraidRelationError,
     CircleAssociativityError,
     CircleIdentityError,
     CircleInverseError,
     CompatibilityError,
+    InternalCheckError,
     InvalidPresentationError,
     InvolutivityError,
     NonDegeneracyError,
@@ -77,6 +80,62 @@ def recurrence_power_identities(brace, subject: str = ""):
             yield acc
 
     return _power_identities(brace, subject, recurrence)
+
+
+def full_walk_power_identities(brace, subject: str = ""):
+    """check_power_identities with every lambda row walk run to m = n, and
+    each circle order found by a second walk."""
+    name = "power-identities"
+    n = brace.order
+    add = brace.additive.add_rows()
+    dot = brace.dot_table
+    prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
+    pad = bytes(MAX_TABLE_ORDER - n)
+    lambdas = brace._lambda_rows
+    identity = bytes(range(n))
+
+    nonadditive = _nonadditive_generators(brace.additive, lambdas)
+    for a, (lam, bad_generator) in enumerate(zip(lambdas, nonadditive)):
+        powers = [0]
+        row = brace.circle_table[a]
+        for _ in range(n):
+            powers.append(row[powers[-1]])
+        additive = bad_generator is None
+        if additive:
+            lam_lookup = lam + pad
+            walk = identity
+            for m in range(1, n + 1):
+                walk = walk.translate(lam_lookup)
+                power = powers[m]
+                if add[a][lam[powers[m - 1]]] != power or walk != lambdas[power]:
+                    break
+            else:
+                continue
+        failure = _scan_dotted_expansion(add, dot, a, powers, prime_power_m)
+        if failure is not None:
+            witness, note = failure
+            return _report(name, subject, FAIL, witness=witness, notes=(note,))
+        if additive:
+            raise InternalCheckError(f"row walk of lambda_{a} fails, but the scan passes")
+
+    additive_prime = [None] * n
+    for component in brace.sylow_components():
+        for b in component.members[1:]:
+            additive_prime[b] = component.prime
+    for a in range(n):
+        pa = _prime_power(brace.circle_order(a))
+        if pa is None and a != 0:
+            continue
+        for b in range(n):
+            q = additive_prime[b]
+            if q is None or (pa is not None and pa[0] == q):
+                continue
+            if dot[a][dot[a][b]] == 0 and dot[a][b] != 0:
+                return _report(
+                    name, subject, FAIL, witness=(a, b),
+                    notes=("square kill without product kill across primes",),
+                )
+    return _report(name, subject, PASS)
 
 
 def _power_identities(brace, subject, expansions):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bracelab.brace as brace_module
 from bracelab.abelian import make_group
-from bracelab.brace import LeftBrace, sylow_decompose, validate_brace
+from bracelab.brace import LeftBrace, SylowComponent, sylow_decompose, validate_brace
 from bracelab.census import are_isomorphic, enumerate_braces
 from bracelab.errors import (
     CircleAssociativityError,
@@ -257,8 +258,6 @@ class TestInvariantMemo:
         )
 
     def test_computed_once(self, census, monkeypatch):
-        import bracelab.brace as brace_module
-
         calls = []
         real = brace_module.is_nilpotent_group
 
@@ -292,6 +291,126 @@ class TestInvariantMemo:
             ref = weakref.ref(brace)
             del brace
             assert ref() is None
+        finally:
+            gc.enable()
+
+
+def derived_braces(brace):
+    """Every brace reachable from brace through its cached invariants: the
+    retraction tower and the Sylow components, theirs included."""
+    seen, stack = [], [brace]
+    while stack:
+        b = stack.pop()
+        if any(b is s for s in seen):
+            continue
+        seen.append(b)
+        for value in b.__dict__.values():
+            if isinstance(value, LeftBrace):
+                stack.append(value)
+            elif isinstance(value, tuple):
+                stack.extend(c.brace for c in value if isinstance(c, SylowComponent))
+    return seen
+
+
+class TestInternedDerivedBraces:
+    """A quotient, Sylow component or canonical form is the one live brace
+    on its factors and circle table, validated when it was first built."""
+
+    @staticmethod
+    def fresh(brace):
+        return validate_brace(brace.additive, brace.circle_table)
+
+    @pytest.fixture
+    def interned(self, monkeypatch):
+        """An empty intern table, and the tables validate_brace checks."""
+        monkeypatch.setattr(brace_module, "_INDUCED", weakref.WeakValueDictionary())
+        validated = []
+        real = brace_module.validate_brace
+
+        def counting(group, table):
+            validated.append(group.order)
+            return real(group, table)
+
+        monkeypatch.setattr(brace_module, "validate_brace", counting)
+        return validated
+
+    def test_equal_quotient_tables_are_one_object(self, census, interned):
+        by_table = {}
+        for order in range(2, 13):
+            for brace in census(order).classes:
+                parent = self.fresh(brace)
+                # a chain-form brace of prime-power order is its own component
+                for derived in [parent.retract_quotient()] + sylow_decompose(parent):
+                    if derived is parent:
+                        continue
+                    key = derived.additive.factors, derived.circle_table
+                    assert by_table.setdefault(key, derived) is derived
+        quotients = {}
+        for brace in census(8).classes:
+            quotient = self.fresh(brace).retract_quotient()
+            key = quotient.additive.factors, quotient.circle_table
+            quotients.setdefault(key, []).append(quotient)
+        # the 27 classes of order 8 have 8 quotient tables: (order, parents)
+        assert sorted((len(group[0].circle_table), len(group)) for group in quotients.values()) == [
+            (1, 3), (2, 11), (4, 1), (4, 1), (4, 2), (4, 7), (8, 1), (8, 1)
+        ]
+        assert all(q is group[0] for group in quotients.values() for q in group)
+
+    def test_an_equal_table_is_validated_once(self, census, interned):
+        brace = census(24).entries[6].brace
+        first, second = self.fresh(brace), self.fresh(brace)
+        interned.clear()
+        assert first.multipermutation_level() is None
+        built = list(interned)
+        assert built
+        assert second.multipermutation_level() is None
+        assert interned == built
+        assert second.retract_quotient() is first.retract_quotient()
+        assert [c.brace for c in second.sylow_components()] == [
+            c.brace for c in first.sylow_components()
+        ]
+        assert all(
+            a is b for a, b in zip(sylow_decompose(first), sylow_decompose(second))
+        )
+
+    @pytest.mark.parametrize(
+        "order",
+        [n if n != 16 else pytest.param(16, marks=pytest.mark.slow) for n in range(1, 25)],
+    )
+    def test_no_brace_caches_itself(self, census, order):
+        zero_socle_quotients = 0
+        for brace in census(order).classes:
+            parent = self.fresh(brace)
+            parent.multipermutation_level()
+            for comp in parent.sylow_components():
+                comp.brace.multipermutation_level()
+            for b in derived_braces(parent):
+                assert all(v is not b for v in b.__dict__.values())
+                assert all(c.brace is not b for c in b.__dict__.get("_sylow_components", ()))
+                if b is not parent and b.order > 1 and b.socle().is_zero():
+                    assert b.retract_quotient() is b
+                    zero_socle_quotients += 1
+        # classes of orders 16 and 24 whose tower, or at 24 whose Sylow
+        # 2-component, stalls at an order-8 brace with zero socle
+        assert (zero_socle_quotients > 0) == (order in (16, 24))
+
+    def test_quotient_dies_with_its_parent(self, census, interned):
+        # class 6 of order 24 retracts to an order-8 brace with zero socle,
+        # which is also its Sylow 2-component
+        brace = census(24).entries[6].brace
+        gc.disable()
+        try:
+            parent = self.fresh(brace)
+            parent.multipermutation_level()
+            parent.sylow_components()
+            quotient = parent.retract_quotient()
+            assert quotient.order == 8 and quotient.retract_quotient() is quotient
+            assert any(c.brace is quotient for c in parent.sylow_components())
+            refs = [weakref.ref(b) for b in derived_braces(parent)]
+            assert len(refs) == 3
+            del quotient, parent
+            assert [ref() for ref in refs] == [None] * 3
+            assert len(brace_module._INDUCED) == 0
         finally:
             gc.enable()
 

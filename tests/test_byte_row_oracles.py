@@ -8,6 +8,9 @@ products of the file benchmark's op lists for seeds 1-3, whose wreath
 products act by translation on the top; dot tables corrupted by
 with_dot_entries; socles and solutions forced to be wrong; and random
 tables with a two-sided identity and inverses, mostly non-associative.
+The retraction towers, Sylow components and canonical forms, which share
+one live brace per table, are compared with the oracles' braces, each
+validated anew, on the census classes and the products.
 """
 
 import hashlib
@@ -144,6 +147,47 @@ def assert_kernels_agree(brace, checked_induced):
 def test_census_classes(census, order, checked_induced):
     for brace in census(order).classes:
         assert_kernels_agree(brace, checked_induced)
+
+
+def assert_derived_braces_agree(brace):
+    """The retraction tower, the Sylow components with their towers, and
+    the canonical form, each equal to the brace the oracles validate anew."""
+
+    def towers_agree(subject, oracle):
+        level = 0
+        while subject.order > 1 and not subject.socle().is_zero():
+            subject, oracle = subject.retract_quotient(), oracle_retract_quotient(oracle)
+            assert subject == oracle
+            level += 1
+        if subject.order > 1:
+            # a zero socle: the quotient is the stage again, on canonical factors
+            assert subject.retract_quotient() == oracle_retract_quotient(oracle)
+            level = None
+        return level
+
+    subject = fresh(brace)
+    assert towers_agree(subject, fresh(brace)) == subject.multipermutation_level()
+    components = subject.sylow_components()
+    assert components == oracle_sylow_components(fresh(brace))
+    for comp in components:
+        assert towers_agree(comp.brace, fresh(comp.brace)) == comp.brace.multipermutation_level()
+    if brace_module._is_chain(brace.additive.factors):
+        assert subject.canonical_form() is subject
+    else:
+        n = brace.order
+        assert subject.canonical_form() == oracle_induced(brace, range(n), range(n))[0]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_derived_census_braces_equal_the_oracles(census, order):
+    for brace in census(order).classes:
+        assert_derived_braces_agree(brace)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_derived_product_braces_equal_the_oracles(census, seed):
+    for op in file_ops(census, seed):
+        assert_derived_braces_agree(build(op))
 
 
 @pytest.mark.parametrize("order", [25, 27, 49])

@@ -37,6 +37,7 @@ from bracelab.checks import (
 from bracelab.errors import InternalCheckError, ResourceLimitError
 from bracelab.products import semidirect, wreath
 from checks_oracle import (
+    full_walk_power_identities,
     oracle_cyclic_square_zero,
     oracle_nilpotency_equivalence,
     oracle_power_identities,
@@ -276,11 +277,18 @@ class TestPowerIdentityDrills:
             # dot row 1 becomes x -> 2x, so lambda_1 = 3x stays additive and
             # the row walk decides: 1 o 1 = 2, but 2.1 + 1 . 1 = 0
             (4, {(1, 1): 2, (1, 3): 2}, (1, 2), "circle power binomial expansion fails"),
+            # dot row 0 becomes x -> x, so lambda_0 = 2x is additive but not
+            # the identity: its walk passes at m = ord(0) = 1 and fails at
+            # m = 2, where (0 o 0) . 1 = 0 . 1 = 1, but its expansion
+            # 2(0 . 1) + 0 . (0 . 1) is 3
+            (5, {(0, b): b for b in range(5)}, (0, 1, 2), "dotted binomial expansion fails"),
         ],
     )
     def test_expansion_notes(self, order, entries, witness, note):
         brace = with_dot_entries(LeftBrace.trivial(make_group((order,))), entries)
-        for checker in (check_power_identities, oracle_power_identities):
+        for checker in (
+            check_power_identities, full_walk_power_identities, oracle_power_identities
+        ):
             report = checker(brace)
             assert report.verdict == FAIL
             assert report.witness == witness
@@ -296,7 +304,9 @@ class TestPowerIdentityDrills:
         brace = with_dot_entries(
             LeftBrace(genuine.additive, genuine.circle_table), {(1, 2): 3, (1, 5): 0}
         )
-        for checker in (check_power_identities, oracle_power_identities):
+        for checker in (
+            check_power_identities, full_walk_power_identities, oracle_power_identities
+        ):
             report = checker(brace)
             assert report.verdict == FAIL
             assert report.witness == (1, 2)
@@ -311,6 +321,7 @@ class TestPowerIdentityDrills:
         assert [(x + brace.dot_table[0][x]) % 4 for x in range(4)] == [0, 3, 2, 1]
         report = check_power_identities(brace)
         assert report == oracle_power_identities(brace)
+        assert report == full_walk_power_identities(brace)
         assert report.verdict == FAIL
         assert report.witness == (0, 1, 2)
         assert report.notes == ("vanishing equivalence fails at a prime power",)
@@ -333,6 +344,7 @@ class TestPowerIdentityDrills:
             )
             report = check_power_identities(brace)
             assert report == recurrence_power_identities(brace), entries
+            assert report == full_walk_power_identities(brace), entries
             add, dot = genuine.additive.add_rows(), brace.dot_table
             if all(
                 dot[a][add[x][y]] == add[dot[a][x]][dot[a][y]]
@@ -377,6 +389,21 @@ def products_48_to_64():
         semidirect(six[1], eight[18]),
         wreath(two[0], four[3]),
     ]
+
+
+class TestPowerWalkToOrder:
+    """The row walk stopped at each element's circle order against the walk
+    to m = n that it replaced."""
+
+    @pytest.mark.parametrize(
+        "order", [n if n != 16 else pytest.param(16, marks=pytest.mark.slow) for n in range(1, 25)]
+    )
+    def test_census_classes(self, census, order):
+        for idx, entry in enumerate(census(order).entries):
+            subject = f"{order}:{idx}"
+            report = check_power_identities(entry.brace, subject)
+            assert report == full_walk_power_identities(entry.brace, subject)
+            assert report.verdict == PASS
 
 
 class TestPowerIdentityRows:

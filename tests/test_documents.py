@@ -33,6 +33,7 @@ from bracelab.census import enumerate_braces
 from bracelab.errors import (
     BraceValidationError,
     InternalCheckError,
+    InvalidPresentationError,
     ResourceLimitError,
     SolutionValidationError,
 )
@@ -435,6 +436,43 @@ class TestLongValuesInMessages:
         with pytest.raises(DocumentError) as info:
             parse_brace_document(json.dumps({"type": value}))
         assert str(info.value) == f"field 'type' must be 'brace', got {quoted}"
+
+
+class TestHandBuiltDocuments:
+    """Documents built in Python rather than parsed: the readers name a bad
+    entry as the validators do, not by the error bytes() raises on it."""
+
+    @pytest.mark.parametrize(
+        "operation, table, message",
+        [
+            ("circle_table", ((0, -1), (1, 0)), "circle table entry [0][1] = -1 out of range"),
+            ("circle_table", ((0, 1.0), (1, 0)), "circle table entry [0][1] = 1.0 out of range"),
+            ("circle_table", ((0, 1), (300, 0)), "circle table entry [1][0] = 300 out of range"),
+            ("lambda_table", ((0, 7), (1, 0)), "lambda table entry [0][1] = 7 out of range"),
+            # a negative entry would index the addition row from its end
+            ("lambda_table", ((0, 1), (-1, 1)), "lambda table entry [1][0] = -1 out of range"),
+            ("lambda_table", ((0, 1), (0, "1")), "lambda table entry [1][1] = '1' out of range"),
+            ("lambda_table", ((0, 1),), "lambda table must be 2x2"),
+        ],
+    )
+    def test_brace_entries(self, operation, table, message):
+        doc = BraceDocument(2, (2,), operation, table)
+        with pytest.raises(InvalidPresentationError) as info:
+            doc.to_brace()
+        assert str(info.value) == message
+
+    def test_lambda_table_reads_as_the_circle_table(self, census):
+        for brace in census(8).classes:
+            doc = doc_of(brace, "lambda_table")
+            hand = BraceDocument(doc.order, doc.invariant_factors, doc.operation, doc.table)
+            assert hand.to_brace() == brace
+
+    @pytest.mark.parametrize("entry", [300, -1, 1.0])
+    def test_solution_entries(self, entry):
+        doc = SolutionDocument(2, ((0, entry), (0, 1)), ((0, 0), (1, 1)))
+        with pytest.raises(InvalidPresentationError) as info:
+            doc.to_solution()
+        assert str(info.value) == f"sigma row 0 has out-of-range entry {entry!r}"
 
 
 class Level(enum.IntEnum):

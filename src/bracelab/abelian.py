@@ -43,6 +43,15 @@ def int_name(n: int) -> str:
     return "-" * (n < 0) + f"<{n.bit_length()}-bit integer>"
 
 
+def quote(value) -> str:
+    """A value for a message: a plain int, or any int past 64 bits, by
+    int_name; else its repr, or for a long repr its type and any length."""
+    big = isinstance(value, int) and value.bit_length() > 64
+    text = int_name(value) if big or type(value) is int else repr(value)
+    length = f" of length {len(value)}" if hasattr(value, "__len__") else ""
+    return text if len(text) <= 80 else f"a {type(value).__name__}{length}"
+
+
 def check_table_order(order: int) -> None:
     if order > MAX_TABLE_ORDER:
         raise ResourceLimitError(
@@ -65,6 +74,24 @@ def _byte_rows(rows, size: int) -> list[bytes] | None:
     if any(len(row) != size for row in out) or b"".join(out).translate(None, bytes(range(size))):
         return None
     return out
+
+
+def square_byte_rows(table, n: int, name: str) -> list[bytes]:
+    """The n x n table as byte rows.  Else InvalidPresentationError names
+    its shape or its first entry, in row order, that is not an int in
+    range(n); the entries are scanned only when the byte rows reject."""
+    if len(table) != n or any(len(row) != n for row in table):
+        raise InvalidPresentationError(f"{name} must be {n}x{n}")
+    rows = _byte_rows(table, n)
+    if rows is None:
+        for a, row in enumerate(table):
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    raise InvalidPresentationError(
+                        f"{name} entry [{a}][{b}] = {quote(v)} out of range"
+                    )
+        raise InternalCheckError(f"byte rows reject the {name}, but every entry passes")
+    return rows
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -219,12 +246,8 @@ def closure(degree: int, generators) -> PermutationGroup:
 
 
 def is_nilpotent_group(group: PermutationGroup) -> bool:
-    """Nilpotent iff, for each prime p, the p-elements number |G|_p.
-
-    The elements of p-power order fill exactly |G|_p places when the Sylow
-    p-subgroup is normal, and more when there are several; a finite group
-    is nilpotent iff every Sylow subgroup is normal.
-    """
+    """Whether the group is nilpotent, by nilpotent_by_orders on the orders
+    of its elements, each found by composing byte rows."""
     check_table_order(group.degree)
     ident = bytes(range(group.degree))
     pad = bytes(MAX_TABLE_ORDER - group.degree)
@@ -235,7 +258,18 @@ def is_nilpotent_group(group: PermutationGroup) -> bool:
         while acc != ident:
             acc, k = acc.translate(lookup), k + 1
         orders.append(k)
-    for p, a in prime_factorization(group.order).items():
+    return nilpotent_by_orders(orders)
+
+
+def nilpotent_by_orders(orders) -> bool:
+    """Whether a finite group is nilpotent, given the order of each element.
+
+    Nilpotent iff, for each prime p, the p-elements number |G|_p: they
+    fill exactly |G|_p places when the Sylow p-subgroup is normal, and more
+    when there are several; a finite group is nilpotent iff every Sylow
+    subgroup is normal.
+    """
+    for p, a in prime_factorization(len(orders)).items():
         pa = p**a
         if sum(1 for k in orders if pa % k == 0) != pa:
             return False

@@ -19,15 +19,15 @@ from .abelian import (
     FiniteAbelianGroup,
     Perm,
     PermutationGroup,
-    _byte_rows,
     abelian_structure,
     additive_closure,
     check_table_order,
     invert_perm,
-    is_nilpotent_group,
     make_group,
     multiples_of,
+    nilpotent_by_orders,
     primary_components,
+    square_byte_rows,
 )
 from .errors import (
     CircleAssociativityError,
@@ -35,7 +35,6 @@ from .errors import (
     CircleInverseError,
     CompatibilityError,
     InternalCheckError,
-    InvalidPresentationError,
 )
 from .numutil import prime_factorization
 
@@ -83,33 +82,34 @@ class LeftBrace:
         return self.dot_table[a][b]
 
     @cached_property
-    def _circle_inverses(self) -> tuple[int, ...]:
-        out = [0] * self.order
+    def _circle_cycles(self) -> tuple[bytes, ...]:
+        """For each a, its circle powers 0, a, a o a, ... up to its circle
+        order, exclusive: the only walk of circle powers.  Row a is walked
+        at most order steps; a table on which it never returns to 0 raises
+        InternalCheckError, as no group table allows that."""
+        n, out = self.order, []
         for a, row in enumerate(self.circle_table):
-            out[a] = row.index(0)
+            cycle, acc = [0], a
+            while acc != 0:
+                if len(cycle) == n:
+                    raise InternalCheckError(f"element {a} has no circle order in the table")
+                cycle.append(acc)
+                acc = row[acc]
+            out.append(bytes(cycle))
         return tuple(out)
 
     def circle_inverse(self, a: int) -> int:
-        return self._circle_inverses[a]
+        return self._circle_cycles[a][-1]
 
     def circle_power(self, a: int, n: int) -> int:
         """n-fold circle product of a; the empty product is 0."""
         if n < 0:
             raise ValueError(f"circle power needs n >= 0, got {n}")
-        acc = 0
-        row = self.circle_table[a]
-        for _ in range(n):
-            acc = row[acc]
-        return acc
+        cycle = self._circle_cycles[a]
+        return cycle[n % len(cycle)]
 
     def circle_order(self, a: int) -> int:
-        k = 1
-        acc = a
-        row = self.circle_table[a]
-        while acc != 0:
-            acc = row[acc]
-            k += 1
-        return k
+        return len(self._circle_cycles[a])
 
     def lambda_row(self, a: int) -> Perm:
         """The additive automorphism b -> a o b - a."""
@@ -129,7 +129,7 @@ class LeftBrace:
         return PermutationGroup(self.order, frozenset(self.circle_table))
 
     def adjoint_order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.circle_order(a) for a in range(self.order)))
+        return tuple(sorted(map(len, self._circle_cycles)))
 
     def socle(self) -> "BraceSubset":
         """Elements whose dot product with everything vanishes.
@@ -155,11 +155,10 @@ class LeftBrace:
                     raise InternalCheckError(
                         f"socle not additively closed at ({s}, {t})"
                     )
-        inv = self._circle_inverses
-        for a, lam in enumerate(self._lambda_rows):
+        for a, (lam, cycle) in enumerate(zip(self._lambda_rows, self._circle_cycles)):
             arow = self.circle_table[a]
             for s in members:
-                if self.circle_table[arow[s]][inv[a]] not in members:
+                if self.circle_table[arow[s]][cycle[-1]] not in members:
                     raise InternalCheckError(
                         f"socle not normal in the circle group at ({a}, {s})"
                     )
@@ -374,7 +373,8 @@ class LeftBrace:
         steps = self._left_power_steps
         left_nil_index = None if None in steps else max(steps)
 
-        adjoint_nilpotent = is_nilpotent_group(self.adjoint_group())
+        # the circle orders are the element orders of the circle group
+        adjoint_nilpotent = nilpotent_by_orders(list(map(len, self._circle_cycles)))
 
         ring_nilpotent: bool | None = None
         if two_sided:
@@ -456,19 +456,7 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     n = group.order
     check_table_order(n)
     table = [row if isinstance(row, bytes) else tuple(row) for row in circle_table]
-    if len(table) != n or any(len(row) != n for row in table):
-        raise InvalidPresentationError(
-            f"circle table must be {n}x{n}"
-        )
-    rows = _byte_rows(table, n)
-    if rows is None:
-        for a, row in enumerate(table):
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise InvalidPresentationError(
-                        f"circle table entry [{a}][{b}] = {v!r} out of range"
-                    )
-        raise InternalCheckError("byte rows reject the table, but every entry passes")
+    rows = square_byte_rows(table, n, "circle table")
 
     for b in range(n):
         if table[0][b] != b:

@@ -65,9 +65,11 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
     if len(components) < 2:
         return _report(name, subject, HYPOTHESIS_NOT_MET, notes=("single prime",))
     dot = brace.dot_table
+    cycles = brace._circle_cycles
     notes = []
     for left in components:
         p, n_exp = left.prime, left.exponent
+        left_members = frozenset(left.members)
         for right in components:
             if right.prime == p:
                 continue
@@ -83,21 +85,21 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
                     ),
                 )
             pk = p**k
-            powers = [brace.circle_power(a, pk) for a in range(brace.order)]
-            for a in left.members:
-                apk = powers[a]
-                for b in right.members:
-                    if dot[apk][b] != 0:
-                        note = (
-                            f"circle power p^{k} of {a} does not kill {b}" if k
-                            else f"p={p} divides no q^t-1 yet a.b != 0"
-                        )
-                        return _report(
-                            name, subject, FAIL, witness=(a, b), notes=(note,)
-                        )
-            literal = all(
-                dot[apk][b] == 0 for apk in powers for b in right.members
-            )
+            # one pass over every a: a left member names the first witness,
+            # any other a only settles the literal quantification
+            literal = True
+            for a, cycle in enumerate(cycles):
+                apk_row = dot[cycle[pk % len(cycle)]]
+                b = next((b for b in right.members if apk_row[b] != 0), None)
+                if b is not None and a in left_members:
+                    note = (
+                        f"circle power p^{k} of {a} does not kill {b}" if k
+                        else f"p={p} divides no q^t-1 yet a.b != 0"
+                    )
+                    return _report(
+                        name, subject, FAIL, witness=(a, b), notes=(note,)
+                    )
+                literal = literal and b is None
             notes.append(
                 f"p={p},q={q}: literal all-elements quantification"
                 f" {'holds' if literal else 'fails'}"
@@ -297,16 +299,10 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     identity = bytes(range(n))
     periodic = lambdas[0] == identity
 
-    orders = []
+    cycles = brace._circle_cycles
     nonadditive = _nonadditive_generators(brace.additive, lambdas)
-    for a, (lam, bad_generator) in enumerate(zip(lambdas, nonadditive)):
-        # a^0, a^1, ... up to a^ord(a) = 0
-        cycle = [0, a]
-        row = brace.circle_table[a]
-        while cycle[-1] != 0:
-            cycle.append(row[cycle[-1]])
-        order = len(cycle) - 1
-        orders.append(order)
+    for a, (lam, bad_generator, cycle) in enumerate(zip(lambdas, nonadditive, cycles)):
+        order = len(cycle)
         additive = bad_generator is None
         if additive:
             lam_lookup = lam + pad
@@ -338,7 +334,7 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
         for b in component.members[1:]:  # members ascend from 0
             additive_prime[b] = component.prime
     for a in range(n):
-        pa = _prime_power(orders[a])
+        pa = _prime_power(len(cycles[a]))
         if pa is None and a != 0:
             continue
         drow = dot[a]

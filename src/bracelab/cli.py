@@ -15,14 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-from .abelian import check_table_order
+from .abelian import check_table_order, quote
 from .brace import LeftBrace
 from .census import check_census_order, enumerate_braces
 from .checks import FAIL, HYPOTHESIS_NOT_MET, PASS, run_census_checks
 from .documents import (
     BraceDocument,
     SolutionDocument,
-    _quote,
     parse_action_document,
     parse_brace_document,
     parse_solution_document,
@@ -63,7 +62,7 @@ def _env_bound(default: int | None) -> int | None:
     try:
         value = int(raw)
     except ValueError:
-        raise DocumentError(f"{ENV_MAX_ORDER} must be an integer, got {_quote(raw)}")
+        raise DocumentError(f"{ENV_MAX_ORDER} must be an integer, got {quote(raw)}")
     if value < 1:
         raise DocumentError(f"{ENV_MAX_ORDER} must be positive, got {value}")
     return value

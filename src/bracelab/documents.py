@@ -23,14 +23,9 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 
-from .abelian import MAX_TABLE_ORDER, _byte_rows, int_name, is_permutation, make_group
+from .abelian import MAX_TABLE_ORDER, int_name, is_permutation, make_group, quote, square_byte_rows
 from .brace import LeftBrace, validate_brace
-from .errors import (
-    DocumentError,
-    InternalCheckError,
-    InvalidPresentationError,
-    ResourceLimitError,
-)
+from .errors import DocumentError, InternalCheckError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
 
 BRACE_OPERATIONS = ("circle_table", "lambda_table")
@@ -109,17 +104,7 @@ def _circle_rows(group, lambdas) -> list[bytes]:
     entries are checked to be in range first."""
     n = group.order
     add = group.add_rows()
-    rows = _byte_rows(lambdas, n) if len(lambdas) == n else None
-    if rows is None:
-        if len(lambdas) != n or any(len(row) != n for row in lambdas):
-            raise InvalidPresentationError(f"lambda table must be {n}x{n}")
-        for a, row in enumerate(lambdas):
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise InvalidPresentationError(
-                        f"lambda table entry [{a}][{b}] = {v!r} out of range"
-                    )
-        raise InternalCheckError("byte rows reject the lambda table, but every entry passes")
+    rows = square_byte_rows(lambdas, n, "lambda table")
     pad = bytes(MAX_TABLE_ORDER - n)
     return [lam.translate(bytes(add[a]) + pad) for a, lam in enumerate(rows)]
 
@@ -147,23 +132,17 @@ def _load(text: str) -> dict:
     return payload
 
 
-def _quote(value) -> str:
-    """A value for a message: its repr, an int by int_name, a long value by type."""
-    text = int_name(value) if type(value) is int else repr(value)
-    return text if len(text) <= 80 else f"a {type(value).__name__} of length {len(value)}"
-
-
 def _expect_type(payload: dict, kind: str) -> None:
     value = payload.get("type")
     if value != kind:
-        raise DocumentError(f"field 'type' must be {kind!r}, got {_quote(value)}")
+        raise DocumentError(f"field 'type' must be {kind!r}, got {quote(value)}")
 
 
 def _get_int(payload: dict, field: str, minimum: int = 0) -> int:
     value = payload.get(field)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise DocumentError(
-            f"field {field!r} must be an integer >= {minimum}, got {_quote(value)}"
+            f"field {field!r} must be an integer >= {minimum}, got {quote(value)}"
         )
     return value
 
@@ -195,7 +174,7 @@ def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tu
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < limit:
                 raise DocumentError(
-                    f"field {field!r} row {i} has out-of-range entry {_quote(v)}"
+                    f"field {field!r} row {i} has out-of-range entry {quote(v)}"
                 )
     raise InternalCheckError(
         f"field {field!r} fails the row test, but every entry passes"
@@ -259,7 +238,7 @@ def parse_brace_document(text: str) -> BraceDocument:
     operation = payload.get("operation")
     if operation not in BRACE_OPERATIONS:
         raise DocumentError(
-            f"field 'operation' must be one of {BRACE_OPERATIONS}, got {_quote(operation)}"
+            f"field 'operation' must be one of {BRACE_OPERATIONS}, got {quote(operation)}"
         )
     table = _get_rows(payload, "table", order, order, order)
     return BraceDocument(order, tuple(factors), operation, table)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, is_permutation
+from .abelian import MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, is_permutation, quote
 from .brace import LeftBrace
 from .errors import (
     BraidRelationError,
@@ -110,7 +110,7 @@ def _scan_entries(sol: SetTheoreticSolution) -> None:
             for v in row:
                 if not isinstance(v, int) or not 0 <= v < size:
                     raise InvalidPresentationError(
-                        f"{name} row {x} has out-of-range entry {v!r}"
+                        f"{name} row {x} has out-of-range entry {quote(v)}"
                     )
 
     for name, rows in (("sigma", sol.sigma), ("tau", sol.tau)):

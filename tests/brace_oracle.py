@@ -11,6 +11,14 @@ generators from a left closure.  The functions here do the same jobs one
 entry at a time, as the package once did.  tests/test_byte_row_oracles.py
 checks that both routes agree.
 
+Circle powers, orders and inverses, and ``classify``'s adjoint nilpotency,
+are read off one cached table of circle powers per brace,
+``LeftBrace._circle_cycles``.  ``oracle_circle_power`` and
+``oracle_circle_order`` are the step-by-step walks of circle row a that
+each of them once made, ``oracle_circle_inverse`` the search of row a for
+0, and ``oracle_classify`` decides adjoint nilpotency on the circle group
+itself.
+
 ``oracle_sylow_components`` is the split that induced and validated every
 Sylow component anew, even the whole brace when its order is a prime power
 and its factors form a chain; ``sylow_components`` returns such a brace as
@@ -38,6 +46,31 @@ from bracelab.brace import (
 )
 from bracelab.errors import InternalCheckError
 from bracelab.numutil import prime_factorization
+
+
+def oracle_circle_power(brace, a, n):
+    """n-fold circle product of a, one step of row a at a time."""
+    acc = 0
+    row = brace.circle_table[a]
+    for _ in range(n):
+        acc = row[acc]
+    return acc
+
+
+def oracle_circle_order(brace, a):
+    """Steps of row a from a back to 0, plus one."""
+    k = 1
+    acc = a
+    row = brace.circle_table[a]
+    while acc != 0:
+        acc = row[acc]
+        k += 1
+    return k
+
+
+def oracle_circle_inverse(brace, a):
+    """The b with a o b = 0."""
+    return brace.circle_table[a].index(0)
 
 
 def oracle_dot_table(brace):

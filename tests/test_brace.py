@@ -28,6 +28,17 @@ from checks_oracle import e_combination, e_sequence, left_power
 from conftest import cyclic_brace, with_dot_entries
 
 
+class LongRepr:
+    """An entry with a long repr and no length."""
+
+    def __repr__(self):
+        return "x" * 100
+
+
+class Int(int):
+    pass
+
+
 class TestValidation:
     def test_trivial_brace_is_valid(self):
         group = make_group((6,))
@@ -40,6 +51,22 @@ class TestValidation:
             validate_brace(group, ((0, 1), (1, 2), (2, 0)))
         with pytest.raises(InvalidPresentationError):
             validate_brace(group, ((0, 1, 5), (1, 2, 0), (2, 0, 1)))
+
+    @pytest.mark.parametrize(
+        "entry, quoted",
+        [
+            (10**5000, "<16610-bit integer>"),
+            (Int(10**5000), "<16610-bit integer>"),
+            (LongRepr(), "a LongRepr"),
+        ],
+        ids=["past-str-digit-limit", "int-subclass-past-str-digit-limit", "long-repr"],
+    )
+    def test_entry_named_whatever_its_size(self, entry, quoted):
+        # the decimal form of 10**5000 passes the interpreter's digit limit
+        # for int-to-str conversion, so repr() would raise ValueError
+        with pytest.raises(InvalidPresentationError) as info:
+            validate_brace(make_group((2,)), [[0, entry], [1, 0]])
+        assert str(info.value) == f"circle table entry [0][1] = {quoted} out of range"
 
     def test_identity_failure(self):
         with pytest.raises(CircleIdentityError):
@@ -155,6 +182,24 @@ class TestB4Frozen:
         assert traits.ring_nilpotent is True
 
 
+class TestCircleCycles:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda brace: brace.circle_order(1),
+            lambda brace: brace.circle_power(1, 2),
+            lambda brace: brace.adjoint_order_profile(),
+        ],
+        ids=["circle_order", "circle_power", "adjoint_order_profile"],
+    )
+    def test_circle_walk_is_bounded(self, call):
+        # built without validation: row 1 walks 1, 2, 2, ... and never
+        # returns to 0, so a walk without a bound would not end
+        brace = LeftBrace(make_group((3,)), ((0, 1, 2), (1, 2, 2), (2, 0, 1)))
+        with pytest.raises(InternalCheckError, match="element 1 has no circle order"):
+            call(brace)
+
+
 class TestTrivialBrace:
     def test_invariants(self, triv6):
         assert triv6.socle().members == frozenset(range(6))
@@ -258,14 +303,16 @@ class TestInvariantMemo:
         )
 
     def test_computed_once(self, census, monkeypatch):
+        # classify decides adjoint nilpotency by the shared count over the
+        # circle orders, once per brace
         calls = []
-        real = brace_module.is_nilpotent_group
+        real = brace_module.nilpotent_by_orders
 
-        def counting(group):
-            calls.append(group.degree)
-            return real(group)
+        def counting(orders):
+            calls.append(len(orders))
+            return real(orders)
 
-        monkeypatch.setattr(brace_module, "is_nilpotent_group", counting)
+        monkeypatch.setattr(brace_module, "nilpotent_by_orders", counting)
         brace = self.fresh(census, 12, 0)
         first = self.all_invariants(brace)
         second = self.all_invariants(brace)

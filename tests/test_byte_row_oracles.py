@@ -8,6 +8,8 @@ products of the file benchmark's op lists for seeds 1-3, whose wreath
 products act by translation on the top; dot tables corrupted by
 with_dot_entries; socles and solutions forced to be wrong; and random
 tables with a two-sided identity and inverses, mostly non-associative.
+Circle powers, orders and inverses, read off the cycle table, are compared
+with the step-by-step walks on the census classes and the products.
 The retraction towers, Sylow components and canonical forms, which share
 one live brace per table, are compared with the oracles' braces, each
 validated anew, on the census classes and the products.
@@ -43,6 +45,9 @@ from bracelab.products import semidirect, wreath
 from bracelab.solutions import SetTheoreticSolution, from_brace, retract_solution
 from brace_oracle import (
     magma_generators,
+    oracle_circle_inverse,
+    oracle_circle_order,
+    oracle_circle_power,
     oracle_classify,
     oracle_dot_table,
     oracle_induced,
@@ -125,6 +130,17 @@ def assert_kernels_agree(brace, checked_induced):
     assert outcome(subject.classify) == outcome(oracle_classify, fresh(brace))
     group = subject.adjoint_group()
     assert is_nilpotent_group(group) == perm_order_is_nilpotent_group(group)
+    n = subject.order
+    for a in range(n):
+        # every power up to n covers each residue of m modulo the order
+        assert subject.circle_order(a) == oracle_circle_order(subject, a)
+        assert subject.circle_inverse(a) == oracle_circle_inverse(subject, a)
+        assert [subject.circle_power(a, m) for m in range(n + 1)] == [
+            oracle_circle_power(subject, a, m) for m in range(n + 1)
+        ]
+    assert subject.adjoint_order_profile() == tuple(
+        sorted(oracle_circle_order(subject, a) for a in range(n))
+    )
     rows = [bytes(row) for row in subject.circle_table]
     assert brace_module._brace_row_failure(subject.additive, rows) is None
     # in a group, the left closure of a set is the subgroup it generates

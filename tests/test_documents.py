@@ -453,6 +453,17 @@ class TestHandBuiltDocuments:
             ("lambda_table", ((0, 1), (-1, 1)), "lambda table entry [1][0] = -1 out of range"),
             ("lambda_table", ((0, 1), (0, "1")), "lambda table entry [1][1] = '1' out of range"),
             ("lambda_table", ((0, 1),), "lambda table must be 2x2"),
+            # past the interpreter's digit limit repr() raises ValueError
+            (
+                "circle_table",
+                ((0, 10**5000), (1, 0)),
+                "circle table entry [0][1] = <16610-bit integer> out of range",
+            ),
+            (
+                "lambda_table",
+                ((0, 10**5000), (1, 0)),
+                "lambda table entry [0][1] = <16610-bit integer> out of range",
+            ),
         ],
     )
     def test_brace_entries(self, operation, table, message):

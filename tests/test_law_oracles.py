@@ -298,6 +298,8 @@ def test_nilpotency_from_element_orders_agrees(products):
         group = brace.adjoint_group()
         verdict = is_nilpotent_group(group)
         assert verdict == oracle_is_nilpotent_group(group)
+        # classify reads the verdict off the circle orders, not the group
+        assert brace.classify().adjoint_nilpotent == verdict
         verdicts[verdict] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
 

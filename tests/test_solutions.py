@@ -101,6 +101,12 @@ class TestValidation:
                     oracle_validate_solution, 2, *tables
                 )
 
+    def test_entry_past_the_str_digit_limit(self):
+        flip = ((1, 0), (1, 0))
+        with pytest.raises(InvalidPresentationError) as info:
+            validate_solution(2, [[0, 10**5000], [1, 0]], flip)
+        assert str(info.value) == "sigma row 0 has out-of-range entry <16610-bit integer>"
+
     def test_degenerate_tau_that_inverts_sigma(self):
         # tau_y(x) = sigma_{sigma_x(y)}^-1(x) everywhere, yet tau_1 is no bijection
         sigma = ((0, 1, 2), (0, 1, 2), (0, 2, 1))

@@ -34,20 +34,14 @@ MAX_TABLE_ORDER = 256
 _GROUPS: dict[tuple[int, ...], FiniteAbelianGroup] = {}
 
 
-def int_name(n: int) -> str:
-    """n in decimal, or, past 64 bits, by its size: the decimal form of a
-    long integer may pass the interpreter's limit on int-to-str conversion,
-    and would fill a message."""
-    if n.bit_length() <= 64:
-        return str(n)
-    return "-" * (n < 0) + f"<{n.bit_length()}-bit integer>"
-
-
 def quote(value) -> str:
-    """A value for a message: a plain int, or any int past 64 bits, by
-    int_name; else its repr, or for a long repr its type and any length."""
-    big = isinstance(value, int) and value.bit_length() > 64
-    text = int_name(value) if big or type(value) is int else repr(value)
+    """A value for a message: an int in decimal, or past 64 bits by its
+    size, as the decimal form of a long integer may pass the interpreter's
+    limit on int-to-str conversion and would fill a message; any other
+    value by its repr, or for a long repr by its type and any length."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return "-" * (value < 0) + f"<{value.bit_length()}-bit integer>"
+    text = repr(value)
     length = f" of length {len(value)}" if hasattr(value, "__len__") else ""
     return text if len(text) <= 80 else f"a {type(value).__name__}{length}"
 
@@ -55,7 +49,7 @@ def quote(value) -> str:
 def check_table_order(order: int) -> None:
     if order > MAX_TABLE_ORDER:
         raise ResourceLimitError(
-            f"order {int_name(order)} above {MAX_TABLE_ORDER}, the largest order"
+            f"order {quote(order)} above {MAX_TABLE_ORDER}, the largest order"
             " whose tables fit in bytes"
         )
 
@@ -92,6 +86,26 @@ def square_byte_rows(table, n: int, name: str) -> list[bytes]:
                     )
         raise InternalCheckError(f"byte rows reject the {name}, but every entry passes")
     return rows
+
+
+def quotient_rows(rows, cls: bytes, reps: bytes) -> tuple[list[bytes], tuple[int, int] | None]:
+    """The table that rows induce on classes, given each element's class
+    cls and each class's least member reps: row i sends class j to the
+    class of rows[reps[i]][reps[j]].  Also the first (x, y), by x then y,
+    where the class of rows[x][y] is not induced row cls[x] at cls[y], or
+    None, when each product's class depends only on its factors' classes."""
+    pad = bytes(MAX_TABLE_ORDER - len(cls))
+    # for each x, y -> the class of rows[x][y]
+    mapped = [bytes(row).translate(cls + pad) for row in rows]
+    induced = [reps.translate(mapped[r] + pad) for r in reps]
+    # for each class i, y -> induced row i at the class of y
+    class_pad = bytes(MAX_TABLE_ORDER - len(reps))
+    expanded = [cls.translate(row + class_pad) for row in induced]
+    for x, row in enumerate(mapped):
+        want = expanded[cls[x]]
+        if row != want:
+            return induced, (x, next(y for y, (u, v) in enumerate(zip(row, want)) if u != v))
+    return induced, None
 
 
 def invert_perm(p: Perm) -> Perm:

@@ -27,6 +27,7 @@ from .abelian import (
     multiples_of,
     nilpotent_by_orders,
     primary_components,
+    quotient_rows,
     square_byte_rows,
 )
 from .errors import (
@@ -134,10 +135,11 @@ class LeftBrace:
     def socle(self) -> "BraceSubset":
         """Elements whose dot product with everything vanishes.
 
-        The result is verified to be an additive subgroup, normal in the
-        circle group, and invariant under every lambda map; any failure
-        means a corrupted brace and raises InternalCheckError.
+        The result is verified to be an ideal through its cosets
+        (_socle_cosets); any failure means a corrupted brace and raises
+        InternalCheckError.
         """
+        self._socle_cosets
         return BraceSubset(self, self._socle, is_subgroup=True, is_ideal=True)
 
     # The invariants are computed once per brace.  A cached value must not
@@ -145,34 +147,52 @@ class LeftBrace:
     # a reference cycle until the cyclic collector runs.
     @cached_property
     def _socle(self) -> frozenset[int]:
+        zero_row = (0,) * self.order
+        return frozenset(a for a, row in enumerate(self.dot_table) if row == zero_row)
+
+    @cached_property
+    def _socle_cosets(self) -> tuple[bytes, bytes]:
+        """Each element's class modulo the socle and each class's least
+        member, classes numbered by least member.  The socle must be the
+        class of 0 and the classes a congruence of the addition and of the
+        circle product, so it is an additive subgroup and normal in the
+        circle group; and each lambda row must keep it, which a dot table
+        that no longer follows from the circle table can break.  Else
+        InternalCheckError."""
+        soc = self._socle
         n = self.order
         add = self.additive.add_rows()
-        zero_row = (0,) * n
-        members = frozenset(a for a in range(n) if self.dot_table[a] == zero_row)
-        for s in members:
-            for t in members:
-                if add[s][t] not in members:
-                    raise InternalCheckError(
-                        f"socle not additively closed at ({s}, {t})"
-                    )
-        for a, (lam, cycle) in enumerate(zip(self._lambda_rows, self._circle_cycles)):
-            arow = self.circle_table[a]
-            for s in members:
-                if self.circle_table[arow[s]][cycle[-1]] not in members:
-                    raise InternalCheckError(
-                        f"socle not normal in the circle group at ({a}, {s})"
-                    )
-                if lam[s] not in members:
-                    raise InternalCheckError(
-                        f"socle not lambda-invariant at ({a}, {s})"
-                    )
-        return members
+        cls, reps = [-1] * n, []
+        # scanned in index order, each coset is first met at its least member
+        for x in range(n):
+            if cls[x] < 0:
+                for s in soc:
+                    cls[add[x][s]] = len(reps)
+                reps.append(x)
+        zero_class = frozenset(x for x, c in enumerate(cls) if c == cls[0])
+        if soc != zero_class:
+            raise InternalCheckError(f"socle and the class of 0 differ at {min(soc ^ zero_class)}")
+        cls, reps = bytes(cls), bytes(reps)
+        for name, table in (("addition", add), ("circle", self.circle_table)):
+            failure = quotient_rows(table, cls, reps)[1]
+            if failure is not None:
+                x, y = (reps[cls[v]] for v in failure)
+                raise InternalCheckError(
+                    f"induced {name} table depends on coset representatives at ({x}, {y})"
+                )
+        members = bytes(sorted(soc))
+        pad = bytes(MAX_TABLE_ORDER - n)
+        for a, lam in enumerate(self._lambda_rows):
+            if not soc.issuperset(members.translate(lam + pad)):
+                s = next(s for s in members if lam[s] not in soc)
+                raise InternalCheckError(f"socle not lambda-invariant at ({a}, {s})")
+        return cls, reps
 
     def retract_quotient(self) -> "LeftBrace":
         """Quotient brace by the socle, relabeled onto a canonical group.
 
-        Cosets are represented by their smallest member; the induced circle
-        table is checked for representative independence before relabeling.
+        Cosets are represented by their smallest member; socle() has
+        checked that the induced tables do not depend on that choice.
         """
         quotient = self._retract_quotient
         return self if quotient is None else quotient
@@ -181,32 +201,8 @@ class LeftBrace:
     # socle), which must not be cached on itself
     @cached_property
     def _retract_quotient(self) -> "LeftBrace | None":
-        soc = self.socle().members
-        n = self.order
-        add = self.additive.add_rows()
-        # scanned in index order, each coset is first met at its least member
-        coset_rep = [-1] * n
-        reps = []
-        for x in range(n):
-            if coset_rep[x] < 0:
-                reps.append(x)
-                for s in soc:
-                    coset_rep[add[x][s]] = x
-        pad = bytes(MAX_TABLE_ORDER - n)
-        lookup = bytes(coset_rep) + pad
-        # y -> the coset of x o y, and of rep(x) o rep(y) for x a representative
-        mapped = [bytes(row).translate(lookup) for row in self.circle_table]
-        induced = {x: lookup[:n].translate(mapped[x] + pad) for x in reps}
-        for x, row in enumerate(mapped):
-            expected = induced[coset_rep[x]]
-            if row != expected:
-                y = next(y for y in range(n) if row[y] != expected[y])
-                raise InternalCheckError(
-                    "induced circle table depends on coset representatives"
-                    f" at ({coset_rep[x]}, {coset_rep[y]})"
-                )
-        local = {rep: i for i, rep in enumerate(reps)}
-        quotient = self._induced(reps, [local[coset_rep[x]] for x in range(n)])[0]
+        cls, reps = self._socle_cosets
+        quotient = self._induced(reps, cls)[0]
         return None if quotient is self else quotient
 
     def radical_chain_index(self) -> int | None:

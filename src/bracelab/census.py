@@ -39,7 +39,10 @@ from .errors import InternalCheckError, ResourceLimitError
 class CensusEntry:
     brace: LeftBrace
     invariant_factors: tuple[int, ...]
-    adjoint_order_profile: tuple[int, ...]
+
+    @property
+    def adjoint_order_profile(self) -> tuple[int, ...]:
+        return self.brace.adjoint_order_profile()
 
 
 @dataclass(frozen=True)
@@ -79,13 +82,7 @@ def enumerate_braces(order: int, *, max_order: int | None = None) -> BraceCensus
         for flat in _orbit_representatives(tables, auts, order):
             rows = [flat[a : a + order] for a in range(0, order * order, order)]
             brace = validate_brace(group, rows)
-            entries.append(
-                CensusEntry(
-                    brace=brace,
-                    invariant_factors=factors,
-                    adjoint_order_profile=brace.adjoint_order_profile(),
-                )
-            )
+            entries.append(CensusEntry(brace=brace, invariant_factors=factors))
     return BraceCensus(order, tuple(entries))
 
 

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 
-from .abelian import MAX_TABLE_ORDER, int_name, is_permutation, make_group, quote, square_byte_rows
+from .abelian import MAX_TABLE_ORDER, is_permutation, make_group, quote, square_byte_rows
 from .brace import LeftBrace, validate_brace
 from .errors import DocumentError, InternalCheckError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
@@ -155,7 +155,7 @@ def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tu
     """
     value = payload.get(field)
     if not isinstance(value, list) or len(value) != rows:
-        raise DocumentError(f"field {field!r} must be a list of {int_name(rows)} rows")
+        raise DocumentError(f"field {field!r} must be a list of {quote(rows)} rows")
     # entry types are collected over every entry, not over a set of the
     # entries: True == 1 hashes alike, so a dedup would hide a bool
     if (
@@ -169,7 +169,7 @@ def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tu
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(
-                f"field {field!r} row {i} must be a list of {int_name(cols)} entries"
+                f"field {field!r} row {i} must be a list of {quote(cols)} entries"
             )
         for v in row:
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < limit:
@@ -230,9 +230,9 @@ def parse_brace_document(text: str) -> BraceDocument:
         # the loop stops once the product passes the order, so past it the
         # product is named only when it is whole and fits in 64 bits
         if product > order and (count < len(factors) or product.bit_length() > 64):
-            product = f"more than {int_name(order)}"
+            product = f"more than {quote(order)}"
         raise DocumentError(
-            f"field 'order' is {int_name(order)} but the invariant factors"
+            f"field 'order' is {quote(order)} but the invariant factors"
             f" multiply to {product}"
         )
     operation = payload.get("operation")

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, is_permutation, quote
+from .abelian import (
+    MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, is_permutation, quote, quotient_rows
+)
 from .brace import LeftBrace
 from .errors import (
     BraidRelationError,
@@ -192,36 +194,23 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
     """Quotient by equality of sigma maps, with induced tables.
 
     Classes are numbered in order of first appearance and the induced
-    tables are read off their first members.  Each row of sigma and column
-    of tau, mapped to classes, must equal its class's induced row expanded
-    through the classes: every other member induces the same entries.  For
+    tables are read off their first members by abelian.quotient_rows, on
+    the rows of sigma and the columns of tau; the first pair where another
+    member would induce a different entry raises InternalCheckError.  For
     an involutive non-degenerate solution it cannot fail.
     """
-    n = solution.size
     class_of_row: dict[tuple[int, ...], int] = {}
     cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in solution.sigma)
     reps = bytes(cls.index(i) for i in range(len(class_of_row)))
-    pad = bytes(MAX_TABLE_ORDER - n)
-    lookup = cls + pad
-    # for each x, y -> the class of sigma_x(y), and y -> the class of tau_y(x)
-    sigma_rows = [bytes(row).translate(lookup) for row in solution.sigma]
-    tau_columns = [bytes(col).translate(lookup) for col in zip(*solution.tau)]
-    induced_sigma = [reps.translate(sigma_rows[x] + pad) for x in reps]
-    induced_tau_columns = [reps.translate(tau_columns[x] + pad) for x in reps]
-    pad_classes = bytes(MAX_TABLE_ORDER - len(reps))
-    expanded = [
-        [cls.translate(row + pad_classes) for row in induced]
-        for induced in (induced_sigma, induced_tau_columns)
-    ]
-    for x, c in enumerate(cls):
-        found = [("sigma", sigma_rows[x], expanded[0][c]), ("tau", tau_columns[x], expanded[1][c])]
-        if any(got != want for _, got, want in found):
-            name, y = next(
-                (name, y) for y in range(n) for name, got, want in found if got[y] != want[y]
-            )
-            raise InternalCheckError(
-                f"induced {name} table ill-defined at classes ({reps[c]}, {reps[cls[y]]})"
-            )
+    induced_sigma, sigma_failure = quotient_rows(solution.sigma, cls, reps)
+    induced_tau_columns, tau_failure = quotient_rows(zip(*solution.tau), cls, reps)
+    # the least pair fails first, and sigma before tau at the same pair
+    failures = [(at, name) for at, name in ((sigma_failure, "sigma"), (tau_failure, "tau")) if at]
+    if failures:
+        (x, y), name = min(failures)
+        raise InternalCheckError(
+            f"induced {name} table ill-defined at classes ({reps[cls[x]]}, {reps[cls[y]]})"
+        )
     try:
         return validate_solution(len(reps), induced_sigma, map(bytes, zip(*induced_tau_columns)))
     except SolutionValidationError as exc:

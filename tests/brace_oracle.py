@@ -1,9 +1,8 @@
 """The entry-by-entry brace loops that byte-row translates replaced, kept as
 oracles.
 
-bracelab.brace builds the dot and lambda tables, the induced table of
-``LeftBrace._induced`` and the coset check of ``retract_quotient`` by
-translating byte rows; ``classify`` decides two-sidedness with the
+bracelab.brace builds the dot and lambda tables and the induced table of
+``LeftBrace._induced`` by translating byte rows; ``classify`` decides two-sidedness with the
 additivity test ``_nonadditive_generators`` on the dot columns and the
 minus rule by one translate per row; ``abelian.is_nilpotent_group`` finds
 element orders by composing byte rows; and ``validate_brace`` takes Light's
@@ -18,6 +17,13 @@ are read off one cached table of circle powers per brace,
 each of them once made, ``oracle_circle_inverse`` the search of row a for
 0, and ``oracle_classify`` decides adjoint nilpotency on the circle group
 itself.
+
+``oracle_socle`` checks that the socle is an ideal with the three element
+loops that ``LeftBrace._socle`` once ran: additive closure pair by pair,
+normality in the circle group and lambda-invariance element by element.
+``LeftBrace._socle_cosets`` now decides it through ``abelian.quotient_rows``,
+the one representative test of every quotient, on the addition and circle
+tables, and checks the lambda rows by one translate each.
 
 ``oracle_sylow_components`` is the split that induced and validated every
 Sylow component anew, even the whole brace when its order is a prime power
@@ -128,6 +134,27 @@ def oracle_retract_quotient(brace):
                 )
     local = {rep: i for i, rep in enumerate(reps)}
     return oracle_induced(brace, reps, [local[coset_rep[x]] for x in range(n)])[0]
+
+
+def oracle_socle(brace):
+    """The socle's members, with additive closure, normality in the circle
+    group and lambda-invariance checked element by element."""
+    n = brace.order
+    add = brace.additive.add_rows()
+    zero_row = (0,) * n
+    members = frozenset(a for a in range(n) if brace.dot_table[a] == zero_row)
+    for s in members:
+        for t in members:
+            if add[s][t] not in members:
+                raise InternalCheckError(f"socle not additively closed at ({s}, {t})")
+    for a, lam in enumerate(oracle_lambda_rows(brace)):
+        arow, inverse = brace.circle_table[a], oracle_circle_inverse(brace, a)
+        for s in members:
+            if brace.circle_table[arow[s]][inverse] not in members:
+                raise InternalCheckError(f"socle not normal in the circle group at ({a}, {s})")
+            if lam[s] not in members:
+                raise InternalCheckError(f"socle not lambda-invariant at ({a}, {s})")
+    return members
 
 
 def oracle_sylow_components(brace):

@@ -658,3 +658,14 @@ class TestDerivedBraceDrills:
         brace.__dict__["_socle"] = frozenset({0, 2})
         with pytest.raises(InternalCheckError, match="depends on coset representatives"):
             brace.retract_quotient()
+
+    def test_dot_table_without_zero_row(self, census):
+        # every dot row made nonzero at column 1, so no element is in the
+        # socle, not even 0: the socle is not an ideal, and the retraction
+        # and the level fail with it
+        entry = census(4).entries[1].brace
+        for method in ("socle", "retract_quotient", "multipermutation_level"):
+            brace = LeftBrace(entry.additive, entry.circle_table)
+            with_dot_entries(brace, {(a, 1): 1 for a in range(4)})
+            with pytest.raises(InternalCheckError, match="socle and the class of 0 differ at 0"):
+                getattr(brace, method)()

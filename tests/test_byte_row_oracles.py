@@ -6,8 +6,10 @@ tests/solutions_oracle.py.  The subjects are every census class of orders
 1-24 (16 under -m slow), and for the Sylow split of 25, 27 and 49 too; the
 products of the file benchmark's op lists for seeds 1-3, whose wreath
 products act by translation on the top; dot tables corrupted by
-with_dot_entries; socles and solutions forced to be wrong; and random
-tables with a two-sided identity and inverses, mostly non-associative.
+with_dot_entries, on which socle() must reject every socle that the
+oracle's element loops reject; socles and solutions forced to be wrong;
+and random tables with a two-sided identity and inverses, mostly
+non-associative.
 Circle powers, orders and inverses, read off the cycle table, are compared
 with the step-by-step walks on the census classes and the products.
 The retraction towers, Sylow components and canonical forms, which share
@@ -15,6 +17,7 @@ one live brace per table, are compared with the oracles' braces, each
 validated anew, on the census classes and the products.
 """
 
+import collections
 import hashlib
 import math
 import random
@@ -54,6 +57,7 @@ from brace_oracle import (
     oracle_lambda_rows,
     oracle_retract_quotient,
     oracle_row_failure,
+    oracle_socle,
     oracle_sylow_components,
     perm_order_is_nilpotent_group,
 )
@@ -147,6 +151,7 @@ def assert_kernels_agree(brace, checked_induced):
     assert left_generators(rows) == magma_generators(subject.circle_table)
     assert oracle_row_failure(subject.additive, subject.circle_table) is None
 
+    assert subject.socle().members == oracle_socle(fresh(brace))
     before = len(checked_induced)
     assert subject.sylow_components() == oracle_sylow_components(fresh(brace))
     subject.canonical_form()
@@ -284,6 +289,43 @@ def test_classify_on_corrupted_dot_tables(census):
         verdicts.add(got[0] if got[0] != "ok" else (got[1].is_two_sided, got[1].minus_rule))
     assert {(True, True), (False, False), (False, True)} <= verdicts
     assert InternalCheckError in verdicts
+
+
+def test_socle_on_corrupted_dot_tables(census):
+    """socle() raises wherever the oracle's element loops raise, and agrees
+    with them wherever both pass; an empty socle, which the loops let
+    through, raises too.  Each of its four checks rejects some table."""
+    rng = random.Random(7)
+    verdicts, messages = collections.Counter(), set()
+    for order in range(2, 13):
+        for brace in census(order).classes:
+            for _ in range(30):
+                entries = {}
+                for _ in range(rng.randint(1, 3)):
+                    # a zero now and then adds a zero dot row
+                    value = 0 if rng.random() < 0.3 else rng.randrange(order)
+                    entries[rng.randrange(order), rng.randrange(order)] = value
+                want = outcome(oracle_socle, with_dot_entries(fresh(brace), entries))
+                if want == ("ok", frozenset()):
+                    want = ("empty",)
+                got = outcome(lambda b: b.socle().members, with_dot_entries(fresh(brace), entries))
+                if want[0] == "ok":
+                    assert got == want
+                else:
+                    assert got[0] is InternalCheckError
+                    messages.add(got[1].split(" at ")[0].split(" differ")[0])
+                verdicts[got[0], want[0]] += 1
+    assert verdicts == {
+        ("ok", "ok"): 744,
+        (InternalCheckError, InternalCheckError): 863,
+        (InternalCheckError, "empty"): 13,
+    }
+    assert messages == {
+        "socle and the class of 0",
+        "induced addition table depends on coset representatives",
+        "induced circle table depends on coset representatives",
+        "socle not lambda-invariant",
+    }
 
 
 def test_retract_quotient_with_forced_socles(census):

@@ -133,7 +133,7 @@ class FiniteAbelianGroup:
     of groups can be formed by concatenating factor lists.
     """
 
-    __slots__ = ("factors", "order", "_strides", "_rows", "_auts")
+    __slots__ = ("factors", "order", "_strides", "_rows", "_auts", "_lookups", "_negation")
 
     def __init__(self, invariant_factors=()):
         factors = tuple(int(d) for d in invariant_factors)
@@ -152,12 +152,16 @@ class FiniteAbelianGroup:
         self._strides = tuple(reversed(strides))
         self._rows: tuple[tuple[int, ...], ...] | None = None
         self._auts: tuple[Perm, ...] | None = None
+        self._lookups: tuple[bytes, ...] | None = None
+        self._negation: bytes | None = None
 
     def add(self, a: int, b: int) -> int:
         return self.add_rows()[a][b]
 
     def neg(self, a: int) -> int:
-        return self.add_rows()[a].index(0)
+        if not 0 <= a < self.order:
+            raise IndexError(f"element {a} not in a group of order {self.order}")
+        return self.negation()[a]
 
     def order_of(self, a: int) -> int:
         return len(multiples_of(self.add_rows(), a))
@@ -182,6 +186,21 @@ class FiniteAbelianGroup:
                 )
             self._rows = rows
         return self._rows
+
+    def add_lookups(self) -> tuple[bytes, ...]:
+        """Row a of the addition table as bytes padded to MAX_TABLE_ORDER,
+        so row.translate(add_lookups()[a]) adds a to each entry.  Cached."""
+        if self._lookups is None:
+            pad = bytes(MAX_TABLE_ORDER - self.order)
+            self._lookups = tuple(bytes(row) + pad for row in self.add_rows())
+        return self._lookups
+
+    def negation(self) -> bytes:
+        """a -> -a as bytes padded to MAX_TABLE_ORDER.  Cached."""
+        if self._negation is None:
+            pad = bytes(MAX_TABLE_ORDER - self.order)
+            self._negation = bytes(row.index(0) for row in self.add_rows()) + pad
+        return self._negation
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteAbelianGroup) and self.factors == other.factors

@@ -73,9 +73,8 @@ class LeftBrace:
     def dot_table(self) -> tuple[tuple[int, ...], ...]:
         """a . b = lambda_a(b) - b: each circle row a is shifted by -a, which
         gives lambda_a, and then each lambda column b by -b."""
-        pad = bytes(MAX_TABLE_ORDER - self.order)
-        add = self.additive.add_rows()
-        minus = [bytes(add[row.index(0)]) + pad for row in add]
+        add, neg = self.additive.add_lookups(), self.additive.negation()
+        minus = [add[v] for v in neg[: self.order]]
         lambdas = [bytes(row).translate(minus[a]) for a, row in enumerate(self.circle_table)]
         return tuple(zip(*(bytes(col).translate(minus[b]) for b, col in enumerate(zip(*lambdas)))))
 
@@ -120,8 +119,7 @@ class LeftBrace:
     def _lambda_rows(self) -> tuple[bytes, ...]:
         """lambda_a(b) = b + a . b for each a, byte rows read off dot_table:
         column b of the dot table shifted by b."""
-        pad = bytes(MAX_TABLE_ORDER - self.order)
-        add = [bytes(row) + pad for row in self.additive.add_rows()]
+        add = self.additive.add_lookups()
         columns = [bytes(col).translate(add[b]) for b, col in enumerate(zip(*self.dot_table))]
         return tuple(map(bytes, zip(*columns)))
 
@@ -217,15 +215,14 @@ class LeftBrace:
     @cached_property
     def _radical_chain_index(self) -> int | None:
         add = self.additive.add_rows()
+        rows = [bytes(row) for row in self.dot_table]
         current = frozenset(range(self.order))
         index = 1
         while True:
             if current == frozenset((0,)):
                 return index
-            products = {
-                self.dot_table[x][a] for x in current for a in range(self.order)
-            }
-            nxt = additive_closure(add, products)
+            # the products x . a over x in the stage: its dot rows, joined
+            nxt = additive_closure(add, set(b"".join([rows[x] for x in current])))
             if nxt == current:
                 return None
             if not nxt <= current:
@@ -320,9 +317,9 @@ class LeftBrace:
         for v in cls if isinstance(cls, dict) else range(len(cls)):
             position[v] = cls[v]
         reps = bytes(reps)
-        add = self.additive.add_rows()
+        add = self.additive.add_lookups()
         factors, relabel = abelian_structure(
-            [reps.translate(bytes(add[x]) + pad).translate(position) for x in reps]
+            [reps.translate(add[x]).translate(position) for x in reps]
         )
         # the parent element at each new index, and the new index of each
         placed = bytes(reps[i] for i in invert_perm(relabel))
@@ -355,8 +352,7 @@ class LeftBrace:
 
     @cached_property
     def _classify(self) -> "BraceTraits":
-        pad = bytes(MAX_TABLE_ORDER - self.order)
-        neg = bytes(row.index(0) for row in self.additive.add_rows()) + pad
+        neg = self.additive.negation()
         dot = self.dot_table
         rows = [bytes(row) for row in dot]
 
@@ -501,8 +497,8 @@ def _brace_row_failure(group: FiniteAbelianGroup, rows) -> str | None:
         for x, row_x in enumerate(rows):
             if rows[row_x[g]] != gen_row.translate(lookups[x]):
                 return f"associativity at generator {g} with {x} on the left"
-    add = group.add_rows()
-    lambdas = [row.translate(bytes(add[group.neg(a)]) + pad) for a, row in enumerate(rows)]
+    add, neg = group.add_lookups(), group.negation()
+    lambdas = [row.translate(add[neg[a]]) for a, row in enumerate(rows)]
     for a, g in enumerate(_nonadditive_generators(group, lambdas)):
         if g is not None:
             return f"compatibility at {a} with additive generator {g}"
@@ -513,10 +509,10 @@ def _nonadditive_generators(group: FiniteAbelianGroup, lambdas):
     """For each byte row lambda in turn, the first canonical generator g with
     lambda(g + c) != lambda(g) + lambda(c) for some c, or None.  Those g
     that pass form a subgroup, so lambda is additive exactly when it is None."""
-    pad = bytes(MAX_TABLE_ORDER - group.order)
-    add = group.add_rows()
-    add_lookups = [bytes(row) + pad for row in add]
-    shifts = [(g, bytes(add[g])) for g in group.generators()]
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    add_lookups = group.add_lookups()
+    shifts = [(g, add_lookups[g][:n]) for g in group.generators()]
     for lam in lambdas:
         lam_lookup = lam + pad
         failing = (g for g, shift in shifts

@@ -109,7 +109,7 @@ def _regular_circle_tables(
     """
     n = group.order
     pad = bytes(MAX_TABLE_ORDER - n)
-    add = group.add_rows()
+    add = group.add_lookups()
     aut_bytes = [bytes(g) for g in auts]
     columns = [bytes(col) for col in zip(*aut_bytes)]  # columns[c][i] = auts[i][c]
     ones = int.from_bytes(b"\x01" * len(auts), "big")
@@ -119,8 +119,7 @@ def _regular_circle_tables(
         # holomorph elements moving 0 to t, x -> g(x) + t, by the index of g
         cached = candidate_cache.get(t)
         if cached is None:
-            row = bytes(add[t]) + pad
-            cached = {g.translate(row): i for i, g in enumerate(aut_bytes)}
+            cached = {g.translate(add[t]): i for i, g in enumerate(aut_bytes)}
             candidate_cache[t] = cached
         return cached
 
@@ -200,7 +199,7 @@ def _regular_circle_tables(
         # conjugates: test all at once, before the orbit and before copying.
         # Candidate i sends c to target + auts[i](c), a covered point
         # exactly when hit[auts[i](c)] is 1; columns[c] lists the auts[i](c).
-        shift = bytes(add[target]) + pad
+        shift = add[target]
         mask = bytearray(MAX_TABLE_ORDER)
         for c in covered:
             mask[c] = 1

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 
-from .abelian import MAX_TABLE_ORDER, is_permutation, make_group, quote, square_byte_rows
+from .abelian import is_permutation, make_group, quote, square_byte_rows
 from .brace import LeftBrace, validate_brace
 from .errors import DocumentError, InternalCheckError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
@@ -102,11 +102,9 @@ def _bytes_or_given(rows):
 def _circle_rows(group, lambdas) -> list[bytes]:
     """The circle rows a o b = a + lambda_a(b) of a lambda table, whose
     entries are checked to be in range first."""
-    n = group.order
-    add = group.add_rows()
-    rows = square_byte_rows(lambdas, n, "lambda table")
-    pad = bytes(MAX_TABLE_ORDER - n)
-    return [lam.translate(bytes(add[a]) + pad) for a, lam in enumerate(rows)]
+    add = group.add_lookups()
+    rows = square_byte_rows(lambdas, group.order, "lambda table")
+    return [lam.translate(add[a]) for a, lam in enumerate(rows)]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 A solution on X = {0..n-1} is the map r(x, y) = (sigma[x][y], tau[y][x]).
 Both tables are indexed by the acting element first, so tau[y] is the
 permutation applied to x when y is the right component.
+
+validate_solution decides the braid law through the cycle-set identity
+sigma_x sigma_{x.y} = sigma_y sigma_{y.x}, x.y = sigma_x^-1(y): each
+composite of two classes of equal sigma rows gets an id, and the law
+holds exactly when the table of ids of the left sides is symmetric.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
 
     A size above MAX_TABLE_ORDER is refused with ResourceLimitError first.
     Every table is checked on byte rows, and the braid law is decided
-    through the cycle-set identity on pairs.  Only a table that a row check
+    through the cycle-set identity, as a symmetric table of the ids of
+    class composites (_cycle_set_failure).  Only a table that a row check
     rejects, entries out of range or not ints included, is scanned entry by
     entry or triple by triple, and that scan names the witness.
     """
@@ -88,15 +94,20 @@ def _rows_involutive(
     exactly when v = sigma_u^-1(x) for every pair: that equation, taken at
     the pair (u, v), also gives tau_v(u) = sigma_x^-1(u) = y.  So for each
     x, column x of tau must be row x of sigma looked up in column x of the
-    inverse sigma table; inverses holds the rows of that table.
+    inverse sigma table; inverses holds the rows of that table.  Column x
+    of a table is the strided slice [x::n] of its joined rows.
     """
     n = len(sigma_rows)
-    if any(len(set(row)) != n for row in sigma_rows + tau_rows):
+    # the entries are below n, so a row is a bijection when it leaves
+    # nothing of 0..n-1 undeleted
+    ident = bytes(range(n))
+    if any(ident.translate(None, row) for row in sigma_rows + tau_rows):
         return False
     pad = bytes(MAX_TABLE_ORDER - n)
+    inverse_flat, tau_flat = b"".join(inverses), b"".join(tau_rows)
     return all(
-        row.translate(bytes(inv_col) + pad) == bytes(tau_col)
-        for row, inv_col, tau_col in zip(sigma_rows, zip(*inverses), zip(*tau_rows))
+        row.translate(inverse_flat[x::n] + pad) == tau_flat[x::n]
+        for x, row in enumerate(sigma_rows)
     )
 
 
@@ -132,24 +143,51 @@ def _scan_entries(sol: SetTheoreticSolution) -> None:
 
 
 def _cycle_set_failure(rows: list[bytes], inverses: list[bytes]) -> str | None:
-    """The first pair x < y with sigma_x sigma_{x.y} != sigma_y sigma_{y.x}.
+    """The first pair x < y, by x then y, with sigma_x sigma_{x.y} !=
+    sigma_y sigma_{y.x}, or None.
 
     Here x.y = sigma_x^-1(y).  For an involutive non-degenerate map this is
     the cycle-set identity (x.y).(x.z) = (y.x).(y.z), which holds exactly
     when the braid relation does (Rump, Adv. Math. 193, 2005;
-    Etingof-Schedler-Soloviev, Duke Math. J. 100, 1999).  Each pair costs
-    one comparison of composed byte rows; inverses are the inverse rows.
+    Etingof-Schedler-Soloviev, Duke Math. J. 100, 1999).  inverses are the
+    inverse rows.
+
+    sigma_x sigma_z depends only on the classes of equal rows of x and z,
+    so the composites of the k distinct rows are formed once, one translate
+    of the joined rows per class, and each distinct composite gets an id
+    below k^2 <= 65536, held in two byte planes.  Row x of the table t of
+    ids of sigma_x sigma_{x.y} is inverse row x looked up in class-wise
+    tables, one translate per plane, and the identity holds exactly when t
+    is symmetric: each row is compared with its column, a strided slice.
     """
     n = len(rows)
     pad = bytes(MAX_TABLE_ORDER - n)
-    lookups = [row + pad for row in rows]
+    class_of_row: dict[bytes, int] = {}
+    cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in rows) + pad
+    distinct = list(class_of_row)
+    k = len(distinct)
+    joined, class_pad = b"".join(distinct), bytes(MAX_TABLE_ORDER - k)
+    # composite i * k + j is sigma_i sigma_j for the classes i and j
+    composites = b"".join([joined.translate(row + pad) for row in distinct])
+    ids: dict[bytes, int] = {}
+    composite_ids = [
+        ids.setdefault(composites[s * n : s * n + n], len(ids)) for s in range(k * k)
+    ]
+    planes = []
+    for shift in (8, 0):
+        plane = bytes((c >> shift) & 255 for c in composite_ids)
+        # for class i, w -> the plane byte of the id of sigma_i sigma_{class of w}
+        tables = [cls.translate(plane[i * k : i * k + k] + class_pad) for i in range(k)]
+        planes.append(b"".join([inv.translate(tables[c]) for inv, c in zip(inverses, cls)]))
+    high, low = planes
     for x in range(n):
-        row_inv_x = inverses[x]
-        lookup_x = lookups[x]
-        for y in range(x + 1, n):
-            lhs = rows[row_inv_x[y]].translate(lookup_x)
-            if lhs != rows[inverses[y][x]].translate(lookups[y]):
-                return f"at ({x}, {y})"
+        start = x * n
+        if high[start : start + n] != high[x::n] or low[start : start + n] != low[x::n]:
+            y = next(
+                y for y in range(n)
+                if high[start + y] != high[y * n + x] or low[start + y] != low[y * n + x]
+            )
+            return f"at ({x}, {y})"
     return None
 
 
@@ -180,10 +218,11 @@ def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
     n = brace.order
     sigma = brace._lambda_rows
     pad = bytes(MAX_TABLE_ORDER - n)
-    inverses = [bytes.maketrans(row, bytes(range(n)))[:n] for row in sigma]
-    tau_columns = [row.translate(bytes(col) + pad) for row, col in zip(sigma, zip(*inverses))]
+    inverse_flat = b"".join([bytes.maketrans(row, bytes(range(n)))[:n] for row in sigma])
+    tau_flat = b"".join([row.translate(inverse_flat[x::n] + pad) for x, row in enumerate(sigma)])
     try:
-        return validate_solution(n, sigma, map(bytes, zip(*tau_columns)))
+        # tau_flat holds the columns of tau, so row y of tau is column y of it
+        return validate_solution(n, sigma, [tau_flat[y::n] for y in range(n)])
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"solution built from a valid brace fails validation: {exc}"

@@ -31,6 +31,10 @@ and its factors form a chain; ``sylow_components`` returns such a brace as
 its own component.  Like ``oracle_retract_quotient``, it builds each brace
 through ``oracle_induced``, which validates a new object every time, where
 ``LeftBrace._induced`` returns the live brace on an equal table.
+
+``oracle_radical_chain_index`` forms each stage of the radical chain entry
+by entry, as ``LeftBrace._radical_chain_index`` once did; it now reads each
+stage off the joined byte dot rows of the stage before.
 """
 
 import math
@@ -39,6 +43,7 @@ from itertools import product as iter_product
 from bracelab.abelian import (
     MAX_TABLE_ORDER,
     abelian_structure,
+    additive_closure,
     invert_perm,
     make_group,
     multiples_of,
@@ -242,6 +247,25 @@ def oracle_classify(brace) -> BraceTraits:
         minus_rule=minus_rule,
         ring_nilpotent=ring_nilpotent,
     )
+
+
+def oracle_radical_chain_index(brace) -> int | None:
+    """radical_chain_index with each stage spanned by its products x . a
+    taken one entry at a time."""
+    add = brace.additive.add_rows()
+    current = frozenset(range(brace.order))
+    index = 1
+    while True:
+        if current == frozenset((0,)):
+            return index
+        products = {brace.dot_table[x][a] for x in current for a in range(brace.order)}
+        nxt = additive_closure(add, products)
+        if nxt == current:
+            return None
+        if not nxt <= current:
+            raise InternalCheckError("radical chain is not decreasing")
+        current = nxt
+        index += 1
 
 
 def magma_generators(table) -> list[int]:

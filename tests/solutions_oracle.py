@@ -7,10 +7,44 @@ circle_tau reads tau_y(x) = sigma_x(y)' o x o y off the circle table, and
 one_pass_retract_solution checks every pair of the induced tables in one
 loop; bracelab.solutions now translates byte columns and rows instead, and
 tests/test_byte_row_oracles.py compares the two.
+
+pairwise_cycle_set_failure composes the two sides of the cycle-set identity
+for each pair x < y, and zip_rows_involutive takes the columns of the
+inverse and tau tables by zip(*rows); solutions._cycle_set_failure decides
+the identity on the composites of the classes of equal rows, and
+solutions._rows_involutive takes columns as strided slices.
 """
 
+from bracelab.abelian import MAX_TABLE_ORDER
 from bracelab.errors import InternalCheckError, SolutionValidationError
 from bracelab.solutions import validate_solution
+
+
+def pairwise_cycle_set_failure(rows, inverses):
+    """The first pair x < y, by x then y, with sigma_x sigma_{x.y} !=
+    sigma_y sigma_{y.x}, or None; each pair composes its two byte rows."""
+    n = len(rows)
+    pad = bytes(MAX_TABLE_ORDER - n)
+    lookups = [row + pad for row in rows]
+    for x in range(n):
+        for y in range(x + 1, n):
+            lhs = rows[inverses[x][y]].translate(lookups[x])
+            if lhs != rows[inverses[y][x]].translate(lookups[y]):
+                return f"at ({x}, {y})"
+    return None
+
+
+def zip_rows_involutive(sigma_rows, tau_rows, inverses):
+    """Whether every row is a bijection and column x of tau is row x of
+    sigma looked up in column x of the inverse table, columns by zip."""
+    n = len(sigma_rows)
+    if any(len(set(row)) != n for row in sigma_rows + tau_rows):
+        return False
+    pad = bytes(MAX_TABLE_ORDER - n)
+    return all(
+        row.translate(bytes(inv_col) + pad) == bytes(tau_col)
+        for row, inv_col, tau_col in zip(sigma_rows, zip(*inverses), zip(*tau_rows))
+    )
 
 
 def oracle_from_brace(brace):

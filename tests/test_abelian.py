@@ -267,6 +267,27 @@ class TestGroupInterning:
         assert abelian._GROUPS == kept
         assert make_group([256]) is make_group([256])
 
+    @pytest.mark.parametrize(
+        "factors",
+        [t for n in range(1, 65) for t in abelian_group_types(n)]
+        + [(2, 4, 2), (3, 2, 4), (4, 2), (6, 4), (2, 3, 2), (5, 2, 3)],
+    )
+    def test_byte_tables_are_kept_on_the_group(self, factors):
+        group = make_group(factors)
+        pad = bytes(abelian.MAX_TABLE_ORDER - group.order)
+        rows = group.add_rows()
+        assert group.add_lookups() == tuple(bytes(row) + pad for row in rows)
+        assert group.negation() == bytes(row.index(0) for row in rows) + pad
+        assert group.add_lookups() is group.add_lookups()
+        assert group.negation() is group.negation()
+        assert [group.neg(a) for a in range(group.order)] == [row.index(0) for row in rows]
+
+    def test_neg_refuses_an_index_outside_the_group(self):
+        group = make_group((2, 4))
+        for a in (-1, 8, 255):
+            with pytest.raises(IndexError, match=f"element {a} not in a group of order 8"):
+                group.neg(a)
+
     def test_automorphisms_are_kept_on_the_group(self, monkeypatch):
         calls = []
         real = abelian._compute_automorphisms

@@ -11,7 +11,14 @@ oracle's element loops reject; socles and solutions forced to be wrong;
 and random tables with a two-sided identity and inverses, mostly
 non-associative.
 Circle powers, orders and inverses, read off the cycle table, are compared
-with the step-by-step walks on the census classes and the products.
+with the step-by-step walks on the census classes and the products, and so
+is the radical chain index with the chain formed entry by entry.
+The solution kernels, the cycle-set identity decided on class composites
+and the involutivity test on strided columns, are compared with the
+pairwise and zip routes on the solutions of the census classes and the
+products and every stage of their retraction towers, on random
+permutation rows (up to 40 points, past 256 distinct composites), and on
+census sigma tables with two entries of one row swapped.
 The retraction towers, Sylow components and canonical forms, which share
 one live brace per table, are compared with the oracles' braces, each
 validated anew, on the census classes and the products.
@@ -28,6 +35,7 @@ from hypothesis import strategies as st
 
 import bracelab.brace as brace_module
 import bracelab.products as products_module
+import bracelab.solutions as solutions_module
 from bracelab.abelian import (
     MAX_TABLE_ORDER,
     PermutationGroup,
@@ -55,6 +63,7 @@ from brace_oracle import (
     oracle_dot_table,
     oracle_induced,
     oracle_lambda_rows,
+    oracle_radical_chain_index,
     oracle_retract_quotient,
     oracle_row_failure,
     oracle_socle,
@@ -64,7 +73,12 @@ from brace_oracle import (
 from checks_oracle import oracle_validate_brace
 from conftest import with_dot_entries
 from products_oracle import oracle_semidirect_table
-from solutions_oracle import circle_tau, one_pass_retract_solution
+from solutions_oracle import (
+    circle_tau,
+    one_pass_retract_solution,
+    pairwise_cycle_set_failure,
+    zip_rows_involutive,
+)
 
 ORDERS = [n if n != 16 else pytest.param(16, marks=pytest.mark.slow) for n in range(1, 25)]
 
@@ -151,6 +165,7 @@ def assert_kernels_agree(brace, checked_induced):
     assert left_generators(rows) == magma_generators(subject.circle_table)
     assert oracle_row_failure(subject.additive, subject.circle_table) is None
 
+    assert subject.radical_chain_index() == oracle_radical_chain_index(fresh(brace))
     assert subject.socle().members == oracle_socle(fresh(brace))
     before = len(checked_induced)
     assert subject.sylow_components() == oracle_sylow_components(fresh(brace))
@@ -162,6 +177,106 @@ def assert_kernels_agree(brace, checked_induced):
     assert solution.sigma == tuple(map(tuple, subject._lambda_rows))
     assert solution.tau == circle_tau(subject)
     assert retract_solution(solution) == one_pass_retract_solution(solution)
+    assert_tower_kernels_agree(solution)
+
+
+def solution_kernels(sigma, tau):
+    """The verdicts of both solution kernels and of their oracles on the
+    tables, as ((involutive, failure), (oracle involutive, oracle failure))."""
+    n = len(sigma)
+    rows, tau_rows = [bytes(row) for row in sigma], [bytes(row) for row in tau]
+    inverses = [bytes.maketrans(row, bytes(range(n)))[:n] for row in rows]
+    return (
+        (solutions_module._rows_involutive(rows, tau_rows, inverses),
+         solutions_module._cycle_set_failure(rows, inverses)),
+        (zip_rows_involutive(rows, tau_rows, inverses),
+         pairwise_cycle_set_failure(rows, inverses)),
+    )
+
+
+def assert_tower_kernels_agree(solution):
+    """Both kernels accept every stage of the retraction tower, as their
+    oracles do."""
+    while True:
+        got, want = solution_kernels(solution.sigma, solution.tau)
+        assert got == want == (True, None)
+        retract = retract_solution(solution)
+        if retract.size == solution.size:
+            return
+        solution = retract
+
+
+def distinct_composites(rows) -> int:
+    pad = bytes(MAX_TABLE_ORDER - len(rows))
+    return len({first.translate(second + pad) for first in rows for second in rows})
+
+
+@st.composite
+def permutation_rows(draw, min_size=1, pooled=True):
+    """Random tau rows, and sigma rows on n <= 40 points: random
+    permutations, each drawn anew or, if pooled, from a pool of 1 to n."""
+    n = draw(st.integers(min_size, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [rng.sample(range(n), n) for _ in range(draw(st.integers(1, n)) if pooled else n)]
+    sigma = [rng.choice(pool) for _ in range(n)] if pooled else pool
+    return sigma, [rng.sample(range(n), n) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_rows())
+def test_solution_kernels_on_random_rows(tables):
+    got, want = solution_kernels(*tables)
+    assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(permutation_rows(min_size=17, pooled=False))
+def test_cycle_set_kernel_past_256_composites(tables):
+    sigma, tau = tables
+    # ids of the composites pass one byte, so the high plane is not zero
+    assert distinct_composites([bytes(row) for row in sigma]) > 256
+    got, want = solution_kernels(sigma, tau)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solution_kernels_on_swapped_census_rows(census, data):
+    order = data.draw(st.integers(2, 24).filter(lambda n: n != 16))
+    solution = from_brace(data.draw(st.sampled_from(census(order).classes)))
+    x = data.draw(st.integers(0, order - 1))
+    i, j = data.draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2, unique=True))
+    sigma = [list(row) for row in solution.sigma]
+    sigma[x][i], sigma[x][j] = sigma[x][j], sigma[x][i]
+    got, want = solution_kernels(sigma, solution.tau)
+    assert got == want
+
+
+def test_cycle_set_failure_seen_only_in_the_high_plane():
+    """On 40 points, sigma_0, sigma_38 and sigma_39 are the identity, and
+    rows 1-37 are distinct random permutations, each fixing 0 but row 7,
+    which sends 4 to 0.  So (0, y) fails only at y = 7, where
+    sigma_0 sigma_{0.7} = sigma_7 and sigma_7 sigma_{7.0} = sigma_7 sigma_4.
+    Numbered by first appearance over the class pairs, the 38 rows get ids
+    0-37 and sigma_i sigma_j, for i, j >= 1, id 37i + j: 7 and 263, the same
+    low byte."""
+    n, rng = 40, random.Random(3)
+    sigma = [list(range(n))]
+    for y in range(1, n - 2):
+        row = [0] + rng.sample(range(1, n), n - 1)
+        if y == 7:
+            row[0], row[4] = row[4], row[0]
+        sigma.append(row)
+    sigma += [list(range(n))] * 2
+    assert distinct_composites([bytes(row) for row in sigma]) == 38 + 37 * 37
+    tau = [list(range(n))] * n
+    got, want = solution_kernels(sigma, tau)
+    assert got == want == (False, "at (0, 7)")
+
+
+def test_solution_kernels_on_empty_and_one_point_tables():
+    assert solution_kernels([], []) == ((True, None), (True, None))
+    assert solution_kernels([[0]], [[0]]) == ((True, None), (True, None))
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -28,8 +28,10 @@ Perm = tuple[int, ...]
 # The one table bound, which check_table_order applies before a table is built
 # or read: every addition, brace and solution table holds its elements as byte
 # values, so a permutation is a bytes row and p after q is q.translate(p +
-# padding).  The census search and the law checks work on such rows.
+# padding).  The census search and the law checks work on such rows; columns,
+# inverse_row and permutation_rows are their one transpose, inverse and bijection test.
 MAX_TABLE_ORDER = 256
+_IDENTITY = bytes(range(MAX_TABLE_ORDER))
 # the groups of make_group: one per factor list, if its tables can be built
 _GROUPS: dict[tuple[int, ...], FiniteAbelianGroup] = {}
 
@@ -108,22 +110,26 @@ def quotient_rows(rows, cls: bytes, reps: bytes) -> tuple[list[bytes], tuple[int
     return induced, None
 
 
-def invert_perm(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
+def permutation_rows(rows, degree: int) -> list[bytes] | None:
+    """The rows as bytes, if each is a permutation of range(degree), else
+    None.  Once _byte_rows has taken every entry below degree, a row is a
+    bijection when deleting its entries from the identity leaves nothing."""
+    out, ident = _byte_rows(rows, degree), _IDENTITY[:degree]
+    return None if out is None or any(ident.translate(None, row) for row in out) else out
 
 
-def is_permutation(p, degree: int) -> bool:
-    if len(p) != degree:
-        return False
-    seen = [False] * degree
-    for v in p:
-        if not isinstance(v, int) or not 0 <= v < degree or seen[v]:
-            return False
-        seen[v] = True
-    return True
+def inverse_row(row: bytes) -> bytes:
+    """The inverse of a permutation byte row: maketrans(row, ident) maps
+    row[i] to i, so its first len(row) bytes are row^-1."""
+    return bytes.maketrans(row, _IDENTITY[: len(row)])[: len(row)]
+
+
+def columns(rows) -> list[bytes]:
+    """The columns of a table of equal-length byte rows, square or not:
+    column c is the strided slice [c::width] of the joined rows."""
+    flat = b"".join(rows)
+    width = len(rows[0]) if rows else 0
+    return [flat[c::width] for c in range(width)]
 
 
 class FiniteAbelianGroup:
@@ -249,15 +255,12 @@ def closure(degree: int, generators) -> PermutationGroup:
     """
     check_table_order(degree)
     pad = bytes(MAX_TABLE_ORDER - degree)
-    gens = []
-    for g in generators:
-        g = tuple(g)
-        if not is_permutation(g, degree):
-            raise InvalidGeneratorError(
-                f"{g!r} is not a permutation of {degree} points"
-            )
-        gens.append(bytes(g) + pad)
-    ident = bytes(range(degree))
+    gens = [tuple(g) for g in generators]
+    if (rows := permutation_rows(gens, degree)) is None:
+        bad = next(g for g in gens if permutation_rows([g], degree) is None)
+        raise InvalidGeneratorError(f"{bad!r} is not a permutation of {degree} points")
+    gens = [row + pad for row in rows]
+    ident = _IDENTITY[:degree]
     elems = {ident}
     frontier = [ident]
     while frontier:
@@ -477,8 +480,10 @@ def abelian_structure(add_rows) -> tuple[tuple[int, ...], Perm]:
     zero element 0.  Returns (factors, to_canonical) where factors is the
     ascending divisibility chain and to_canonical maps concrete indices to
     the element indices of FiniteAbelianGroup(factors) under an isomorphism.
+    Above MAX_TABLE_ORDER it raises ResourceLimitError: it inverts byte rows.
     """
     order = len(add_rows)
+    check_table_order(order)
     if order == 1:
         return (), (0,)
     multiples = [multiples_of(add_rows, x) for x in range(order)]
@@ -502,7 +507,7 @@ def abelian_structure(add_rows) -> tuple[tuple[int, ...], Perm]:
     to_parent = _linear_extension(add_rows, multiples, gens_ascending, factors)
     if len(to_parent) != order or len(set(to_parent)) != order:
         raise InternalCheckError("canonical relabeling is not a bijection")
-    return factors, invert_perm(to_parent)
+    return factors, tuple(inverse_row(bytes(to_parent)))
 
 
 @lru_cache(maxsize=None)

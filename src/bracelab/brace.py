@@ -22,7 +22,8 @@ from .abelian import (
     abelian_structure,
     additive_closure,
     check_table_order,
-    invert_perm,
+    columns,
+    inverse_row,
     make_group,
     multiples_of,
     nilpotent_by_orders,
@@ -76,7 +77,8 @@ class LeftBrace:
         add, neg = self.additive.add_lookups(), self.additive.negation()
         minus = [add[v] for v in neg[: self.order]]
         lambdas = [bytes(row).translate(minus[a]) for a, row in enumerate(self.circle_table)]
-        return tuple(zip(*(bytes(col).translate(minus[b]) for b, col in enumerate(zip(*lambdas)))))
+        dot_columns = [col.translate(minus[b]) for b, col in enumerate(columns(lambdas))]
+        return tuple(map(tuple, columns(dot_columns)))
 
     def dot(self, a: int, b: int) -> int:
         return self.dot_table[a][b]
@@ -120,8 +122,8 @@ class LeftBrace:
         """lambda_a(b) = b + a . b for each a, byte rows read off dot_table:
         column b of the dot table shifted by b."""
         add = self.additive.add_lookups()
-        columns = [bytes(col).translate(add[b]) for b, col in enumerate(zip(*self.dot_table))]
-        return tuple(map(bytes, zip(*columns)))
+        dot_columns = columns(list(map(bytes, self.dot_table)))
+        return tuple(columns([col.translate(add[b]) for b, col in enumerate(dot_columns)]))
 
     def adjoint_group(self) -> PermutationGroup:
         """The circle group in its left regular representation."""
@@ -278,8 +280,9 @@ class LeftBrace:
                         raise InternalCheckError(
                             f"prime component not circle-closed at ({x}, {y})"
                         )
-            brace, relabel = self._induced(members, local)
-            to_parent = tuple(members[i] for i in invert_perm(relabel))
+            position = bytearray(local.get(x, 0) for x in range(self.order))
+            brace, relabel = self._induced(members, position)
+            to_parent = tuple(members[i] for i in inverse_row(bytes(relabel)))
             out.append(
                 SylowComponent(
                     prime=p,
@@ -305,25 +308,23 @@ class LeftBrace:
     def _induced(self, reps, cls) -> tuple["LeftBrace", list[int]]:
         """The brace that self induces on reps, moved onto canonical coordinates.
 
-        reps lists parent elements, and cls sends each sum and circle product
-        of two of them to a position in reps (its coset's, or its own).
+        reps lists parent elements, and the sequence cls sends each sum and
+        circle product of two of them to a position in reps (its coset's or own).
         Returns the brace and the relabeling from positions in reps to its
         element indices.  The brace is the live one on the same factors and
         table, if there is one; else it is validated here and kept.
         """
         pad = bytes(MAX_TABLE_ORDER - self.order)
-        # each parent element's position in reps, for cls a dict or a sequence
-        position = bytearray(MAX_TABLE_ORDER)
-        for v in cls if isinstance(cls, dict) else range(len(cls)):
-            position[v] = cls[v]
+        position = bytes(cls) + pad
         reps = bytes(reps)
         add = self.additive.add_lookups()
         factors, relabel = abelian_structure(
             [reps.translate(add[x]).translate(position) for x in reps]
         )
         # the parent element at each new index, and the new index of each
-        placed = bytes(reps[i] for i in invert_perm(relabel))
-        new_index = position.translate(bytes(relabel) + bytes(MAX_TABLE_ORDER - len(reps)))
+        class_pad = bytes(MAX_TABLE_ORDER - len(reps))
+        placed = inverse_row(bytes(relabel)).translate(reps + class_pad)
+        new_index = position.translate(bytes(relabel) + class_pad)
         circle = self.circle_table
         table = [placed.translate(bytes(circle[x]) + pad).translate(new_index) for x in placed]
         key = (factors, b"".join(table))
@@ -357,8 +358,7 @@ class LeftBrace:
         rows = [bytes(row) for row in dot]
 
         # two-sided: each column a -> a . c is additive
-        columns = [bytes(col) for col in zip(*dot)]
-        two_sided = all(g is None for g in _nonadditive_generators(self.additive, columns))
+        two_sided = all(g is None for g in _nonadditive_generators(self.additive, columns(rows)))
 
         minus_rule = all(rows[neg[a]] == row.translate(neg) for a, row in enumerate(rows))
 

@@ -27,7 +27,8 @@ from .abelian import (
     check_automorphism_work,
     check_table_order,
     closure,
-    invert_perm,
+    columns,
+    inverse_row,
     make_group,
     perm_order,
 )
@@ -111,7 +112,7 @@ def _regular_circle_tables(
     pad = bytes(MAX_TABLE_ORDER - n)
     add = group.add_lookups()
     aut_bytes = [bytes(g) for g in auts]
-    columns = [bytes(col) for col in zip(*aut_bytes)]  # columns[c][i] = auts[i][c]
+    aut_columns = columns(aut_bytes)  # aut_columns[c][i] = auts[i][c]
     ones = int.from_bytes(b"\x01" * len(auts), "big")
     candidate_cache: dict[int, dict[bytes, int]] = {}
 
@@ -198,7 +199,7 @@ def _regular_circle_tables(
         # most candidates fail on their first coset, and so do their
         # conjugates: test all at once, before the orbit and before copying.
         # Candidate i sends c to target + auts[i](c), a covered point
-        # exactly when hit[auts[i](c)] is 1; columns[c] lists the auts[i](c).
+        # exactly when hit[auts[i](c)] is 1; aut_columns[c] lists the auts[i](c).
         shift = add[target]
         mask = bytearray(MAX_TABLE_ORDER)
         for c in covered:
@@ -206,7 +207,7 @@ def _regular_circle_tables(
         hit = shift.translate(mask)
         fails = 0
         for c in covered - {0}:
-            fails |= int.from_bytes(columns[c].translate(hit), "big")
+            fails |= int.from_bytes(aut_columns[c].translate(hit), "big")
         tried = bytearray(len(aut_bytes))
         for i in compress(range(len(aut_bytes)), (ones & ~fails).to_bytes(len(aut_bytes), "big")):
             if tried[i]:
@@ -234,7 +235,7 @@ def _regular_circle_tables(
                 extend(child, fixers)
 
     ident = bytes(range(n))
-    root_stab = [(g + pad, bytes(invert_perm(g))) for g in aut_bytes]
+    root_stab = [(g + pad, inverse_row(g)) for g in aut_bytes]
     extend(([ident], {ident}, {0}, []), root_stab)
     return results
 
@@ -246,7 +247,7 @@ def _relabeler(phi: Sequence[int], n: int) -> Callable[[bytes], bytes]:
     of the result is phi o row_a o phi^-1: the whole table goes through phi
     by one translate, and each row is then composed with phi^-1 by one more.
     """
-    inv = bytes(invert_perm(phi))
+    inv = inverse_row(bytes(phi))
     pad = bytes(MAX_TABLE_ORDER - n)
     values = bytes(phi) + pad
     starts = [i * n for i in inv]

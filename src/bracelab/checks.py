@@ -389,11 +389,10 @@ def observe_square_rule(brace: LeftBrace, subject: str = "") -> CheckReport:
     """Observational only: finite level plus left self-associativity of
     squares.  Records whether two-sidedness follows; never fails."""
     name = "square-rule-observation"
-    n = brace.order
-    dot = brace.dot_table
-    square_rule = all(
-        dot[dot[a][a]][b] == dot[a][dot[a][b]] for a in range(n) for b in range(n)
-    )
+    # (a . a) . b = a . (a . b) for every b: dot row a.a is row a composed with itself
+    pad = bytes(MAX_TABLE_ORDER - brace.order)
+    rows = [bytes(row) for row in brace.dot_table]
+    square_rule = all(rows[row[a]] == row.translate(row + pad) for a, row in enumerate(rows))
     if not square_rule:
         return _report(name, subject, HYPOTHESIS_NOT_MET, notes=("square rule fails",))
     if brace.multipermutation_level() is None:

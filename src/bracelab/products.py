@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abelian import MAX_TABLE_ORDER, Perm, check_table_order, is_permutation, make_group
+from .abelian import MAX_TABLE_ORDER, Perm, check_table_order, make_group, permutation_rows
 from .brace import LeftBrace, validate_brace
 from .errors import ActionError, ResourceLimitError
 
@@ -37,8 +37,10 @@ def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
         )
     add = target.additive.add_rows()
     circle = target.circle_table
+    # the maps are tested one by one, in order of h, only if some map fails
+    bijective = permutation_rows(maps, nt) is not None
     for h, f in enumerate(maps):
-        if not is_permutation(f, nt):
+        if not bijective and permutation_rows([f], nt) is None:
             raise ActionError(
                 f"map of acting element {h} is not a bijection of the target",
                 witness=(h,),

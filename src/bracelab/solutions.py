@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import (
-    MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, is_permutation, quote, quotient_rows
+    MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, columns, inverse_row,
+    permutation_rows, quote, quotient_rows,
 )
 from .brace import LeftBrace
 from .errors import (
@@ -65,9 +66,7 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
         raise InvalidPresentationError(f"tables must have {size} rows")
     sigma_rows, tau_rows = _byte_rows(sigma, size), _byte_rows(tau, size)
     sol = SetTheoreticSolution(size, sigma, tau)
-    ident = bytes(range(size))
-    # maketrans(p, ident) maps p[i] to i, so its first size bytes are p^-1
-    inverses = [bytes.maketrans(row, ident)[:size] for row in sigma_rows or ()]
+    inverses = [inverse_row(row) for row in sigma_rows or ()]
     if None in (sigma_rows, tau_rows) or not _rows_involutive(
         sigma_rows, tau_rows, inverses
     ):
@@ -94,20 +93,15 @@ def _rows_involutive(
     exactly when v = sigma_u^-1(x) for every pair: that equation, taken at
     the pair (u, v), also gives tau_v(u) = sigma_x^-1(u) = y.  So for each
     x, column x of tau must be row x of sigma looked up in column x of the
-    inverse sigma table; inverses holds the rows of that table.  Column x
-    of a table is the strided slice [x::n] of its joined rows.
+    inverse sigma table; inverses holds the rows of that table.
     """
     n = len(sigma_rows)
-    # the entries are below n, so a row is a bijection when it leaves
-    # nothing of 0..n-1 undeleted
-    ident = bytes(range(n))
-    if any(ident.translate(None, row) for row in sigma_rows + tau_rows):
+    if permutation_rows(sigma_rows + tau_rows, n) is None:
         return False
     pad = bytes(MAX_TABLE_ORDER - n)
-    inverse_flat, tau_flat = b"".join(inverses), b"".join(tau_rows)
     return all(
-        row.translate(inverse_flat[x::n] + pad) == tau_flat[x::n]
-        for x, row in enumerate(sigma_rows)
+        row.translate(inverse_column + pad) == tau_column
+        for row, inverse_column, tau_column in zip(sigma_rows, columns(inverses), columns(tau_rows))
     )
 
 
@@ -128,7 +122,7 @@ def _scan_entries(sol: SetTheoreticSolution) -> None:
 
     for name, rows in (("sigma", sol.sigma), ("tau", sol.tau)):
         for x, row in enumerate(rows):
-            if not is_permutation(row, size):
+            if permutation_rows([row], size) is None:
                 raise NonDegeneracyError(
                     f"{name} map of {x} is not a bijection", witness=(x,)
                 )
@@ -218,11 +212,10 @@ def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
     n = brace.order
     sigma = brace._lambda_rows
     pad = bytes(MAX_TABLE_ORDER - n)
-    inverse_flat = b"".join([bytes.maketrans(row, bytes(range(n)))[:n] for row in sigma])
-    tau_flat = b"".join([row.translate(inverse_flat[x::n] + pad) for x, row in enumerate(sigma)])
+    inverse_columns = columns([inverse_row(row) for row in sigma])
+    tau_columns = [row.translate(col + pad) for row, col in zip(sigma, inverse_columns)]
     try:
-        # tau_flat holds the columns of tau, so row y of tau is column y of it
-        return validate_solution(n, sigma, [tau_flat[y::n] for y in range(n)])
+        return validate_solution(n, sigma, columns(tau_columns))
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"solution built from a valid brace fails validation: {exc}"
@@ -242,7 +235,7 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
     cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in solution.sigma)
     reps = bytes(cls.index(i) for i in range(len(class_of_row)))
     induced_sigma, sigma_failure = quotient_rows(solution.sigma, cls, reps)
-    induced_tau_columns, tau_failure = quotient_rows(zip(*solution.tau), cls, reps)
+    induced_tau_columns, tau_failure = quotient_rows(columns(list(map(bytes, solution.tau))), cls, reps)
     # the least pair fails first, and sigma before tau at the same pair
     failures = [(at, name) for at, name in ((sigma_failure, "sigma"), (tau_failure, "tau")) if at]
     if failures:
@@ -251,7 +244,7 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
             f"induced {name} table ill-defined at classes ({reps[cls[x]]}, {reps[cls[y]]})"
         )
     try:
-        return validate_solution(len(reps), induced_sigma, map(bytes, zip(*induced_tau_columns)))
+        return validate_solution(len(reps), induced_sigma, columns(induced_tau_columns))
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"retract of a valid solution fails validation: {exc}"

@@ -7,8 +7,10 @@ index rule e = sum_i a_i * prod_{j>i} d_j, most significant factor first,
 automorphism search replaced, and ``automorphism_count`` counts the same
 group by formula, for types too large to search.  ``oracle_primary_components``
 is the per-prime split that ``abelian.primary_components`` replaced, and
-``identity_perm`` and ``compose_perms`` are the tuple permutations the test
-oracles compose; the package composes byte rows.
+``identity_perm``, ``compose_perms``, ``invert_perm`` and ``is_permutation``
+are the tuple permutations the test oracles compose, invert and test entry by
+entry; the package does each on byte rows, with ``abelian.inverse_row`` and
+``abelian.permutation_rows``.
 """
 
 import math
@@ -25,6 +27,24 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 def compose_perms(p, q) -> tuple[int, ...]:
     """Composition p after q: the result maps i to p[q[i]]."""
     return tuple(p[qi] for qi in q)
+
+
+def invert_perm(p) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def is_permutation(p, degree: int) -> bool:
+    if len(p) != degree:
+        return False
+    seen = [False] * degree
+    for v in p:
+        if not isinstance(v, int) or not 0 <= v < degree or seen[v]:
+            return False
+        seen[v] = True
+    return True
 
 
 def oracle_primary_components(n: int, order_of) -> list[tuple[int, int, list[int]]]:

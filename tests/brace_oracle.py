@@ -44,7 +44,6 @@ from bracelab.abelian import (
     MAX_TABLE_ORDER,
     abelian_structure,
     additive_closure,
-    invert_perm,
     make_group,
     multiples_of,
     primary_components,
@@ -57,6 +56,7 @@ from bracelab.brace import (
 )
 from bracelab.errors import InternalCheckError
 from bracelab.numutil import prime_factorization
+from abelian_oracle import invert_perm
 
 
 def oracle_circle_power(brace, a, n):

@@ -29,9 +29,9 @@ The walk must give the same representatives on the same tables.
 
 from operator import itemgetter
 
-from bracelab.abelian import MAX_TABLE_ORDER, invert_perm
+from bracelab.abelian import MAX_TABLE_ORDER
 from bracelab.errors import InternalCheckError
-from abelian_oracle import compose_perms, identity_perm
+from abelian_oracle import compose_perms, identity_perm, invert_perm
 
 
 def oracle_regular_circle_tables(group, auts):

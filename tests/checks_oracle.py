@@ -30,7 +30,7 @@ needed them.
 
 import math
 
-from bracelab.abelian import MAX_TABLE_ORDER, closure, invert_perm, is_permutation
+from bracelab.abelian import MAX_TABLE_ORDER, closure
 from bracelab.brace import LeftBrace, _nonadditive_generators
 from bracelab.checks import FAIL, PASS, _prime_power, _report, _scan_dotted_expansion
 from bracelab.errors import (
@@ -45,7 +45,7 @@ from bracelab.errors import (
     NonDegeneracyError,
 )
 from bracelab.solutions import SetTheoreticSolution
-from abelian_oracle import compose_perms, identity_perm, scale
+from abelian_oracle import compose_perms, identity_perm, invert_perm, is_permutation, scale
 
 
 def oracle_power_identities(brace, subject: str = ""):

@@ -11,11 +11,11 @@ The two must give the same maps, or the same ActionError and witness.
 ``oracle_semidirect_table`` fills the product table entry by entry.
 """
 
-from bracelab.abelian import is_permutation, make_group
+from bracelab.abelian import make_group
 from bracelab.brace import validate_brace
 from bracelab.errors import ActionError
 from bracelab.products import BraceAction, semidirect
-from abelian_oracle import compose_perms, identity_perm
+from abelian_oracle import compose_perms, identity_perm, is_permutation
 
 
 def oracle_make_action(acting, target, maps) -> BraceAction:

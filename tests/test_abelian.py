@@ -17,11 +17,13 @@ from bracelab.abelian import (
     automorphism_group,
     check_automorphism_work,
     closure,
-    invert_perm,
+    columns,
+    inverse_row,
     is_nilpotent_group,
     _linear_extension,
     make_group,
     multiples_of,
+    permutation_rows,
     primary_components,
 )
 from bracelab.errors import (
@@ -37,6 +39,8 @@ from abelian_oracle import (
     digits,
     from_digits,
     identity_perm,
+    invert_perm,
+    is_permutation,
     oracle_automorphisms,
     oracle_primary_components,
     scale,
@@ -145,6 +149,62 @@ class TestPermutations:
         assert compose_perms(invert_perm(p), p) == identity_perm(4)
 
 
+class TestByteRowPrimitives:
+    """columns, inverse_row and permutation_rows against zip(*), invert_perm
+    and is_permutation."""
+
+    @staticmethod
+    def assert_agree(perms, degree):
+        rows = [bytes(p) for p in perms]
+        assert columns(rows) == [bytes(col) for col in zip(*rows)]
+        assert all(is_permutation(p, degree) for p in perms)
+        assert permutation_rows(perms, degree) == rows
+        assert [inverse_row(row) for row in rows] == [bytes(invert_perm(p)) for p in perms]
+
+    def test_seeded_permutations_of_every_degree(self):
+        rng = random.Random(27)
+        for degree in range(1, abelian.MAX_TABLE_ORDER + 1):
+            # 1, 2 or 3 rows: square only at degrees 1 to 3
+            perms = [tuple(rng.sample(range(degree), degree)) for _ in range(1 + degree % 3)]
+            self.assert_agree(perms, degree)
+
+    @pytest.mark.parametrize("order", range(1, 25))
+    def test_automorphism_lists_of_census_types(self, order):
+        for factors in abelian_group_types(order):
+            auts = sorted(automorphism_group(make_group(factors)).elements)
+            self.assert_agree(auts, order)
+
+    def test_empty_table_has_no_columns(self):
+        assert columns([]) == []
+        assert permutation_rows([], 3) == []
+
+    class Index(int):
+        pass
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (0, 0, 1),  # a duplicate entry
+            (0, 1, 3),  # an entry equal to the degree
+            (0, -1, 2),  # a negative entry
+            (0, 1.0, 2),  # a float
+            (0, "1", 2),  # a str
+            "012",
+            (0, 1),  # a short row
+        ],
+    )
+    def test_rejected_rows(self, row):
+        assert not is_permutation(row, 3)
+        assert permutation_rows([row], 3) is None
+        # one bad row rejects the rows it comes with
+        assert permutation_rows([(0, 1, 2), row, b"\x02\x01\x00"], 3) is None
+
+    @pytest.mark.parametrize("row", [(True, 0, 2), (Index(2), Index(0), 1)])
+    def test_int_subclass_entries_are_accepted(self, row):
+        assert is_permutation(row, 3)
+        assert permutation_rows([row], 3) == [bytes(map(int, row))]
+
+
 class TestClosure:
     def test_symmetric_group_from_transposition_and_cycle(self):
         s4 = closure(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
@@ -157,6 +217,10 @@ class TestClosure:
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidGeneratorError):
             closure(3, [(0, 0, 1)])
+
+    def test_names_the_first_bad_generator_as_a_tuple(self):
+        with pytest.raises(InvalidGeneratorError, match=r"^\(0, 2, 2\) is not a permutation of 3 points$"):
+            closure(3, [b"\x01\x00\x02", [0, 2, 2], (3, 0, 1)])
 
     def test_refuses_above_cell_limit(self, monkeypatch):
         # Z/5 on 5 points lists 5 x 5 = 25 cells
@@ -390,6 +454,11 @@ class TestStructureRecovery:
     def test_rejects_non_group(self):
         with pytest.raises((InternalCheckError, ValueError, KeyError, IndexError)):
             abelian_structure([[0 if a == b else max(a, b) for b in range(4)] for a in range(4)])
+
+    def test_refuses_order_above_table_order(self):
+        n = abelian.MAX_TABLE_ORDER + 1
+        with pytest.raises(ResourceLimitError, match="order 257 above 256"):
+            abelian_structure([[(a + b) % n for b in range(n)] for a in range(n)])
 
     def test_rejects_idempotent_table(self):
         # every nonzero element is idempotent, so its multiples never reach 0

@@ -20,7 +20,6 @@ from bracelab import census as census_module
 from bracelab.abelian import (
     abelian_group_types,
     automorphism_group,
-    invert_perm,
     make_group,
 )
 from bracelab.brace import LeftBrace, validate_brace
@@ -35,7 +34,7 @@ from bracelab.census import (
 )
 from bracelab.errors import InternalCheckError, ResourceLimitError
 from bracelab.products import direct_sum
-from abelian_oracle import compose_perms
+from abelian_oracle import compose_perms, invert_perm
 from census_oracle import (
     eager_regular_circle_tables,
     full_aut_orbit_representatives,

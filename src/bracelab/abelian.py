@@ -4,8 +4,8 @@ Elements are plain integer indices.  An index e in [0, order) stands for the
 digit tuple (a_1, ..., a_k) with a_i in [0, d_i) under the fixed mixed-radix
 rule e = sum_i a_i * prod_{j>i} d_j, most significant factor first.  Index 0
 is always the zero element.  The rule is part of the file-format contract, so
-it must never change.  FiniteAbelianGroup.add_rows implements it, and every
-group operation reads that addition table.
+it must never change.  FiniteAbelianGroup.add_lookups implements it, and
+every group operation reads that addition table.
 """
 
 from __future__ import annotations
@@ -177,28 +177,33 @@ class FiniteAbelianGroup:
         return self._strides
 
     def add_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The full addition table, row a giving a + b for each b.  Cached."""
+        """The full addition table, row a giving a + b for each b: the
+        tuple view of add_lookups.  Cached."""
         if self._rows is None:
-            check_table_order(self.order)
-            # fold in one factor at a time, least significant first: the table
-            # of Z/d x H has entry ((a + b) % d) * |H| + (h + h') at row a|H| + h
-            rows: tuple[tuple[int, ...], ...] = ((0,),)
-            for d in reversed(self.factors):
-                m = len(rows)
-                rows = tuple(
-                    tuple(((a + b) % d) * m + v for b in range(d) for v in hrow)
-                    for a in range(d)
-                    for hrow in rows
-                )
-            self._rows = rows
+            n = self.order
+            self._rows = tuple(tuple(row[:n]) for row in self.add_lookups())
         return self._rows
 
     def add_lookups(self) -> tuple[bytes, ...]:
         """Row a of the addition table as bytes padded to MAX_TABLE_ORDER,
-        so row.translate(add_lookups()[a]) adds a to each entry.  Cached."""
+        so row.translate(add_lookups()[a]) adds a to each entry.  Cached.
+
+        Built one factor at a time, least significant first.  The table of
+        Z/d x H has entry ((a + b) % d) * |H| + (h + h') at row a|H| + h, so
+        row (a, h) is row (0, h) rotated left by a|H| bytes, and row (0, h)
+        is H-row h shifted by b|H| for each b in turn: one translate each,
+        by the identity rotated by b|H|.
+        """
         if self._lookups is None:
+            check_table_order(self.order)
+            rows = [b"\0"]
+            for d in reversed(self.factors):
+                blocks = range(0, d * len(rows), len(rows))
+                shifts = [_IDENTITY[k:] + _IDENTITY[:k] for k in blocks]
+                firsts = [b"".join([row.translate(s) for s in shifts]) for row in rows]
+                rows = [first[k:] + first[:k] for k in blocks for first in firsts]
             pad = bytes(MAX_TABLE_ORDER - self.order)
-            self._lookups = tuple(bytes(row) + pad for row in self.add_rows())
+            self._lookups = tuple(row + pad for row in rows)
         return self._lookups
 
     def negation(self) -> bytes:
@@ -237,8 +242,9 @@ class PermutationGroup:
         return len(self.elements)
 
 
-# The most generator-image tuples the automorphism brute force may try;
-# (2,2,2,2), the costliest additive type of order 16, needs exactly this many.
+# The most generator-image tuples an additive type may offer the automorphism
+# search, prod_i |A[d_i]|; (2,2,2,2), the costliest type of order 16, offers
+# exactly this many.
 MAX_AUT_CANDIDATES = 2**16
 
 # The most elements x degree that closure may list.  An admitted additive
@@ -282,19 +288,10 @@ def closure(degree: int, generators) -> PermutationGroup:
 
 
 def is_nilpotent_group(group: PermutationGroup) -> bool:
-    """Whether the group is nilpotent, by nilpotent_by_orders on the orders
-    of its elements, each found by composing byte rows."""
+    """Whether the group is nilpotent, by nilpotent_by_orders on the
+    perm_order of each element."""
     check_table_order(group.degree)
-    ident = bytes(range(group.degree))
-    pad = bytes(MAX_TABLE_ORDER - group.degree)
-    orders = []
-    for p in group.elements:
-        acc, k = bytes(p), 1  # p^k as a byte row, which is ident for some k <= |G|
-        lookup = acc + pad
-        while acc != ident:
-            acc, k = acc.translate(lookup), k + 1
-        orders.append(k)
-    return nilpotent_by_orders(orders)
+    return nilpotent_by_orders(list(map(perm_order, group.elements)))
 
 
 def nilpotent_by_orders(orders) -> bool:
@@ -313,26 +310,25 @@ def nilpotent_by_orders(orders) -> bool:
 
 
 def perm_order(p: Perm) -> int:
-    """The lcm of the cycle lengths of p."""
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = p[i]
-            length += 1
-        if length:
-            order = math.lcm(order, length)
-    return order
+    """The order of the permutation p: the least k with p^k the identity,
+    found by composing byte rows, one translate per power.  p must be a
+    permutation of at most MAX_TABLE_ORDER points; its order is at most
+    that of any group that holds it."""
+    acc = bytes(p)
+    lookup, ident = acc + bytes(MAX_TABLE_ORDER - len(acc)), _IDENTITY[: len(acc)]
+    k = 1
+    while acc != ident:
+        acc, k = acc.translate(lookup), k + 1
+    return k
 
 
 def check_automorphism_work(factors) -> None:
-    """Refuse a type whose brute force tries more than MAX_AUT_CANDIDATES tuples.
+    """Refuse a type that offers more than MAX_AUT_CANDIDATES image tuples.
 
-    It tries prod_i |A[d_i]| = prod_{i,j} gcd(d_i, d_j) tuples, a bound on
-    |Aut(A)|, which is the number of candidates at each census search node.
+    The tuples of generator images of orders dividing the d_i number
+    prod_i |A[d_i]| = prod_{i,j} gcd(d_i, d_j).  That bounds |Aut(A)|,
+    which is the number of candidates at each census search node, and the
+    tuples the pruned automorphism search can reach.
     """
     work = math.prod(math.gcd(d, e) for d in factors for e in factors)
     if work > MAX_AUT_CANDIDATES:
@@ -347,9 +343,8 @@ def automorphism_group(
 ) -> PermutationGroup:
     """All additive automorphisms of the group, as index permutations.
 
-    Brute force over images of the canonical generators: the generator with
-    digit 1 in slot i must map to an element killed by d_i, and any such
-    choice extends linearly; keep the bijective ones.
+    A search over images of the canonical generators, slot by slot (see
+    _automorphism_search); the list is found once per group.
     """
     if max_order is not None and group.order > max_order:
         raise ResourceLimitError(
@@ -362,20 +357,36 @@ def automorphism_group(
 
 
 def _compute_automorphisms(group: FiniteAbelianGroup) -> tuple[Perm, ...]:
-    n = group.order
-    rows = group.add_rows()
-    multiples = [multiples_of(rows, x) for x in range(n)]
-    # images allowed for the slot-i generator: elements of order dividing d_i
-    candidates = [
-        [x for x in range(n) if d % len(multiples[x]) == 0] for d in group.factors
-    ]
-    found: list[Perm] = []
-    for images in iter_product(*candidates):
-        out = _linear_extension(rows, multiples, images, group.factors)
-        if len(set(out)) == n:
-            found.append(tuple(out))
-    found.sort()
-    return tuple(found)
+    return tuple(sorted(map(tuple, _automorphism_search(group)[0])))
+
+
+def _automorphism_search(group: FiniteAbelianGroup) -> tuple[list[bytes], int]:
+    """The automorphisms of the group as byte rows, in no set order, and
+    the number of prefixes of generator images the search extended.
+
+    The slot-i generator has order d_i, so an automorphism sends it to an
+    element of order exactly d_i; any such images extend linearly to an
+    endomorphism, which is an automorphism when it is injective.  Images
+    for slots 1..i send the indices whose later digits are 0, in index
+    order, as _linear_extension grows them; every automorphism restricts
+    to an injective such prefix, so a prefix is extended only while it
+    stays injective.  Each extension is one translate per prefix entry.
+    """
+    n, lookups = group.order, group.add_lookups()
+    multiples = [bytes(multiples_of(group.add_rows(), x)) for x in range(n)]
+    prefixes, extended = [b"\0"], 0
+    for d in group.factors:
+        images = [steps for steps in multiples if len(steps) == d]
+        extended += len(prefixes)
+        grown = []
+        for out in prefixes:
+            for steps in images:
+                # out[p] + steps[j] at index p * d + j
+                image = b"".join([steps.translate(lookups[v]) for v in out])
+                if len(set(image)) == len(image):
+                    grown.append(image)
+        prefixes = grown
+    return prefixes, extended
 
 
 def _linear_extension(add_rows, multiples, images, factors) -> list[int]:

@@ -84,6 +84,12 @@ class LeftBrace:
         return self.dot_table[a][b]
 
     @cached_property
+    def _dot_rows(self) -> tuple[bytes, ...]:
+        """The rows of dot_table as bytes, read once off dot_table, so a
+        table put in its place reaches every byte-row reader."""
+        return tuple(map(bytes, self.dot_table))
+
+    @cached_property
     def _circle_cycles(self) -> tuple[bytes, ...]:
         """For each a, its circle powers 0, a, a o a, ... up to its circle
         order, exclusive: the only walk of circle powers.  Row a is walked
@@ -122,7 +128,7 @@ class LeftBrace:
         """lambda_a(b) = b + a . b for each a, byte rows read off dot_table:
         column b of the dot table shifted by b."""
         add = self.additive.add_lookups()
-        dot_columns = columns(list(map(bytes, self.dot_table)))
+        dot_columns = columns(self._dot_rows)
         return tuple(columns([col.translate(add[b]) for b, col in enumerate(dot_columns)]))
 
     def adjoint_group(self) -> PermutationGroup:
@@ -217,7 +223,7 @@ class LeftBrace:
     @cached_property
     def _radical_chain_index(self) -> int | None:
         add = self.additive.add_rows()
-        rows = [bytes(row) for row in self.dot_table]
+        rows = self._dot_rows
         current = frozenset(range(self.order))
         index = 1
         while True:
@@ -355,7 +361,7 @@ class LeftBrace:
     def _classify(self) -> "BraceTraits":
         neg = self.additive.negation()
         dot = self.dot_table
-        rows = [bytes(row) for row in dot]
+        rows = self._dot_rows
 
         # two-sided: each column a -> a . c is additive
         two_sided = all(g is None for g in _nonadditive_generators(self.additive, columns(rows)))

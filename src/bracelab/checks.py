@@ -391,7 +391,7 @@ def observe_square_rule(brace: LeftBrace, subject: str = "") -> CheckReport:
     name = "square-rule-observation"
     # (a . a) . b = a . (a . b) for every b: dot row a.a is row a composed with itself
     pad = bytes(MAX_TABLE_ORDER - brace.order)
-    rows = [bytes(row) for row in brace.dot_table]
+    rows = brace._dot_rows
     square_rule = all(rows[row[a]] == row.translate(row + pad) for a, row in enumerate(rows))
     if not square_rule:
         return _report(name, subject, HYPOTHESIS_NOT_MET, notes=("square rule fails",))

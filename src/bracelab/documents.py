@@ -5,25 +5,29 @@ newline.  parse(serialize(x)) returns an equal document and serialize is
 injective on canonical documents, which makes golden-file tests exact.
 
 One layout writer, _document, emits every document: the text of
-json.dumps(payload, indent=2) + "\n", built by str.join with each row's
-entries written by int.__repr__.  Keys and strings still go through
-json.dumps, so escaping is unchanged; an entry is written as its integer
-value, so a bool entry comes out as 0 or 1, never as false or true.
+json.dumps(payload, indent=2) + "\n".  A table of byte values is laid out
+as byte planes, a fixed number of C passes whatever its size (_table);
+any other table, and every 1-D list, by str.join over int.__repr__ of
+each entry.  Keys and strings still go through json.dumps, so escaping
+is unchanged; an entry is written as its integer value, so a bool entry
+comes out as 0 or 1, never as false or true.
 
-Parsing decides each table by one set-based test (row types, row lengths,
-entry types over every entry, then the least and greatest entry), all in C
-loops; only a table that the test rejects is scanned entry by entry, to
-name the first bad row or entry.  A message that quotes an integer from
-the document names one past 64 bits by its bit length, a long value by type.
+Parsing decides each table by one test in C loops: row types, row
+lengths, the type of every entry, then the range of the entries as one
+translate of the joined byte rows.  A table whose limit passes
+MAX_TABLE_ORDER is refused by check_table_order once its shape passes.
+Only a table that the test rejects is scanned entry by entry, to name the
+first bad row or entry.  A message that quotes an integer from the
+document names one past 64 bits by its bit length, a long value by type.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
-from .abelian import make_group, quote, square_byte_rows
+from .abelian import _IDENTITY, check_table_order, make_group, quote, square_byte_rows
 from .brace import LeftBrace, validate_brace
 from .errors import DocumentError, InternalCheckError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
@@ -154,16 +158,18 @@ def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tu
     value = payload.get(field)
     if not isinstance(value, list) or len(value) != rows:
         raise DocumentError(f"field {field!r} must be a list of {quote(rows)} rows")
-    # entry types are collected over every entry, not over a set of the
-    # entries: True == 1 hashes alike, so a dedup would hide a bool
-    if (
-        set(map(type, value)) == {list}
-        and set(map(len, value)) == {cols}
-        and set(map(type, chain.from_iterable(value))) == {int}
-        and min(map(min, value)) >= 0
-        and max(map(max, value)) < limit
-    ):
-        return tuple(map(tuple, value))
+    if set(map(type, value)) == {list} and set(map(len, value)) == {cols}:
+        check_table_order(limit)
+        # entry types are collected over every entry, not over a set of the
+        # entries: True == 1 hashes alike, so a dedup would hide a bool
+        if set(map(type, chain.from_iterable(value))) == {int}:
+            try:
+                flat = b"".join(map(bytes, value))
+            except ValueError:  # an entry outside range(256)
+                flat = None
+            # deleting every value below limit leaves the out-of-range entries
+            if flat is not None and not flat.translate(None, _IDENTITY[:limit]):
+                return tuple(map(tuple, value))
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(
@@ -189,13 +195,54 @@ def _document(payload: dict) -> str:
         elif isinstance(value, int):
             text = int.__repr__(value)
         elif value and not isinstance(value[0], int):
-            text = _array(
+            text = _table(value) or _array(
                 (_array(map(int.__repr__, row), "    ") for row in value), "  "
             )
         else:
             text = _array(map(int.__repr__, value), "  ")
         fields.append(f"{json.dumps(key)}: {text}")
     return _array(fields, "", "{}") + "\n"
+
+
+# the digit planes of a byte value: hundreds, tens and ones as ASCII
+# digits, a leading zero digit as NUL, which _table deletes
+_HUNDREDS, _TENS, _ONES = (
+    bytes(48 + v // 100 if v >= 100 else 0 for v in range(256)),
+    bytes(48 + v // 10 % 10 if v >= 10 else 0 for v in range(256)),
+    bytes(48 + v % 10 for v in range(256)),
+)
+_SLOT = b"\n      \0\0\0,"  # one entry of a table row: 11 bytes
+
+
+def _table(rows) -> str | None:
+    """_array of _array of int.__repr__ for each row, at a field's indent,
+    if every row is a nonempty sequence that bytes() takes entry for entry;
+    else None.
+
+    Each entry gets an 11-byte slot of _SLOT, its three digit planes placed
+    by strided slice assignment; the comma closing a row is marked by "]",
+    and the one closing the table by NUL.  Deleting NUL drops the leading
+    zeros, and one replace turns each mark into the break between rows.
+    """
+    # a row not a sequence, or an entry not an int in range(256), raises
+    try:
+        lengths = list(map(len, rows))
+        planes = list(map(bytes, rows))
+    except (TypeError, ValueError):
+        return None
+    # a buffer such as array("H") gives bytes() its memory, not its entries
+    if list(map(len, planes)) != lengths or 0 in lengths:
+        return None
+    flat = b"".join(planes)
+    buf = bytearray(_SLOT * len(flat))
+    buf[7::11] = flat.translate(_HUNDREDS)
+    buf[8::11] = flat.translate(_TENS)
+    buf[9::11] = flat.translate(_ONES)
+    for end in accumulate(lengths):
+        buf[11 * end - 1] = 93  # "]"
+    buf[-1] = 0
+    body = buf.translate(None, b"\0").replace(b"]", b"\n    ],\n    [")
+    return f"[\n    [{body.decode()}\n    ]\n  ]"
 
 
 def _array(items, indent: str, brackets: str = "[]") -> str:

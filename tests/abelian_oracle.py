@@ -1,8 +1,9 @@
 """Mixed-radix digit arithmetic, kept as a reference for the addition table.
 
-bracelab reads every group operation off ``FiniteAbelianGroup.add_rows``.
-These helpers compute the same operations from the digit tuples of the
-index rule e = sum_i a_i * prod_{j>i} d_j, most significant factor first,
+bracelab reads every group operation off ``FiniteAbelianGroup.add_lookups``.
+``oracle_add_rows`` is the entry-by-entry fold it replaced.  These helpers
+compute the same operations from the digit tuples of the index rule
+e = sum_i a_i * prod_{j>i} d_j, most significant factor first,
 ``oracle_automorphisms`` is the digit-based brute force that the package's
 automorphism search replaced, and ``automorphism_count`` counts the same
 group by formula, for types too large to search.  ``oracle_primary_components``
@@ -60,6 +61,21 @@ def oracle_primary_components(n: int, order_of) -> list[tuple[int, int, list[int
         assert len(members) == p**a, (p, members)
         out.append((p, a, members))
     return out
+
+
+def oracle_add_rows(factors) -> tuple[tuple[int, ...], ...]:
+    """The addition table, one factor folded in at a time, least significant
+    first: the table of Z/d x H has entry ((a + b) % d) * |H| + (h + h') at
+    row a|H| + h."""
+    rows: tuple[tuple[int, ...], ...] = ((0,),)
+    for d in reversed(factors):
+        m = len(rows)
+        rows = tuple(
+            tuple(((a + b) % d) * m + v for b in range(d) for v in hrow)
+            for a in range(d)
+            for hrow in rows
+        )
+    return rows
 
 
 def _strides(group) -> tuple[int, ...]:

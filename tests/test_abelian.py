@@ -20,9 +20,11 @@ from bracelab.abelian import (
     columns,
     inverse_row,
     is_nilpotent_group,
+    _automorphism_search,
     _linear_extension,
     make_group,
     multiples_of,
+    perm_order,
     permutation_rows,
     primary_components,
 )
@@ -41,10 +43,12 @@ from abelian_oracle import (
     identity_perm,
     invert_perm,
     is_permutation,
+    oracle_add_rows,
     oracle_automorphisms,
     oracle_primary_components,
     scale,
 )
+from brace_oracle import perm_order as oracle_perm_order
 from checks_oracle import oracle_additive_closure
 
 
@@ -120,6 +124,18 @@ class TestGroupArithmetic:
             )
             assert group.neg(a) == scale(group, -1, a)
             assert group.order_of(a) == digit_order(group, a)
+
+    def test_rotated_rows_equal_fold_to_order_256(self):
+        # every type, and its factors reversed, which is no chain; groups
+        # built directly, so none is interned
+        for n in range(1, 257):
+            pad = bytes(abelian.MAX_TABLE_ORDER - n)
+            for factors in abelian_group_types(n):
+                for listed in {factors, factors[::-1]}:
+                    group = FiniteAbelianGroup(listed)
+                    want = oracle_add_rows(listed)
+                    assert group.add_rows() == want, listed
+                    assert group.add_lookups() == tuple(bytes(row) + pad for row in want)
 
     @pytest.mark.parametrize("factors", [(), (5,), (6, 4), (2, 3, 2), (2, 2, 2, 2)])
     def test_linear_extension_of_generators_is_identity(self, factors):
@@ -299,9 +315,26 @@ class TestAutomorphisms:
         with pytest.raises(ResourceLimitError):
             automorphism_group(make_group((101,)), max_order=64)
 
+    def test_search_extends_only_injective_prefixes(self):
+        # (2,2,2,2): 1 + 15 + 15*14 + 15*14*12 prefixes extended, each by the
+        # 15 elements of order 2, where the unpruned search tried 16^4 tuples
+        found, extended = _automorphism_search(make_group((2, 2, 2, 2)))
+        assert len(found) == 20160
+        assert extended == 2746
+
+    def test_perm_order_equals_cycle_walk(self):
+        for factors in admitted_types(32):
+            for p in automorphism_group(make_group(factors)).elements:
+                assert perm_order(p) == oracle_perm_order(p), (factors, p)
+        rng = random.Random(3)
+        for degree in range(1, 41):
+            p = rng.sample(range(degree), degree)
+            assert perm_order(p) == oracle_perm_order(p), p
+
     @pytest.mark.parametrize("factors", [(2, 2, 2, 2), (2, 2, 2, 4), (3, 3, 3), (6, 6), (4, 12)])
     def test_guard_counts_brute_force_tuples(self, monkeypatch, factors):
-        # the brute force tries every element killed by d_i for generator i
+        # the guard counts every tuple of elements killed by d_i for
+        # generator i, which bounds the tuples the pruned search can reach
         group = make_group(factors)
         tuples = 1
         for d in factors:

@@ -27,7 +27,7 @@ from bracelab import (
     wreath,
 )
 from bracelab import documents
-from bracelab.abelian import abelian_group_types, automorphism_group
+from bracelab.abelian import MAX_TABLE_ORDER, abelian_group_types, automorphism_group
 from bracelab.brace import LeftBrace
 from bracelab.census import enumerate_braces
 from bracelab.errors import (
@@ -573,6 +573,50 @@ class TestLayoutAgainstOracle:
         doc = BraceDocument(1, (), "circle\"\u00e9", ((0,),))
         assert serialize_brace_document(doc) == oracle_serialize_brace(doc)
 
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_random_rectangular_tables(self, seed):
+        # every digit count, from 1 x 1 up to 70 x 70 and not square
+        rng = random.Random(seed)
+        edges = (0, 9, 10, 99, 100, 255)
+        entry = lambda: rng.choice(edges) if rng.random() < 0.3 else rng.randrange(256)
+        for _ in range(50):
+            rows, cols = rng.randint(1, 70), rng.randint(1, 70)
+            table = tuple(tuple(entry() for _ in range(cols)) for _ in range(rows))
+            doc = BraceDocument(rows, (rows,), "circle_table", table)
+            assert serialize_brace_document(doc) == oracle_serialize_brace(doc)
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            ((0,),),
+            ((255,),),
+            ((0, 9, 10), (99, 100, 255)),
+            ((1, 2, 3), (4,), (5, 6)),
+            ((), (1,)),
+            ((1,), ()),
+            ((),),
+            ((0, 256), (1, 2)),
+            ((-1, 0),),
+            ((10**20, 5),),
+        ],
+        ids=["0", "255", "digits", "ragged", "empty-first", "empty-last", "empty-only", "256", "negative", "long"],
+    )
+    def test_edge_tables(self, table):
+        doc = BraceDocument(len(table), (2,), "circle_table", table)
+        assert serialize_brace_document(doc) == oracle_serialize_brace(doc)
+
+    def test_bool_and_int_enum_entries_written_as_ints(self):
+        table = ((True, False, Level.HIGH), (Level.LOW, 7, True))
+        as_ints = tuple(tuple(map(int, row)) for row in table)
+        doc = BraceDocument(2, (2,), "circle_table", table)
+        text = oracle_serialize_brace(BraceDocument(2, (2,), "circle_table", as_ints))
+        assert serialize_brace_document(doc) == text
+
+    @pytest.mark.parametrize("table", [((1.0,),), ((0, 1), (2.5, 3)), ((0, 300), (1.0, 2))])
+    def test_float_entry_raises(self, table):
+        with pytest.raises(TypeError):
+            serialize_brace_document(BraceDocument(2, (2,), "circle_table", table))
+
 
 def malformed_rows(rows, cols, limit):
     """Lists of rows, mostly well formed, with the defects a document can
@@ -606,7 +650,7 @@ def malformed_rows(rows, cols, limit):
 def row_fields(draw):
     rows = draw(st.integers(min_value=1, max_value=4))
     cols = draw(st.integers(min_value=1, max_value=4))
-    limit = draw(st.integers(min_value=1, max_value=5))
+    limit = draw(st.integers(min_value=1, max_value=256))
     return rows, cols, limit, draw(malformed_rows(rows, cols, limit))
 
 
@@ -618,6 +662,15 @@ def test_rows_that_pass_the_scan_are_an_internal_error():
 
     with pytest.raises(InternalCheckError, match="fails the row test"):
         documents._get_rows({"table": [Row([0])]}, "table", 1, 1, 1)
+
+
+def test_limit_past_table_order_refused_once_shape_passes():
+    n = MAX_TABLE_ORDER + 1
+    payload = {"type": "action", "acting_order": 1, "target_order": n}
+    with pytest.raises(ResourceLimitError, match="^order 257 above 256, the largest order"):
+        parse_action_document(json.dumps({**payload, "maps": [list(range(n))]}))
+    with pytest.raises(DocumentError, match="^field 'maps' row 0 must be a list of 257 entries$"):
+        parse_action_document(json.dumps({**payload, "maps": [[0]]}))
 
 
 @settings(max_examples=400, deadline=None)

@@ -91,14 +91,14 @@ def square_byte_rows(table, n: int, name: str) -> list[bytes]:
 
 
 def quotient_rows(rows, cls: bytes, reps: bytes) -> tuple[list[bytes], tuple[int, int] | None]:
-    """The table that rows induce on classes, given each element's class
+    """The table that byte rows induce on classes, given each element's class
     cls and each class's least member reps: row i sends class j to the
     class of rows[reps[i]][reps[j]].  Also the first (x, y), by x then y,
     where the class of rows[x][y] is not induced row cls[x] at cls[y], or
     None, when each product's class depends only on its factors' classes."""
     pad = bytes(MAX_TABLE_ORDER - len(cls))
     # for each x, y -> the class of rows[x][y]
-    mapped = [bytes(row).translate(cls + pad) for row in rows]
+    mapped = [row.translate(cls + pad) for row in rows]
     induced = [reps.translate(mapped[r] + pad) for r in reps]
     # for each class i, y -> induced row i at the class of y
     class_pad = bytes(MAX_TABLE_ORDER - len(reps))
@@ -261,10 +261,10 @@ def closure(degree: int, generators) -> PermutationGroup:
     """
     check_table_order(degree)
     pad = bytes(MAX_TABLE_ORDER - degree)
-    gens = [tuple(g) for g in generators]
+    gens = list(generators)
     if (rows := permutation_rows(gens, degree)) is None:
         bad = next(g for g in gens if permutation_rows([g], degree) is None)
-        raise InvalidGeneratorError(f"{bad!r} is not a permutation of {degree} points")
+        raise InvalidGeneratorError(f"{tuple(bad)!r} is not a permutation of {degree} points")
     gens = [row + pad for row in rows]
     ident = _IDENTITY[:degree]
     elems = {ident}

@@ -48,10 +48,11 @@ _INDUCED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 @dataclass(frozen=True)
 class LeftBrace:
-    """A validated left brace.  Construct through validate_brace or trivial."""
+    """A validated left brace, its circle table a tuple of byte rows.
+    Construct through validate_brace or trivial."""
 
     additive: FiniteAbelianGroup
-    circle_table: tuple[tuple[int, ...], ...]
+    circle_table: tuple[bytes, ...]
 
     @property
     def order(self) -> int:
@@ -59,7 +60,8 @@ class LeftBrace:
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "LeftBrace":
-        return cls(group, group.add_rows())
+        n = group.order
+        return cls(group, tuple(row[:n] for row in group.add_lookups()))
 
     def circle(self, a: int, b: int) -> int:
         return self.circle_table[a][b]
@@ -76,7 +78,7 @@ class LeftBrace:
         gives lambda_a, and then each lambda column b by -b."""
         add, neg = self.additive.add_lookups(), self.additive.negation()
         minus = [add[v] for v in neg[: self.order]]
-        lambdas = [bytes(row).translate(minus[a]) for a, row in enumerate(self.circle_table)]
+        lambdas = [row.translate(minus[a]) for a, row in enumerate(self.circle_table)]
         dot_columns = [col.translate(minus[b]) for b, col in enumerate(columns(lambdas))]
         return tuple(map(tuple, columns(dot_columns)))
 
@@ -133,7 +135,7 @@ class LeftBrace:
 
     def adjoint_group(self) -> PermutationGroup:
         """The circle group in its left regular representation."""
-        return PermutationGroup(self.order, frozenset(self.circle_table))
+        return PermutationGroup(self.order, frozenset(map(tuple, self.circle_table)))
 
     def adjoint_order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, self._circle_cycles)))
@@ -153,8 +155,8 @@ class LeftBrace:
     # a reference cycle until the cyclic collector runs.
     @cached_property
     def _socle(self) -> frozenset[int]:
-        zero_row = (0,) * self.order
-        return frozenset(a for a, row in enumerate(self.dot_table) if row == zero_row)
+        zero_row = bytes(self.order)
+        return frozenset(a for a, row in enumerate(self._dot_rows) if row == zero_row)
 
     @cached_property
     def _socle_cosets(self) -> tuple[bytes, bytes]:
@@ -167,7 +169,7 @@ class LeftBrace:
         InternalCheckError."""
         soc = self._socle
         n = self.order
-        add = self.additive.add_rows()
+        add = [row[:n] for row in self.additive.add_lookups()]
         cls, reps = [-1] * n, []
         # scanned in index order, each coset is first met at its least member
         for x in range(n):
@@ -332,7 +334,7 @@ class LeftBrace:
         placed = inverse_row(bytes(relabel)).translate(reps + class_pad)
         new_index = position.translate(bytes(relabel) + class_pad)
         circle = self.circle_table
-        table = [placed.translate(bytes(circle[x]) + pad).translate(new_index) for x in placed]
+        table = [placed.translate(circle[x] + pad).translate(new_index) for x in placed]
         key = (factors, b"".join(table))
         brace = _INDUCED.get(key)
         if brace is None:
@@ -447,9 +449,10 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
     Raises CircleIdentityError, CircleInverseError, CircleAssociativityError
     or CompatibilityError with the first offending tuple as witness, and
     ResourceLimitError above order MAX_TABLE_ORDER before reading the table.
-    The table is taken in as byte rows, and the two laws on triples are
-    decided by composing them; only a table that a row test rejects is
-    scanned entry by entry or triple by triple, to name the witness.
+    The table is taken in as byte rows, which the brace keeps, and the two
+    laws on triples are decided by composing them; only a table that a row
+    test rejects is scanned entry by entry or triple by triple, to name the
+    witness.
     """
     n = group.order
     check_table_order(n)
@@ -481,7 +484,7 @@ def validate_brace(group: FiniteAbelianGroup, circle_table) -> LeftBrace:
         raise InternalCheckError(
             f"row check fails {failure}, but every triple passes"
         )
-    return LeftBrace(group, tuple(map(tuple, table)))
+    return LeftBrace(group, tuple(rows))
 
 
 def _brace_row_failure(group: FiniteAbelianGroup, rows) -> str | None:
@@ -514,16 +517,22 @@ def _brace_row_failure(group: FiniteAbelianGroup, rows) -> str | None:
 def _nonadditive_generators(group: FiniteAbelianGroup, lambdas):
     """For each byte row lambda in turn, the first canonical generator g with
     lambda(g + c) != lambda(g) + lambda(c) for some c, or None.  Those g
-    that pass form a subgroup, so lambda is additive exactly when it is None."""
+    that pass form a subgroup, so lambda is additive exactly when it is None.
+    All generators are tested by one translate of their joined shifts
+    c -> g + c; only a row that fails is tested generator by generator."""
     n = group.order
     pad = bytes(MAX_TABLE_ORDER - n)
-    add_lookups = group.add_lookups()
-    shifts = [(g, add_lookups[g][:n]) for g in group.generators()]
+    add, gens = group.add_lookups(), group.generators()
+    shifts = [add[g][:n] for g in gens]
+    joined = b"".join(shifts)
     for lam in lambdas:
         lam_lookup = lam + pad
-        failing = (g for g, shift in shifts
-                   if shift.translate(lam_lookup) != lam.translate(add_lookups[lam[g]]))
-        yield next(failing, None)
+        sums = [lam.translate(add[lam[g]]) for g in gens]
+        if joined.translate(lam_lookup) == b"".join(sums):
+            yield None
+        else:
+            yield next(g for g, shift, want in zip(gens, shifts, sums)
+                       if shift.translate(lam_lookup) != want)
 
 
 def _left_generators(lookups) -> list[int]:

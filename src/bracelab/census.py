@@ -337,7 +337,7 @@ def are_isomorphic(first: LeftBrace, second: LeftBrace) -> bool:
         return False
     if first.adjoint_order_profile() != second.adjoint_order_profile():
         return False
-    t1, t2 = (b"".join(map(bytes, b.circle_table)) for b in (first, second))
+    t1, t2 = (b"".join(b.circle_table) for b in (first, second))
     if t1 == t2:
         return True
     auts = automorphism_group(first.additive).elements

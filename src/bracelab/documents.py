@@ -40,7 +40,7 @@ class BraceDocument:
     order: int
     invariant_factors: tuple[int, ...]
     operation: str
-    table: tuple[tuple[int, ...], ...]
+    table: tuple[bytes, ...]
 
     @classmethod
     def from_brace(cls, brace: LeftBrace, operation: str = "circle_table") -> "BraceDocument":
@@ -50,7 +50,7 @@ class BraceDocument:
         if operation == "circle_table":
             table = brace.circle_table
         else:
-            table = tuple(brace.lambda_row(a) for a in range(brace.order))
+            table = brace._lambda_rows
         return cls(
             order=brace.order,
             invariant_factors=brace.additive.factors,
@@ -66,15 +66,15 @@ class BraceDocument:
             )
         group = make_group(self.invariant_factors)
         if self.operation == "circle_table":
-            return validate_brace(group, _bytes_or_given(self.table))
+            return validate_brace(group, self.table)
         return validate_brace(group, _circle_rows(group, self.table))
 
 
 @dataclass(frozen=True)
 class SolutionDocument:
     size: int
-    sigma: tuple[tuple[int, ...], ...]
-    tau: tuple[tuple[int, ...], ...]
+    sigma: tuple[bytes, ...]
+    tau: tuple[bytes, ...]
 
     @classmethod
     def from_solution(cls, solution: SetTheoreticSolution) -> "SolutionDocument":
@@ -86,21 +86,7 @@ class SolutionDocument:
             raise ResourceLimitError(
                 f"solution size {self.size} above configured bound {max_size}"
             )
-        validate_solution(self.size, _bytes_or_given(self.sigma), _bytes_or_given(self.tau))
-        # the solution keeps the document's rows, not a second copy of each table
-        sigma, tau = (tuple(map(tuple, rows)) for rows in (self.sigma, self.tau))
-        return SetTheoreticSolution(self.size, sigma, tau)
-
-
-def _bytes_or_given(rows):
-    """Each row as bytes for a validator, or as given where bytes() refuses
-    an entry (a hand-built document's), so the validator names it.  Lazy,
-    so the validator refuses an order above MAX_TABLE_ORDER first."""
-    for row in rows:
-        try:
-            yield bytes(row)
-        except (TypeError, ValueError):
-            yield row
+        return validate_solution(self.size, self.sigma, self.tau)
 
 
 def _circle_rows(group, lambdas) -> list[bytes]:
@@ -115,7 +101,7 @@ def _circle_rows(group, lambdas) -> list[bytes]:
 class ActionDocument:
     acting_order: int
     target_order: int
-    maps: tuple[tuple[int, ...], ...]
+    maps: tuple[bytes, ...]
 
 
 def _load(text: str) -> dict:
@@ -149,8 +135,8 @@ def _get_int(payload: dict, field: str, minimum: int = 0) -> int:
     return value
 
 
-def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tuple[tuple[int, ...], ...]:
-    """The field as a tuple of rows, each of cols ints in range(limit).
+def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tuple[bytes, ...]:
+    """The field as a tuple of byte rows, each of cols ints in range(limit).
 
     rows and cols are >= 1.  The set test below decides; the scan after it
     runs only to name the first bad row or entry.
@@ -164,12 +150,12 @@ def _get_rows(payload: dict, field: str, rows: int, cols: int, limit: int) -> tu
         # entries: True == 1 hashes alike, so a dedup would hide a bool
         if set(map(type, chain.from_iterable(value))) == {int}:
             try:
-                flat = b"".join(map(bytes, value))
+                table = tuple(map(bytes, value))
             except ValueError:  # an entry outside range(256)
-                flat = None
+                table = None
             # deleting every value below limit leaves the out-of-range entries
-            if flat is not None and not flat.translate(None, _IDENTITY[:limit]):
-                return tuple(map(tuple, value))
+            if table is not None and not b"".join(table).translate(None, _IDENTITY[:limit]):
+                return table
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise DocumentError(

@@ -110,7 +110,7 @@ def semidirect(
         [bytes(g * nh + h for h in row) for g in range(nt)] for row in acting.circle_table
     ]
     twists = [bytes(f) for f in action.maps]
-    lookups = [bytes(row) + pad for row in target.circle_table]
+    lookups = [row + pad for row in target.circle_table]
     table = [
         b"".join(map(blocks[h1].__getitem__, twists[h1].translate(lookup)))
         for lookup in lookups

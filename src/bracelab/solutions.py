@@ -31,9 +31,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SetTheoreticSolution:
+    """Construct through validate_solution: it keeps the byte rows it checked."""
+
     size: int
-    sigma: tuple[tuple[int, ...], ...]
-    tau: tuple[tuple[int, ...], ...]
+    sigma: tuple[bytes, ...]
+    tau: tuple[bytes, ...]
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.sigma[x][y], self.tau[y][x]
@@ -81,7 +83,7 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
         raise InternalCheckError(
             f"cycle-set identity fails {failure}, but every triple braids"
         )
-    return SetTheoreticSolution(size, tuple(map(tuple, sigma)), tuple(map(tuple, tau)))
+    return SetTheoreticSolution(size, tuple(sigma_rows), tuple(tau_rows))
 
 
 def _rows_involutive(
@@ -229,12 +231,15 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
     tables are read off their first members by abelian.quotient_rows, on
     the rows of sigma and the columns of tau; the first pair where another
     member would induce a different entry raises InternalCheckError.  For
-    an involutive non-degenerate solution it cannot fail.
+    an involutive non-degenerate solution it cannot fail.  The rows go
+    through bytes(), which returns a byte row as it is and reads the tuple
+    rows of a hand-built solution.
     """
-    class_of_row: dict[tuple[int, ...], int] = {}
-    cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in solution.sigma)
+    sigma = list(map(bytes, solution.sigma))
+    class_of_row: dict[bytes, int] = {}
+    cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in sigma)
     reps = bytes(cls.index(i) for i in range(len(class_of_row)))
-    induced_sigma, sigma_failure = quotient_rows(solution.sigma, cls, reps)
+    induced_sigma, sigma_failure = quotient_rows(sigma, cls, reps)
     induced_tau_columns, tau_failure = quotient_rows(columns(list(map(bytes, solution.tau))), cls, reps)
     # the least pair fails first, and sigma before tau at the same pair
     failures = [(at, name) for at, name in ((sigma_failure, "sigma"), (tau_failure, "tau")) if at]

@@ -35,6 +35,11 @@ through ``oracle_induced``, which validates a new object every time, where
 ``oracle_radical_chain_index`` forms each stage of the radical chain entry
 by entry, as ``LeftBrace._radical_chain_index`` once did; it now reads each
 stage off the joined byte dot rows of the stage before.
+
+``per_generator_nonadditive`` tests each lambda row generator by
+generator, as ``_nonadditive_generators`` once did; it now tests all of
+them by one translate of their joined shifts, and goes generator by
+generator only on a row that fails.
 """
 
 import math
@@ -296,6 +301,20 @@ def magma_generators(table) -> list[int]:
                         members.append(v)
             i += 1
     return gens
+
+
+def per_generator_nonadditive(group, lambdas):
+    """brace._nonadditive_generators with every generator tested on its
+    own, by two translates, in a generator expression per row."""
+    n = group.order
+    pad = bytes(MAX_TABLE_ORDER - n)
+    add = group.add_lookups()
+    shifts = [(g, add[g][:n]) for g in group.generators()]
+    for lam in lambdas:
+        lam_lookup = lam + pad
+        failing = (g for g, shift in shifts
+                   if shift.translate(lam_lookup) != lam.translate(add[lam[g]]))
+        yield next(failing, None)
 
 
 def oracle_row_failure(group, table) -> str | None:

@@ -248,7 +248,8 @@ def oracle_validate_brace(group, circle_table):
                         witness=(a, b, c),
                     )
 
-    return LeftBrace(group, table)
+    # the validator's row type: byte rows
+    return LeftBrace(group, tuple(map(bytes, table)))
 
 
 def oracle_validate_solution(size: int, sigma, tau):
@@ -299,7 +300,8 @@ def oracle_validate_solution(size: int, sigma, tau):
                         f"braid relation fails at ({x}, {y}, {z})",
                         witness=(x, y, z),
                     )
-    return sol
+    # the validator's row type: byte rows
+    return SetTheoreticSolution(size, tuple(map(bytes, sigma)), tuple(map(bytes, tau)))
 
 
 def oracle_is_nilpotent_group(group) -> bool:

@@ -17,6 +17,12 @@ def cyclic_brace(n: int, c: int) -> LeftBrace:
     return validate_brace(group, table)
 
 
+def tuple_rows(rows):
+    """A table's rows as tuples of ints, whatever their row type, so tables
+    compare by value: a bytes row never equals a tuple row."""
+    return tuple(map(tuple, rows))
+
+
 def with_dot_entries(brace, entries):
     """The brace with some dot products overwritten, circle table untouched.
 

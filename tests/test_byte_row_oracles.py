@@ -40,6 +40,7 @@ from bracelab.abelian import (
     MAX_TABLE_ORDER,
     PermutationGroup,
     additive_closure,
+    columns,
     is_nilpotent_group,
     make_group,
 )
@@ -68,10 +69,11 @@ from brace_oracle import (
     oracle_row_failure,
     oracle_socle,
     oracle_sylow_components,
+    per_generator_nonadditive,
     perm_order_is_nilpotent_group,
 )
 from checks_oracle import oracle_validate_brace
-from conftest import with_dot_entries
+from conftest import tuple_rows, with_dot_entries
 from products_oracle import oracle_semidirect_table
 from solutions_oracle import (
     circle_tau,
@@ -174,8 +176,8 @@ def assert_kernels_agree(brace, checked_induced):
     assert len(checked_induced) > before
 
     solution = from_brace(subject)
-    assert solution.sigma == tuple(map(tuple, subject._lambda_rows))
-    assert solution.tau == circle_tau(subject)
+    assert tuple_rows(solution.sigma) == tuple(map(tuple, subject._lambda_rows))
+    assert tuple_rows(solution.tau) == circle_tau(subject)
     assert retract_solution(solution) == one_pass_retract_solution(solution)
     assert_tower_kernels_agree(solution)
 
@@ -343,7 +345,7 @@ def checked_semidirect(monkeypatch):
         got = real(target, acting, action, max_order)
         maps = (action or products_module.trivial_action(acting, target)).maps
         table = oracle_semidirect_table(target, acting, maps)
-        assert got.circle_table == tuple(map(tuple, table))
+        assert tuple_rows(got.circle_table) == tuple(map(tuple, table))
         calls.append(any(m != maps[0] for m in maps))
         return got
 
@@ -364,6 +366,36 @@ def test_file_products(census, seed, checked_semidirect, checked_induced):
     assert sorted(orders) == [48] * 9 + [64] * 11
     # the wreath products' last semidirect step has a nontrivial action
     assert sum(checked_semidirect) >= 2
+
+
+def assert_nonadditive_generators_agree(brace):
+    """On the lambda rows, additive, the dot columns, often not, and each
+    lambda row with its entry at each generator moved by one."""
+    gens = brace.additive.generators()
+    rows = list(brace._lambda_rows) + columns(brace._dot_rows)
+    for lam in brace._lambda_rows:
+        for g in gens:
+            moved = bytearray(lam)
+            moved[g] = (lam[g] + 1) % brace.order
+            rows.append(bytes(moved))
+    got = list(brace_module._nonadditive_generators(brace.additive, rows))
+    assert got == list(per_generator_nonadditive(brace.additive, rows))
+    n = brace.order
+    assert got[:n] == [None] * n
+    # a moved entry breaks additivity, except on Z/2, where it gives the zero map
+    assert None not in got[2 * n:] or n <= 2
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_nonadditive_generators_on_census_classes(census, order):
+    for brace in census(order).classes:
+        assert_nonadditive_generators_agree(brace)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_nonadditive_generators_on_file_products(census, seed):
+    for op in file_ops(census, seed):
+        assert_nonadditive_generators_agree(build(op))
 
 
 def test_file_product_documents_are_pinned(census):

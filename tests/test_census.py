@@ -459,7 +459,7 @@ class TestAreIsomorphic:
             tuple(phi[b4.circle_table[inv[a]][inv[b]]] for b in range(4))
             for a in range(4)
         )
-        other = LeftBrace(make_group((4,)), table)
+        other = LeftBrace(make_group((4,)), tuple(map(bytes, table)))
         assert are_isomorphic(b4, other)
 
     @pytest.mark.slow
@@ -478,7 +478,7 @@ class TestAreIsomorphic:
             tuple(swap[table[swap[x]][swap[y]]] for y in range(n)) for x in range(n)
         )
         assert other != table
-        assert are_isomorphic(validate_brace(group, table), LeftBrace(group, other))
+        assert are_isomorphic(validate_brace(group, table), LeftBrace(group, tuple(map(bytes, other))))
 
     def test_distinguishes_classes(self, b4):
         assert not are_isomorphic(b4, LeftBrace.trivial(make_group((4,))))

@@ -3,6 +3,7 @@
 import enum
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from bracelab.errors import (
     SolutionValidationError,
 )
 from bracelab.solutions import validate_solution
+from conftest import tuple_rows
 from documents_oracle import (
     oracle_get_rows,
     oracle_serialize_action,
@@ -71,7 +73,7 @@ class TestBraceRoundTrip:
     def test_lambda_table_stores_lambda_rows(self, b4):
         doc = doc_of(b4, "lambda_table")
         assert doc.operation == "lambda_table"
-        assert doc.table == tuple(b4.lambda_row(a) for a in range(4))
+        assert tuple_rows(doc.table) == tuple(b4.lambda_row(a) for a in range(4))
         assert doc.table != b4.circle_table
 
     def test_zero_socle_entry_survives(self, census):
@@ -297,7 +299,8 @@ class TestActionDocuments:
     def test_round_trip(self):
         doc = ActionDocument(2, 3, ((0, 1, 2), (0, 2, 1)))
         text = serialize_action_document(doc)
-        assert parse_action_document(text) == doc
+        parsed = parse_action_document(text)
+        assert replace(parsed, maps=tuple_rows(parsed.maps)) == doc
         assert serialize_action_document(parse_action_document(text)) == text
 
     def test_rows_must_be_permutations(self):
@@ -567,7 +570,8 @@ class TestLayoutAgainstOracle:
                 doc = ActionDocument(len(maps), n, maps)
                 text = serialize_action_document(doc)
                 assert text == oracle_serialize_action(doc)
-                assert parse_action_document(text) == doc
+                parsed = parse_action_document(text)
+                assert replace(parsed, maps=tuple_rows(parsed.maps)) == doc
 
     def test_empty_lists_and_escapes(self):
         doc = BraceDocument(1, (), "circle\"\u00e9", ((0,),))
@@ -683,7 +687,7 @@ def test_rows_like_oracle(case):
 
     def outcome(get_rows):
         try:
-            return get_rows(payload, "table", rows, cols, limit)
+            return tuple_rows(get_rows(payload, "table", rows, cols, limit))
         except DocumentError as exc:
             return str(exc)
 

@@ -59,15 +59,16 @@ def check_table_order(order: int) -> None:
 def _byte_rows(rows, size: int) -> list[bytes] | None:
     """The rows as bytes, if each has size entries, all ints below size.
     A bytes row holds only ints, so only the other rows' entry types are read."""
-    types = set(map(type, chain.from_iterable(r for r in rows if not isinstance(r, bytes))))
-    if not all(issubclass(t, int) for t in types):
-        return None
+    if set(map(type, rows)) != {bytes}:
+        types = set(map(type, chain.from_iterable(r for r in rows if not isinstance(r, bytes))))
+        if not all(issubclass(t, int) for t in types):
+            return None
     try:
-        out = [bytes(row) for row in rows]
+        out = list(map(bytes, rows))
     except ValueError:  # a negative entry
         return None
     # deleting every value below size leaves the out-of-range entries
-    if any(len(row) != size for row in out) or b"".join(out).translate(None, bytes(range(size))):
+    if set(map(len, out)) - {size} or b"".join(out).translate(None, _IDENTITY[:size]):
         return None
     return out
 
@@ -170,7 +171,7 @@ class FiniteAbelianGroup:
         return self.negation()[a]
 
     def order_of(self, a: int) -> int:
-        return len(multiples_of(self.add_rows(), a))
+        return len(multiples_of(self.add_lookups(), a))
 
     def generators(self) -> tuple[int, ...]:
         """The canonical generators: digit 1 in one slot and 0 elsewhere."""
@@ -178,7 +179,7 @@ class FiniteAbelianGroup:
 
     def add_rows(self) -> tuple[tuple[int, ...], ...]:
         """The full addition table, row a giving a + b for each b: the
-        tuple view of add_lookups.  Cached."""
+        tuple view of add_lookups for callers outside the package.  Cached."""
         if self._rows is None:
             n = self.order
             self._rows = tuple(tuple(row[:n]) for row in self.add_lookups())
@@ -210,7 +211,7 @@ class FiniteAbelianGroup:
         """a -> -a as bytes padded to MAX_TABLE_ORDER.  Cached."""
         if self._negation is None:
             pad = bytes(MAX_TABLE_ORDER - self.order)
-            self._negation = bytes(row.index(0) for row in self.add_rows()) + pad
+            self._negation = bytes(row.index(0) for row in self.add_lookups()) + pad
         return self._negation
 
     def __eq__(self, other) -> bool:
@@ -373,7 +374,7 @@ def _automorphism_search(group: FiniteAbelianGroup) -> tuple[list[bytes], int]:
     stays injective.  Each extension is one translate per prefix entry.
     """
     n, lookups = group.order, group.add_lookups()
-    multiples = [bytes(multiples_of(group.add_rows(), x)) for x in range(n)]
+    multiples = [bytes(multiples_of(lookups, x)) for x in range(n)]
     prefixes, extended = [b"\0"], 0
     for d in group.factors:
         images = [steps for steps in multiples if len(steps) == d]

@@ -74,22 +74,22 @@ class LeftBrace:
 
     @cached_property
     def dot_table(self) -> tuple[tuple[int, ...], ...]:
+        """The dot rows as tuples of ints, for callers outside the package."""
+        return tuple(map(tuple, self._dot_rows))
+
+    def dot(self, a: int, b: int) -> int:
+        return self._dot_rows[a][b]
+
+    @cached_property
+    def _dot_rows(self) -> tuple[bytes, ...]:
         """a . b = lambda_a(b) - b: each circle row a is shifted by -a, which
-        gives lambda_a, and then each lambda column b by -b."""
+        gives lambda_a, and then each lambda column b by -b.  Every reader of
+        the dot table takes these rows, so rows put in their place reach all."""
         add, neg = self.additive.add_lookups(), self.additive.negation()
         minus = [add[v] for v in neg[: self.order]]
         lambdas = [row.translate(minus[a]) for a, row in enumerate(self.circle_table)]
         dot_columns = [col.translate(minus[b]) for b, col in enumerate(columns(lambdas))]
-        return tuple(map(tuple, columns(dot_columns)))
-
-    def dot(self, a: int, b: int) -> int:
-        return self.dot_table[a][b]
-
-    @cached_property
-    def _dot_rows(self) -> tuple[bytes, ...]:
-        """The rows of dot_table as bytes, read once off dot_table, so a
-        table put in its place reaches every byte-row reader."""
-        return tuple(map(bytes, self.dot_table))
+        return tuple(columns(dot_columns))
 
     @cached_property
     def _circle_cycles(self) -> tuple[bytes, ...]:
@@ -127,8 +127,8 @@ class LeftBrace:
 
     @cached_property
     def _lambda_rows(self) -> tuple[bytes, ...]:
-        """lambda_a(b) = b + a . b for each a, byte rows read off dot_table:
-        column b of the dot table shifted by b."""
+        """lambda_a(b) = b + a . b for each a, byte rows read off the dot
+        rows: column b of the dot table shifted by b."""
         add = self.additive.add_lookups()
         dot_columns = columns(self._dot_rows)
         return tuple(columns([col.translate(add[b]) for b, col in enumerate(dot_columns)]))
@@ -224,7 +224,7 @@ class LeftBrace:
 
     @cached_property
     def _radical_chain_index(self) -> int | None:
-        add = self.additive.add_rows()
+        add = self.additive.add_lookups()
         rows = self._dot_rows
         current = frozenset(range(self.order))
         index = 1
@@ -277,7 +277,7 @@ class LeftBrace:
 
     @cached_property
     def _sylow_components(self) -> tuple["SylowComponent", ...]:
-        add = self.additive.add_rows()
+        add = self.additive.add_lookups()
         multiples = [multiples_of(add, x) for x in range(self.order)]
         out = []
         for p, alpha, members in primary_components(multiples):
@@ -347,7 +347,7 @@ class LeftBrace:
         takes to reach 0, or None if it never does."""
         n = self.order
         out = []
-        for a, row in enumerate(self.dot_table):
+        for a, row in enumerate(self._dot_rows):
             acc = a
             steps = 1
             while acc != 0 and steps <= n:
@@ -362,7 +362,6 @@ class LeftBrace:
     @cached_property
     def _classify(self) -> "BraceTraits":
         neg = self.additive.negation()
-        dot = self.dot_table
         rows = self._dot_rows
 
         # two-sided: each column a -> a . c is additive
@@ -382,7 +381,7 @@ class LeftBrace:
             # the dot product is biadditive now, so both sides of
             # (a . b) . c = a . (b . c) are additive in each argument
             for a, b, c in iter_product(gens, repeat=3):
-                if dot[dot[a][b]][c] != dot[a][dot[b][c]]:
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                     raise InternalCheckError(
                         "two-sided brace with non-associative dot product"
                         f" at ({a}, {b}, {c})"
@@ -570,7 +569,7 @@ def _scan_brace_laws(group: FiniteAbelianGroup, table) -> None:
                         witness=(a, b, c),
                     )
 
-    add = group.add_rows()
+    add = group.add_lookups()
     for a in range(n):
         row_a = table[a]
         for b in range(n):

@@ -64,7 +64,7 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
     components = brace.sylow_components()
     if len(components) < 2:
         return _report(name, subject, HYPOTHESIS_NOT_MET, notes=("single prime",))
-    dot = brace.dot_table
+    dot = brace._dot_rows
     cycles = brace._circle_cycles
     notes = []
     for left in components:
@@ -227,8 +227,8 @@ def check_nilpotency_equivalence(brace: LeftBrace, subject: str = "") -> CheckRe
                 f" left powers vanish: {traits.is_left_nil}",
             ),
         )
-    add = brace.additive.add_rows()
-    dot = brace.dot_table
+    add = brace.additive.add_lookups()
+    dot = brace._dot_rows
     steps = brace._left_power_steps
     components = brace.sylow_components()
     for comp_a in components:
@@ -291,8 +291,8 @@ def check_power_identities(brace: LeftBrace, subject: str = "") -> CheckReport:
     """
     name = "power-identities"
     n = brace.order
-    add = brace.additive.add_rows()
-    dot = brace.dot_table
+    add = brace.additive.add_lookups()
+    dot = brace._dot_rows
     prime_power_m = [_prime_power(m) is not None for m in range(n + 1)]
     pad = bytes(MAX_TABLE_ORDER - n)
     lambdas = brace._lambda_rows

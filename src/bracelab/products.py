@@ -35,7 +35,7 @@ def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
         raise ActionError(
             f"need one map per acting element, got {len(maps)} for order {nh}"
         )
-    add = target.additive.add_rows()
+    add = target.additive.add_lookups()
     circle = target.circle_table
     # the maps are tested one by one, in order of h, only if some map fails
     bijective = permutation_rows(maps, nt) is not None
@@ -87,8 +87,9 @@ def semidirect(
     """The brace on target x acting, with pairs indexed g * |acting| + h.
 
     A product above max_order, or above MAX_TABLE_ORDER, is refused before
-    any table work.  The action is always revalidated here, so a hand-built
-    BraceAction cannot smuggle in a non-homomorphism.
+    any table work.  A given action is always revalidated here, so a
+    hand-built BraceAction cannot smuggle in a non-homomorphism; without
+    one, every twist is the identity, which needs no check.
     """
     nt, nh = target.order, acting.order
     order = nt * nh
@@ -98,10 +99,11 @@ def semidirect(
         )
     check_table_order(order)
     if action is None:
-        action = trivial_action(acting, target)
-    if action.acting != acting or action.target != target:
+        twists = [bytes(range(nt))] * nh
+    elif action.acting != acting or action.target != target:
         raise ActionError("action does not connect the given braces")
-    action = make_action(acting, target, action.maps)
+    else:
+        twists = list(map(bytes, make_action(acting, target, action.maps).maps))
     group = make_group(target.additive.factors + acting.additive.factors)
     # (g1, h1) o (g2, h2) = (g1 o twist_h1(g2), h1 o h2): row (g1, h1) joins,
     # over g2, the block of g * nh + h1 o h2 over h2 for g = g1 o twist_h1(g2)
@@ -109,7 +111,6 @@ def semidirect(
     blocks = [
         [bytes(g * nh + h for h in row) for g in range(nt)] for row in acting.circle_table
     ]
-    twists = [bytes(f) for f in action.maps]
     lookups = [row + pad for row in target.circle_table]
     table = [
         b"".join(map(blocks[h1].__getitem__, twists[h1].translate(lookup)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import (
-    MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, columns, inverse_row,
+    _IDENTITY, MAX_TABLE_ORDER, _byte_rows, check_table_order, closure, columns, inverse_row,
     permutation_rows, quote, quotient_rows,
 )
 from .brace import LeftBrace
@@ -69,9 +69,7 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
     sigma_rows, tau_rows = _byte_rows(sigma, size), _byte_rows(tau, size)
     sol = SetTheoreticSolution(size, sigma, tau)
     inverses = [inverse_row(row) for row in sigma_rows or ()]
-    if None in (sigma_rows, tau_rows) or not _rows_involutive(
-        sigma_rows, tau_rows, inverses
-    ):
+    if None in (sigma_rows, tau_rows) or not _rows_involutive(sigma_rows, tau_rows, inverses):
         _scan_entries(sol)
         raise InternalCheckError(
             "row checks reject the tables, but every entry passes"
@@ -86,25 +84,34 @@ def validate_solution(size: int, sigma, tau) -> SetTheoreticSolution:
     return SetTheoreticSolution(size, tuple(sigma_rows), tuple(tau_rows))
 
 
-def _rows_involutive(
-    sigma_rows: list[bytes], tau_rows: list[bytes], inverses: list[bytes]
-) -> bool:
-    """Whether every row is a bijection and r o r = id, one row at a time.
+def _rows_involutive(sigma_rows: list[bytes], tau_rows: list[bytes], inverses: list[bytes]) -> bool:
+    """Whether every row is a bijection and tau is _involutive_tau.  Rows of
+    entries below their count, as _byte_rows takes them, are bijections
+    when deleting their entries from the identity leaves nothing."""
+    ident = _IDENTITY[: len(sigma_rows)]
+    if any(ident.translate(None, row) for row in sigma_rows + tau_rows):
+        return False
+    return _involutive_tau(sigma_rows, inverses) == tau_rows
+
+
+def _involutive_tau(sigma_rows, inverses) -> list[bytes]:
+    """The tau rows with r o r = id, given sigma and its inverse rows.
 
     With u = sigma_x(y) and v = tau_y(x), r(u, v) = (x, y) for every pair
     exactly when v = sigma_u^-1(x) for every pair: that equation, taken at
-    the pair (u, v), also gives tau_v(u) = sigma_x^-1(u) = y.  So for each
-    x, column x of tau must be row x of sigma looked up in column x of the
-    inverse sigma table; inverses holds the rows of that table.
+    the pair (u, v), also gives tau_v(u) = sigma_x^-1(u) = y.  So column x
+    of tau is row x of sigma looked up in column x of the inverse table.
     """
-    n = len(sigma_rows)
-    if permutation_rows(sigma_rows + tau_rows, n) is None:
-        return False
-    pad = bytes(MAX_TABLE_ORDER - n)
-    return all(
-        row.translate(inverse_column + pad) == tau_column
-        for row, inverse_column, tau_column in zip(sigma_rows, columns(inverses), columns(tau_rows))
-    )
+    pad = bytes(MAX_TABLE_ORDER - len(sigma_rows))
+    return columns([row.translate(col + pad) for row, col in zip(sigma_rows, columns(inverses))])
+
+
+def _row_classes(rows: list[bytes]) -> tuple[bytes, bytes]:
+    """Each row's class and each class's first row, classes of equal rows
+    numbered in order of first appearance."""
+    class_of_row = {row: i for i, row in enumerate(dict.fromkeys(rows))}
+    cls = bytes(map(class_of_row.__getitem__, rows))
+    return cls, bytes(map(cls.index, range(len(class_of_row))))
 
 
 def _scan_entries(sol: SetTheoreticSolution) -> None:
@@ -158,10 +165,8 @@ def _cycle_set_failure(rows: list[bytes], inverses: list[bytes]) -> str | None:
     """
     n = len(rows)
     pad = bytes(MAX_TABLE_ORDER - n)
-    class_of_row: dict[bytes, int] = {}
-    cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in rows) + pad
-    distinct = list(class_of_row)
-    k = len(distinct)
+    cls, reps = _row_classes(rows)
+    cls, distinct, k = cls + pad, [rows[r] for r in reps], len(reps)
     joined, class_pad = b"".join(distinct), bytes(MAX_TABLE_ORDER - k)
     # composite i * k + j is sigma_i sigma_j for the classes i and j
     composites = b"".join([joined.translate(row + pad) for row in distinct])
@@ -206,18 +211,14 @@ def _scan_braid_relation(sol: SetTheoreticSolution) -> None:
 def from_brace(brace: LeftBrace) -> SetTheoreticSolution:
     """The solution r(x, y) = (lambda_x(y), lambda^-1_{lambda_x(y)}(x)) of the brace.
 
-    So sigma_x = lambda_x, and column x of tau is row x of sigma looked up
-    in column x of the inverse lambda table.  The construction is
+    So sigma_x = lambda_x, and tau is _involutive_tau.  The construction is
     guaranteed to produce a valid solution, so a validation failure here is
     reported as an internal error rather than a bad-input error.
     """
-    n = brace.order
     sigma = brace._lambda_rows
-    pad = bytes(MAX_TABLE_ORDER - n)
-    inverse_columns = columns([inverse_row(row) for row in sigma])
-    tau_columns = [row.translate(col + pad) for row, col in zip(sigma, inverse_columns)]
+    tau = _involutive_tau(sigma, [inverse_row(row) for row in sigma])
     try:
-        return validate_solution(n, sigma, columns(tau_columns))
+        return validate_solution(brace.order, sigma, tau)
     except SolutionValidationError as exc:
         raise InternalCheckError(
             f"solution built from a valid brace fails validation: {exc}"
@@ -236,9 +237,7 @@ def retract_solution(solution: SetTheoreticSolution) -> SetTheoreticSolution:
     rows of a hand-built solution.
     """
     sigma = list(map(bytes, solution.sigma))
-    class_of_row: dict[bytes, int] = {}
-    cls = bytes(class_of_row.setdefault(row, len(class_of_row)) for row in sigma)
-    reps = bytes(cls.index(i) for i in range(len(class_of_row)))
+    cls, reps = _row_classes(sigma)
     induced_sigma, sigma_failure = quotient_rows(sigma, cls, reps)
     induced_tau_columns, tau_failure = quotient_rows(columns(list(map(bytes, solution.tau))), cls, reps)
     # the least pair fails first, and sigma before tau at the same pair

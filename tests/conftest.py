@@ -26,15 +26,17 @@ def tuple_rows(rows):
 def with_dot_entries(brace, entries):
     """The brace with some dot products overwritten, circle table untouched.
 
-    dot_table is a cached property, so an entry in the instance dictionary
-    takes its place; the result is deliberately not a brace.  Call it
+    _dot_rows, the byte rows every reader takes, and its tuple view
+    dot_table are cached properties, so entries in the instance dictionary
+    take their place; the result is deliberately not a brace.  Call it
     before any invariant of the brace is read, or the invariants keep the
     genuine dot table.
     """
-    dot = [list(row) for row in brace.dot_table]
+    dot = [bytearray(row) for row in brace._dot_rows]
     for (a, b), value in entries.items():
         dot[a][b] = value
-    brace.__dict__["dot_table"] = tuple(tuple(row) for row in dot)
+    brace.__dict__["_dot_rows"] = tuple(map(bytes, dot))
+    brace.__dict__["dot_table"] = tuple(map(tuple, dot))
     return brace
 
 

@@ -404,15 +404,21 @@ class TestGroupInterning:
         from bracelab import BraceDocument, enumerate_braces, from_brace, semidirect
 
         monkeypatch.setattr(abelian, "_GROUPS", {})
-        builds = []
-        real = FiniteAbelianGroup.add_rows
+        builds, tuple_builds = [], []
+        real_lookups, real_rows = FiniteAbelianGroup.add_lookups, FiniteAbelianGroup.add_rows
 
-        def counting(group):
-            if group._rows is None:
+        def counting_lookups(group):
+            if group._lookups is None:
                 builds.append(group.factors)
-            return real(group)
+            return real_lookups(group)
 
-        monkeypatch.setattr(FiniteAbelianGroup, "add_rows", counting)
+        def counting_rows(group):
+            if group._rows is None:
+                tuple_builds.append(group.factors)
+            return real_rows(group)
+
+        monkeypatch.setattr(FiniteAbelianGroup, "add_lookups", counting_lookups)
+        monkeypatch.setattr(FiniteAbelianGroup, "add_rows", counting_rows)
         six, eight = (enumerate_braces(n).classes for n in (6, 8))
         for first, second in ((six[0], eight[3]), (eight[5], six[1]), (eight[2], eight[7])):
             product = semidirect(first, second)
@@ -423,6 +429,8 @@ class TestGroupInterning:
             from_brace(brace)
         assert builds
         assert len(builds) == len(set(builds))
+        # the tuple view is for callers outside the package
+        assert tuple_builds == []
 
 
 class TestPrimaryComponents:

@@ -46,6 +46,8 @@ from bracelab.abelian import (
 )
 from bracelab.brace import LeftBrace, validate_brace
 from bracelab.census import enumerate_braces
+from bracelab.checks import run_brace_checks
+from bracelab.cli import _analysis
 from bracelab.documents import (
     BraceDocument,
     SolutionDocument,
@@ -436,6 +438,20 @@ def test_classify_on_corrupted_dot_tables(census):
         verdicts.add(got[0] if got[0] != "ok" else (got[1].is_two_sided, got[1].minus_rule))
     assert {(True, True), (False, False), (False, True)} <= verdicts
     assert InternalCheckError in verdicts
+
+
+def test_no_reader_builds_the_tuple_dot_table(census):
+    """The invariants of analyze, every law check and the solution read the
+    dot table as byte rows; its tuple view is never built for them."""
+    subjects = [brace for order in range(1, 13) for brace in census(order).classes]
+    subjects += [build(op) for op in file_ops(census, 1)]
+    for brace in subjects:
+        subject = fresh(brace)
+        _analysis(subject)
+        run_brace_checks(subject)
+        from_brace(subject)
+        assert "_dot_rows" in subject.__dict__
+        assert "dot_table" not in subject.__dict__
 
 
 def test_socle_on_corrupted_dot_tables(census):

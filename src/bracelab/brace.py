@@ -18,7 +18,6 @@ from .abelian import (
     MAX_TABLE_ORDER,
     FiniteAbelianGroup,
     Perm,
-    PermutationGroup,
     abelian_structure,
     additive_closure,
     check_table_order,
@@ -82,14 +81,12 @@ class LeftBrace:
 
     @cached_property
     def _dot_rows(self) -> tuple[bytes, ...]:
-        """a . b = lambda_a(b) - b: each circle row a is shifted by -a, which
-        gives lambda_a, and then each lambda column b by -b.  Every reader of
-        the dot table takes these rows, so rows put in their place reach all."""
+        """a . b = lambda_a(b) - b: each lambda column b shifted by -b.  Every
+        reader of the dot table takes these rows, so rows put in their place
+        reach all."""
         add, neg = self.additive.add_lookups(), self.additive.negation()
-        minus = [add[v] for v in neg[: self.order]]
-        lambdas = [row.translate(minus[a]) for a, row in enumerate(self.circle_table)]
-        dot_columns = [col.translate(minus[b]) for b, col in enumerate(columns(lambdas))]
-        return tuple(columns(dot_columns))
+        lambda_columns = columns(self._lambda_rows)
+        return tuple(columns([col.translate(add[neg[b]]) for b, col in enumerate(lambda_columns)]))
 
     @cached_property
     def _circle_cycles(self) -> tuple[bytes, ...]:
@@ -127,15 +124,9 @@ class LeftBrace:
 
     @cached_property
     def _lambda_rows(self) -> tuple[bytes, ...]:
-        """lambda_a(b) = b + a . b for each a, byte rows read off the dot
-        rows: column b of the dot table shifted by b."""
-        add = self.additive.add_lookups()
-        dot_columns = columns(self._dot_rows)
-        return tuple(columns([col.translate(add[b]) for b, col in enumerate(dot_columns)]))
-
-    def adjoint_group(self) -> PermutationGroup:
-        """The circle group in its left regular representation."""
-        return PermutationGroup(self.order, frozenset(map(tuple, self.circle_table)))
+        """lambda_a for each a, read off the circle table (_lambda_byte_rows);
+        the dot rows are derived from these."""
+        return tuple(_lambda_byte_rows(self.additive, self.circle_table))
 
     def adjoint_order_profile(self) -> tuple[int, ...]:
         return tuple(sorted(map(len, self._circle_cycles)))
@@ -164,8 +155,8 @@ class LeftBrace:
         member, classes numbered by least member.  The socle must be the
         class of 0 and the classes a congruence of the addition and of the
         circle product, so it is an additive subgroup and normal in the
-        circle group; and each lambda row must keep it, which a dot table
-        that no longer follows from the circle table can break.  Else
+        circle group; and each lambda row must keep it, which lambda rows
+        that no longer follow from the circle table can break.  Else
         InternalCheckError."""
         soc = self._socle
         n = self.order
@@ -505,12 +496,17 @@ def _brace_row_failure(group: FiniteAbelianGroup, rows) -> str | None:
         for x, row_x in enumerate(rows):
             if rows[row_x[g]] != gen_row.translate(lookups[x]):
                 return f"associativity at generator {g} with {x} on the left"
-    add, neg = group.add_lookups(), group.negation()
-    lambdas = [row.translate(add[neg[a]]) for a, row in enumerate(rows)]
+    lambdas = _lambda_byte_rows(group, rows)
     for a, g in enumerate(_nonadditive_generators(group, lambdas)):
         if g is not None:
             return f"compatibility at {a} with additive generator {g}"
     return None
+
+
+def _lambda_byte_rows(group: FiniteAbelianGroup, rows) -> list[bytes]:
+    """lambda_a(b) = -a + a o b: circle row a shifted by -a, for each a."""
+    add, neg = group.add_lookups(), group.negation()
+    return [row.translate(add[neg[a]]) for a, row in enumerate(rows)]
 
 
 def _nonadditive_generators(group: FiniteAbelianGroup, lambdas):

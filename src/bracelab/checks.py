@@ -58,8 +58,10 @@ def _prime_power(n: int) -> tuple[int, int] | None:
 def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport:
     """Cross-prime products must vanish after the divisibility-driven circle
     power; when no power of the acting prime divides any q^t - 1 that power
-    is p^0, and the raw products vanish outright.  The exponent is cross-validated against the
-    field-polynomial computation."""
+    is p^0, and the raw products vanish outright.  The exponent is
+    cross-validated against the field-polynomial computation; the two depend
+    only on (p, j, q, m), never on the brace, so a disagreement raises
+    InternalCheckError."""
     name = "sylow-annihilation"
     components = brace.sylow_components()
     if len(components) < 2:
@@ -77,12 +79,9 @@ def check_sylow_annihilation(brace: LeftBrace, subject: str = "") -> CheckReport
             k = _residue_valuation(p, q, m)
             poly_k = annihilation_exponent(p, n_exp, q, m)
             if poly_k != min(n_exp, k):
-                return _report(
-                    name, subject, FAIL, witness=(p, n_exp, q, m),
-                    notes=(
-                        f"field-polynomial exponent {poly_k} disagrees with"
-                        f" integer divisibility {min(n_exp, k)}",
-                    ),
+                raise InternalCheckError(
+                    f"field-polynomial exponent {poly_k} disagrees with integer"
+                    f" divisibility {min(n_exp, k)} at (p, j, q, m) = {(p, n_exp, q, m)}"
                 )
             pk = p**k
             # one pass over every a: a left member names the first witness,
@@ -135,7 +134,7 @@ def _residue_valuation(p: int, q: int, m: int) -> int:
     return k
 
 
-def _socle_lift_hypothesis(brace: LeftBrace, components) -> list[int]:
+def _socle_lift_hypothesis(components) -> list[int]:
     """Indices of components whose socle lifts: nonzero component socle and
     the component prime divides no p_j^i - 1 over all component primes."""
     return [
@@ -178,7 +177,7 @@ def check_level_criteria(brace: LeftBrace, subject: str = "") -> CheckReport:
     components = brace.sylow_components()
     applied = []
 
-    lifting = _socle_lift_hypothesis(brace, components)
+    lifting = _socle_lift_hypothesis(components)
     if lifting:
         applied.append("socle-lifting")
         if brace.socle().is_zero():

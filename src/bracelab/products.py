@@ -73,11 +73,6 @@ def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
     return BraceAction(acting, target, maps)
 
 
-def trivial_action(acting: LeftBrace, target: LeftBrace) -> BraceAction:
-    ident = tuple(range(target.order))
-    return BraceAction(acting, target, tuple(ident for _ in range(acting.order)))
-
-
 def semidirect(
     target: LeftBrace,
     acting: LeftBrace,

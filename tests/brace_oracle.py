@@ -16,7 +16,7 @@ are read off one cached table of circle powers per brace,
 ``oracle_circle_order`` are the step-by-step walks of circle row a that
 each of them once made, ``oracle_circle_inverse`` the search of row a for
 0, and ``oracle_classify`` decides adjoint nilpotency on the circle group
-itself.
+itself, listed by ``circle_group``.
 
 ``oracle_socle`` checks that the socle is an ideal with the three element
 loops that ``LeftBrace._socle`` once ran: additive closure pair by pair,
@@ -47,6 +47,7 @@ from itertools import product as iter_product
 
 from bracelab.abelian import (
     MAX_TABLE_ORDER,
+    PermutationGroup,
     abelian_structure,
     additive_closure,
     make_group,
@@ -187,6 +188,12 @@ def oracle_sylow_components(brace):
     return out
 
 
+def circle_group(brace) -> PermutationGroup:
+    """The circle group in its left regular representation: the circle
+    rows as a group of tuple permutations."""
+    return PermutationGroup(brace.order, frozenset(map(tuple, brace.circle_table)))
+
+
 def perm_order_is_nilpotent_group(group) -> bool:
     """is_nilpotent_group with element orders from abelian.perm_order's
     cycle walk, point by point."""
@@ -235,7 +242,7 @@ def oracle_classify(brace) -> BraceTraits:
     )
     steps = brace._left_power_steps
     left_nil_index = None if None in steps else max(steps)
-    adjoint_nilpotent = perm_order_is_nilpotent_group(brace.adjoint_group())
+    adjoint_nilpotent = perm_order_is_nilpotent_group(circle_group(brace))
     ring_nilpotent = None
     if two_sided:
         for a, b, c in iter_product(gens, repeat=3):

@@ -26,17 +26,24 @@ def tuple_rows(rows):
 def with_dot_entries(brace, entries):
     """The brace with some dot products overwritten, circle table untouched.
 
-    _dot_rows, the byte rows every reader takes, and its tuple view
-    dot_table are cached properties, so entries in the instance dictionary
-    take their place; the result is deliberately not a brace.  Call it
-    before any invariant of the brace is read, or the invariants keep the
-    genuine dot table.
+    _dot_rows, the byte rows every reader takes, its tuple view dot_table
+    and the lambda rows _lambda_rows are cached properties, so entries in
+    the instance dictionary take their place; the result is deliberately
+    not a brace.  The lambda rows are the package's source of the dot rows,
+    so they are rewritten too, as lambda_a(b) = b + a . b on the drilled
+    dot table, and every lambda reader sees the drill.  Call it before any
+    invariant of the brace is read, or the invariants keep the genuine
+    tables.
     """
     dot = [bytearray(row) for row in brace._dot_rows]
     for (a, b), value in entries.items():
         dot[a][b] = value
+    add = brace.additive.add_lookups()
     brace.__dict__["_dot_rows"] = tuple(map(bytes, dot))
     brace.__dict__["dot_table"] = tuple(map(tuple, dot))
+    brace.__dict__["_lambda_rows"] = tuple(
+        bytes(add[b][v] for b, v in enumerate(row)) for row in dot
+    )
     return brace
 
 

@@ -9,6 +9,9 @@ braces for every sum and product and composes maps with ``compose_perms``.
 The two must give the same maps, or the same ActionError and witness.
 ``bracelab.products.semidirect`` joins byte blocks per row;
 ``oracle_semidirect_table`` fills the product table entry by entry.
+``identity_action`` is the action by identity maps, which ``semidirect``
+given no action no longer builds; a test passes it to ask for the same
+product through the validated-action route.
 """
 
 from bracelab.abelian import make_group
@@ -16,6 +19,13 @@ from bracelab.brace import validate_brace
 from bracelab.errors import ActionError
 from bracelab.products import BraceAction, semidirect
 from abelian_oracle import compose_perms, identity_perm, is_permutation
+
+
+def identity_action(acting, target) -> BraceAction:
+    """Every acting element acts as the identity of the target: the twists
+    that semidirect uses when it is given no action."""
+    ident = identity_perm(target.order)
+    return BraceAction(acting, target, tuple(ident for _ in range(acting.order)))
 
 
 def oracle_make_action(acting, target, maps) -> BraceAction:

@@ -24,7 +24,6 @@ from bracelab import (
     mpl_solution,
     permutation_group_order,
     semidirect,
-    trivial_action,
     wreath,
 )
 from bracelab.checks import PASS, check_sylow_annihilation
@@ -32,6 +31,7 @@ from bracelab.cli import main
 from bracelab.numutil import prime_factorization
 from bracelab.solutions import from_brace
 from abelian_oracle import scale
+from products_oracle import identity_action
 
 
 def conclude(num, name, violations, started, budget=None):
@@ -86,7 +86,7 @@ def test_c02_order_45_census_and_sylow_direct_sums(census):
         rebuilt = semidirect(
             comps[0].brace,
             comps[1].brace,
-            trivial_action(comps[1].brace, comps[0].brace),
+            identity_action(comps[1].brace, comps[0].brace),
             max_order=45,
         )
         if not are_isomorphic(rebuilt, entry.brace):
@@ -412,7 +412,7 @@ def test_c12_product_lemmas(census):
     built = 0
     for name, target, acting, maps in instances:
         if maps is None:
-            action = trivial_action(acting, target)
+            action = identity_action(acting, target)
         else:
             action = make_action(acting, target, maps)
         product = semidirect(target, acting, action, max_order=16)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracelab.brace as brace_module
-from bracelab.abelian import make_group
+from bracelab.abelian import closure, make_group
 from bracelab.brace import LeftBrace, SylowComponent, sylow_decompose, validate_brace
 from bracelab.census import are_isomorphic, enumerate_braces
 from bracelab.errors import (
@@ -164,7 +164,7 @@ class TestB4Frozen:
 
     def test_adjoint_profile(self, b4):
         assert b4.adjoint_order_profile() == (1, 2, 2, 2)
-        assert b4.adjoint_group().order == 4
+        assert closure(4, b4.circle_table).order == 4
 
     def test_towers(self, b4):
         assert b4.multipermutation_level() == 2
@@ -472,8 +472,9 @@ def circle_lambda_rows(brace):
 
 
 class TestLambdaTable:
-    """The brace's one lambda table, b + a . b off the dot table, equals
-    -a + a o b off the circle table, and every lambda reader takes it."""
+    """The brace's one lambda table, read off the circle table by byte-row
+    translates, equals -a + a o b entry by entry; every lambda reader takes
+    it, and none of them goes through the dot table."""
 
     @pytest.mark.parametrize(
         "order",
@@ -510,6 +511,22 @@ class TestLambdaTable:
         # a foreign table put in its place is what lambda_row then reads
         brace.__dict__["_lambda_rows"] = tuple(reversed(brace._lambda_rows))
         assert brace.lambda_row(0) == rows[7]
+
+    def test_lambda_does_not_go_through_the_dot_table(self, census):
+        from bracelab.documents import BraceDocument
+        from bracelab.solutions import from_brace
+
+        eight = census(8).classes
+        entry = eight[5]
+        subjects = [
+            validate_brace(entry.additive, entry.circle_table),
+            semidirect(eight[3], eight[11]),
+        ]
+        for brace in subjects:
+            from_brace(brace)
+            BraceDocument.from_brace(brace, "lambda_table")
+            assert "_lambda_rows" in brace.__dict__
+            assert "_dot_rows" not in brace.__dict__
 
 
 class TestCanonicalForm:

@@ -58,6 +58,7 @@ from bracelab.errors import BraceLabError, InternalCheckError, ResourceLimitErro
 from bracelab.products import semidirect, wreath
 from bracelab.solutions import SetTheoreticSolution, from_brace, retract_solution
 from brace_oracle import (
+    circle_group,
     magma_generators,
     oracle_circle_inverse,
     oracle_circle_order,
@@ -76,7 +77,7 @@ from brace_oracle import (
 )
 from checks_oracle import oracle_validate_brace
 from conftest import tuple_rows, with_dot_entries
-from products_oracle import oracle_semidirect_table
+from products_oracle import identity_action, oracle_semidirect_table
 from solutions_oracle import (
     circle_tau,
     one_pass_retract_solution,
@@ -150,7 +151,7 @@ def assert_kernels_agree(brace, checked_induced):
     assert all(type(row) is tuple and all(type(v) is int for v in row) for row in dot)
     assert subject._lambda_rows == oracle_lambda_rows(subject)
     assert outcome(subject.classify) == outcome(oracle_classify, fresh(brace))
-    group = subject.adjoint_group()
+    group = circle_group(subject)
     assert is_nilpotent_group(group) == perm_order_is_nilpotent_group(group)
     n = subject.order
     for a in range(n):
@@ -345,7 +346,7 @@ def checked_semidirect(monkeypatch):
 
     def checked(target, acting, action=None, max_order=products_module.DEFAULT_BRACE_BOUND):
         got = real(target, acting, action, max_order)
-        maps = (action or products_module.trivial_action(acting, target)).maps
+        maps = (action or identity_action(acting, target)).maps
         table = oracle_semidirect_table(target, acting, maps)
         assert tuple_rows(got.circle_table) == tuple(map(tuple, table))
         calls.append(any(m != maps[0] for m in maps))

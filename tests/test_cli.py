@@ -603,6 +603,15 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_census_checks", lambda orders: [fail])
         assert main(["verify", "--order-max", "9"]) == 1
 
+    def test_bad_polynomial_exponent_exits_4(self, monkeypatch, capsys):
+        import bracelab.checks as checks_module
+
+        monkeypatch.setattr(checks_module, "annihilation_exponent", lambda *a: 99)
+        assert main(["verify", "--order-max", "6"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: field-polynomial exponent 99 disagrees")
+        assert err.endswith(" = (2, 1, 3, 1)\n")
+
     def test_order_max_above_byte_tables_is_refused_up_front(self, monkeypatch, capsys):
         def never(order):
             raise AssertionError(f"order {order} checked")

@@ -14,7 +14,6 @@ from bracelab.products import (
     direct_sum,
     make_action,
     semidirect,
-    trivial_action,
     wreath,
 )
 from conftest import cyclic_brace

@@ -182,7 +182,7 @@ class FiniteAbelianGroup:
         tuple view of add_lookups for callers outside the package.  Cached."""
         if self._rows is None:
             n = self.order
-            self._rows = tuple(tuple(row[:n]) for row in self.add_lookups())
+            self._rows = tuple(map(tuple, [row[:n] for row in self.add_lookups()]))
         return self._rows
 
     def add_lookups(self) -> tuple[bytes, ...]:

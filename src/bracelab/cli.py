@@ -37,7 +37,7 @@ from .errors import (
     SolutionValidationError,
     WitnessedError,
 )
-from .products import DEFAULT_BRACE_BOUND, BraceAction, semidirect, wreath
+from .products import DEFAULT_BRACE_BOUND, semidirect, wreath
 from .solutions import (
     SetTheoreticSolution,
     from_brace,
@@ -80,10 +80,6 @@ def _load_brace(path: str) -> LeftBrace:
 def _load_solution(path: str) -> SetTheoreticSolution:
     doc = parse_solution_document(_read_text(path))
     return doc.to_solution(max_size=_env_bound(None))
-
-
-def _print_document(text: str) -> None:
-    sys.stdout.write(text)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -155,7 +151,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_solution_from_brace(args: argparse.Namespace) -> int:
     brace = _load_brace(args.file)
     solution = from_brace(brace)
-    _print_document(serialize_solution_document(SolutionDocument.from_solution(solution)))
+    sys.stdout.write(serialize_solution_document(SolutionDocument.from_solution(solution)))
     return EXIT_OK
 
 
@@ -180,7 +176,7 @@ def cmd_solution_retract(args: argparse.Namespace) -> int:
             print(f"multipermutation level: none (tower stabilizes at size {sizes[-1]})")
         return EXIT_OK
     retracted = retract_solution(solution)
-    _print_document(
+    sys.stdout.write(
         serialize_solution_document(SolutionDocument.from_solution(retracted))
     )
     return EXIT_OK
@@ -190,7 +186,7 @@ def cmd_product_semidirect(args: argparse.Namespace) -> int:
     bound = _env_bound(DEFAULT_BRACE_BOUND)
     target = _load_brace(args.target)
     acting = _load_brace(args.acting)
-    action = None  # the trivial action
+    maps = None  # the trivial action
     if args.action is not None:
         action_doc = parse_action_document(_read_text(args.action))
         if action_doc.acting_order != acting.order or action_doc.target_order != target.order:
@@ -200,9 +196,9 @@ def cmd_product_semidirect(args: argparse.Namespace) -> int:
                 f" {acting.order} acting on {target.order}"
             )
         # semidirect validates the maps, once
-        action = BraceAction(acting, target, action_doc.maps)
-    product = semidirect(target, acting, action, max_order=bound)
-    _print_document(serialize_brace_document(BraceDocument.from_brace(product)))
+        maps = action_doc.maps
+    product = semidirect(target, acting, maps, max_order=bound)
+    sys.stdout.write(serialize_brace_document(BraceDocument.from_brace(product)))
     print(f"semidirect product of order {product.order}", file=sys.stderr)
     return EXIT_OK
 
@@ -212,7 +208,7 @@ def cmd_product_wreath(args: argparse.Namespace) -> int:
     base = _load_brace(args.base)
     top = _load_brace(args.top)
     product = wreath(base, top, max_order=bound)
-    _print_document(serialize_brace_document(BraceDocument.from_brace(product)))
+    sys.stdout.write(serialize_brace_document(BraceDocument.from_brace(product)))
     print(f"wreath product of order {product.order}", file=sys.stderr)
     return EXIT_OK
 

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
-from .abelian import _IDENTITY, check_table_order, make_group, quote, square_byte_rows
+from .abelian import _IDENTITY, check_table_order, make_group, permutation_rows, quote, square_byte_rows
 from .brace import LeftBrace, validate_brace
 from .errors import DocumentError, InternalCheckError, ResourceLimitError
 from .solutions import SetTheoreticSolution, validate_solution
@@ -312,7 +312,7 @@ def parse_action_document(text: str) -> ActionDocument:
     target_order = _get_int(payload, "target_order", minimum=1)
     maps = _get_rows(payload, "maps", acting_order, target_order, target_order)
     for h, row in enumerate(maps):
-        if len(set(row)) != target_order:
+        if permutation_rows([row], target_order) is None:
             raise DocumentError(f"field 'maps' row {h} is not a permutation")
     return ActionDocument(acting_order, target_order, maps)
 

@@ -7,84 +7,74 @@ factor's circle group through brace automorphisms of the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .abelian import MAX_TABLE_ORDER, Perm, check_table_order, make_group, permutation_rows
+from .abelian import MAX_TABLE_ORDER, check_table_order, make_group, permutation_rows
 from .brace import LeftBrace, validate_brace
 from .errors import ActionError, ResourceLimitError
 
 DEFAULT_BRACE_BOUND = 64
 
 
-@dataclass(frozen=True)
-class BraceAction:
-    """A circle-group homomorphism from the acting brace into Aut(target)."""
-
-    acting: LeftBrace
-    target: LeftBrace
-    maps: tuple[Perm, ...]
-
-
-def make_action(acting: LeftBrace, target: LeftBrace, maps) -> BraceAction:
-    """Validate that every map is a brace automorphism of the target and the
-    assignment is a homomorphism out of the acting circle group."""
-    maps = tuple(tuple(m) for m in maps)
-    nh = acting.order
-    nt = target.order
+def make_action(acting: LeftBrace, target: LeftBrace, maps) -> tuple[bytes, ...]:
+    """The maps as byte rows, once each is a brace automorphism of the
+    target and the assignment is a homomorphism out of the acting circle
+    group.  Else ActionError names the first law broken, and its witness."""
+    nh, nt = acting.order, target.order
     if len(maps) != nh:
         raise ActionError(
             f"need one map per acting element, got {len(maps)} for order {nh}"
         )
+    pad = bytes(MAX_TABLE_ORDER - nt)
     add = target.additive.add_lookups()
-    circle = target.circle_table
-    # the maps are tested one by one, in order of h, only if some map fails
-    bijective = permutation_rows(maps, nt) is not None
+    circle = [row + pad for row in target.circle_table]
+    rows = []
     for h, f in enumerate(maps):
-        if not bijective and permutation_rows([f], nt) is None:
+        checked = permutation_rows([f], nt)
+        if checked is None:
             raise ActionError(
                 f"map of acting element {h} is not a bijection of the target",
                 witness=(h,),
             )
-        for a in range(nt):
-            add_a, add_fa = add[a], add[f[a]]
-            circle_a, circle_fa = circle[a], circle[f[a]]
-            for b in range(nt):
-                if f[add_a[b]] != add_fa[f[b]]:
-                    raise ActionError(
-                        f"map of {h} does not preserve addition at ({a}, {b})",
-                        witness=(h, a, b),
-                    )
-                if f[circle_a[b]] != circle_fa[f[b]]:
-                    raise ActionError(
-                        f"map of {h} does not preserve the circle product at ({a}, {b})",
-                        witness=(h, a, b),
-                    )
-    if maps[0] != tuple(range(nt)):
+        f = checked[0]
+        rows.append(f)
+        lookup = f + pad
+        for a, fa in enumerate(f):
+            # over b: f(a + b) against f(a) + f(b), f(a o b) against f(a) o f(b)
+            sums = add[a][:nt].translate(lookup), f.translate(add[fa])
+            prods = circle[a][:nt].translate(lookup), f.translate(circle[fa])
+            if sums[0] != sums[1] or prods[0] != prods[1]:
+                b = next(
+                    b for b in range(nt) if (sums[0][b], prods[0][b]) != (sums[1][b], prods[1][b])
+                )
+                law = "addition" if sums[0][b] != sums[1][b] else "the circle product"
+                raise ActionError(
+                    f"map of {h} does not preserve {law} at ({a}, {b})", witness=(h, a, b)
+                )
+    if rows[0] != bytes(range(nt)):
         raise ActionError("the zero element must act as the identity", witness=(0,))
     for h1, row in enumerate(acting.circle_table):
-        f1 = maps[h1]
-        for h2, f2 in enumerate(maps):
+        lookup = rows[h1] + pad
+        for h2, f2 in enumerate(rows):
             # maps[h1 o h2] must be maps[h1] after maps[h2]
-            if maps[row[h2]] != tuple([f1[x] for x in f2]):
+            if rows[row[h2]] != f2.translate(lookup):
                 raise ActionError(
                     f"assignment is not a circle-group homomorphism at ({h1}, {h2})",
                     witness=(h1, h2),
                 )
-    return BraceAction(acting, target, maps)
+    return tuple(rows)
 
 
 def semidirect(
     target: LeftBrace,
     acting: LeftBrace,
-    action: BraceAction | None = None,
+    maps=None,
     max_order: int = DEFAULT_BRACE_BOUND,
 ) -> LeftBrace:
-    """The brace on target x acting, with pairs indexed g * |acting| + h.
+    """The brace on target x acting, with pairs indexed g * |acting| + h,
+    acting element h twisting the target by maps[h].
 
     A product above max_order, or above MAX_TABLE_ORDER, is refused before
-    any table work.  A given action is always revalidated here, so a
-    hand-built BraceAction cannot smuggle in a non-homomorphism; without
-    one, every twist is the identity, which needs no check.
+    any table work.  Given maps always go through make_action; without
+    them, every twist is the identity, which needs no check.
     """
     nt, nh = target.order, acting.order
     order = nt * nh
@@ -93,12 +83,10 @@ def semidirect(
             f"product order {order} above configured bound {max_order}"
         )
     check_table_order(order)
-    if action is None:
+    if maps is None:
         twists = [bytes(range(nt))] * nh
-    elif action.acting != acting or action.target != target:
-        raise ActionError("action does not connect the given braces")
     else:
-        twists = list(map(bytes, make_action(acting, target, action.maps).maps))
+        twists = make_action(acting, target, maps)
     group = make_group(target.additive.factors + acting.additive.factors)
     # (g1, h1) o (g2, h2) = (g1 o twist_h1(g2), h1 o h2): row (g1, h1) joins,
     # over g2, the block of g * nh + h1 o h2 over h2 for g = g1 o twist_h1(g2)
@@ -151,7 +139,6 @@ def wreath(
             for x in range(nt):
                 acc += ((f // strides[top.circle(h, x)]) % nb) * strides[x]
             out.append(acc)
-        maps.append(tuple(out))
+        maps.append(bytes(out))
     # semidirect validates the maps, once
-    action = BraceAction(top, w_brace, tuple(maps))
-    return semidirect(w_brace, top, action, max_order=max_order)
+    return semidirect(w_brace, top, maps, max_order=max_order)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bracelab.abelian import make_group
@@ -21,6 +23,23 @@ def tuple_rows(rows):
     """A table's rows as tuples of ints, whatever their row type, so tables
     compare by value: a bytes row never equals a tuple row."""
     return tuple(map(tuple, rows))
+
+
+def file_ops(census, seed):
+    """The op list of the file benchmark for a seed: 9 semidirect products of
+    two order-8 braces, 9 of an order-6 and an order-8 brace in either
+    order, and 2 wreath products of the order-2 brace by order-4 tops."""
+    pools = {n: census(n).classes for n in (2, 4, 6, 8)}
+    rng = random.Random(seed)
+    eights = rng.sample(pools[8], 27)
+    ops = [("semidirect", eights.pop(), eights.pop()) for _ in range(9)]
+    for i, eight in enumerate(eights):
+        pair = [pools[6][i % len(pools[6])], eight]
+        rng.shuffle(pair)
+        ops.append(("semidirect", *pair))
+    ops += [("wreath", pools[2][0], top) for top in rng.sample(pools[4], 2)]
+    rng.shuffle(ops)
+    return ops
 
 
 def with_dot_entries(brace, entries):

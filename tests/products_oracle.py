@@ -3,34 +3,35 @@
 ``bracelab.products.wreath`` folds W out of direct sums of the base.
 ``oracle_wreath`` writes the pointwise circle table of W out function by
 function and validates it, as the package once did; the two must give the
-same brace.  ``bracelab.products.make_action`` reads the addition and circle
-tables row by row and composes maps inline; ``oracle_make_action`` asks the
-braces for every sum and product and composes maps with ``compose_perms``.
-The two must give the same maps, or the same ActionError and witness.
+same brace.  ``bracelab.products.make_action`` decides each law on
+translated byte rows; ``oracle_make_action`` asks the braces for every sum
+and product and composes maps with ``compose_perms``.  The two must give
+the same maps, as byte rows, or the same ActionError and witness.
 ``bracelab.products.semidirect`` joins byte blocks per row;
 ``oracle_semidirect_table`` fills the product table entry by entry.
-``identity_action`` is the action by identity maps, which ``semidirect``
-given no action no longer builds; a test passes it to ask for the same
-product through the validated-action route.
+``identity_action`` is the maps of the action by identity maps, which
+``semidirect`` given no maps no longer builds; a test passes them to ask
+for the same product through the validated-action route.
 """
 
 from bracelab.abelian import make_group
 from bracelab.brace import validate_brace
 from bracelab.errors import ActionError
-from bracelab.products import BraceAction, semidirect
+from bracelab.products import semidirect
 from abelian_oracle import compose_perms, identity_perm, is_permutation
 
 
-def identity_action(acting, target) -> BraceAction:
+def identity_action(acting, target) -> tuple:
     """Every acting element acts as the identity of the target: the twists
-    that semidirect uses when it is given no action."""
+    that semidirect uses when it is given no maps."""
     ident = identity_perm(target.order)
-    return BraceAction(acting, target, tuple(ident for _ in range(acting.order)))
+    return tuple(ident for _ in range(acting.order))
 
 
-def oracle_make_action(acting, target, maps) -> BraceAction:
-    """Validate that every map is a brace automorphism of the target and the
-    assignment is a homomorphism out of the acting circle group."""
+def oracle_make_action(acting, target, maps) -> tuple[bytes, ...]:
+    """The maps as byte rows, once every map is a brace automorphism of the
+    target and the assignment is a homomorphism out of the acting circle
+    group."""
     maps = tuple(tuple(m) for m in maps)
     nh = acting.order
     nt = target.order
@@ -65,7 +66,7 @@ def oracle_make_action(acting, target, maps) -> BraceAction:
                     f"assignment is not a circle-group homomorphism at ({h1}, {h2})",
                     witness=(h1, h2),
                 )
-    return BraceAction(acting, target, maps)
+    return tuple(map(bytes, maps))
 
 
 def oracle_wreath(base, top, max_order: int = 64):
@@ -99,8 +100,7 @@ def oracle_wreath(base, top, max_order: int = 64):
                 acc += value(f, top.circle(h, x)) * strides[x]
             out.append(acc)
         maps.append(tuple(out))
-    action = BraceAction(top, w_brace, tuple(maps))
-    return semidirect(w_brace, top, action, max_order=max_order)
+    return semidirect(w_brace, top, tuple(maps), max_order=max_order)
 
 
 def oracle_semidirect_table(target, acting, maps):

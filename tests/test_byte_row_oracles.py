@@ -76,7 +76,7 @@ from brace_oracle import (
     perm_order_is_nilpotent_group,
 )
 from checks_oracle import oracle_validate_brace
-from conftest import tuple_rows, with_dot_entries
+from conftest import file_ops, tuple_rows, with_dot_entries
 from products_oracle import identity_action, oracle_semidirect_table
 from solutions_oracle import (
     circle_tau,
@@ -104,23 +104,6 @@ def outcome(compute, *args):
 def fresh(brace) -> LeftBrace:
     """The same brace with no invariant cached yet."""
     return LeftBrace(brace.additive, brace.circle_table)
-
-
-def file_ops(census, seed):
-    """The op list of the file benchmark for a seed: 9 semidirect products of
-    two order-8 braces, 9 of an order-6 and an order-8 brace in either
-    order, and 2 wreath products of the order-2 brace by order-4 tops."""
-    pools = {n: census(n).classes for n in (2, 4, 6, 8)}
-    rng = random.Random(seed)
-    eights = rng.sample(pools[8], 27)
-    ops = [("semidirect", eights.pop(), eights.pop()) for _ in range(9)]
-    for i, eight in enumerate(eights):
-        pair = [pools[6][i % len(pools[6])], eight]
-        rng.shuffle(pair)
-        ops.append(("semidirect", *pair))
-    ops += [("wreath", pools[2][0], top) for top in rng.sample(pools[4], 2)]
-    rng.shuffle(ops)
-    return ops
 
 
 def build(op):
@@ -344,9 +327,10 @@ def checked_semidirect(monkeypatch):
     calls = []
     real = products_module.semidirect
 
-    def checked(target, acting, action=None, max_order=products_module.DEFAULT_BRACE_BOUND):
-        got = real(target, acting, action, max_order)
-        maps = (action or identity_action(acting, target)).maps
+    def checked(target, acting, maps=None, max_order=products_module.DEFAULT_BRACE_BOUND):
+        got = real(target, acting, maps, max_order)
+        if maps is None:
+            maps = identity_action(acting, target)
         table = oracle_semidirect_table(target, acting, maps)
         assert tuple_rows(got.circle_table) == tuple(map(tuple, table))
         calls.append(any(m != maps[0] for m in maps))

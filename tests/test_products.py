@@ -16,7 +16,7 @@ from bracelab.products import (
     semidirect,
     wreath,
 )
-from conftest import cyclic_brace
+from conftest import cyclic_brace, file_ops
 from abelian_oracle import compose_perms
 from products_oracle import oracle_make_action, oracle_wreath
 
@@ -55,8 +55,8 @@ class TestActionValidation:
         assert info.value.witness == (1, 1)
 
     def test_negation_action_is_valid(self):
-        action = make_action(Z2, Z3, NEG3)
-        assert action.maps[1] == (0, 2, 1)
+        maps = make_action(Z2, Z3, NEG3)
+        assert maps[1] == bytes((0, 2, 1))
 
     def test_action_on_nontrivial_target(self):
         # negation is a brace automorphism of the order-4 cyclic brace
@@ -67,7 +67,7 @@ class TestActionValidation:
 
 def action_outcome(validate, acting, target, maps):
     try:
-        return "valid", validate(acting, target, maps).maps
+        return "valid", validate(acting, target, maps)
     except ActionError as exc:
         return type(exc), str(exc), exc.witness
 
@@ -158,6 +158,31 @@ class TestActionOracle:
             else:
                 seen[next(m for m in ACTION_MESSAGES if m in got[1])] += 1
         assert set(seen) == set(ACTION_MESSAGES) | {"valid", "trivial"}, seen
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wreath_actions_equal_oracle(self, census, monkeypatch, seed):
+        # the actions wreath validates in the file benchmark's ops, as built,
+        # with their last two maps swapped, and with map 1 moving points 1
+        # and 2 to each other's images: the same maps, or the same
+        # ActionError class, message and witness
+        actions = []
+        real = products.make_action
+
+        def recorded(acting, target, maps):
+            actions.append((acting, target, maps))
+            return real(acting, target, maps)
+
+        monkeypatch.setattr(products, "make_action", recorded)
+        for kind, base, top in file_ops(census, seed):
+            if kind == "wreath":
+                wreath(base, top)
+        assert len(actions) == 2
+        for acting, target, maps in actions:
+            moved = list(maps[1])
+            moved[1], moved[2] = moved[2], moved[1]
+            for variant in (maps, maps[:-2] + maps[:-3:-1], (maps[0], moved, *maps[2:])):
+                got = action_outcome(real, acting, target, variant)
+                assert got == action_outcome(oracle_make_action, acting, target, variant)
 
 
 class TestSemidirect:

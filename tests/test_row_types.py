@@ -1,11 +1,12 @@
 """One stored row type, and the messages of hand-built tables.
 
-Every circle, sigma and tau table, and every document table, is a tuple of
-bytes rows, whichever layer made it; a bytes row never equals a tuple row,
-so a table of the other type would make equality false without an error.
-Group elements stay tuples: automorphisms and the elements of closure.  A brace, solution or document built by hand with tuple
-rows holding one bad entry gets the error it got when every table was
-stored as tuples of ints.
+Every circle, sigma and tau table, every document table and the maps of
+every validated action are a tuple of bytes rows, whichever layer made
+them; a bytes row never equals a tuple row, so a table of the other type
+would make equality false without an error.  Group elements stay tuples:
+automorphisms and the elements of closure.  A brace, solution or document
+built by hand with tuple rows holding one bad entry gets the error it got
+when every table was stored as tuples of ints.
 """
 
 import pytest
@@ -27,7 +28,7 @@ from bracelab.errors import (
     InvalidPresentationError,
     NonDegeneracyError,
 )
-from bracelab.products import semidirect, wreath
+from bracelab.products import make_action, semidirect, wreath
 from bracelab.solutions import (
     SetTheoreticSolution,
     from_brace,
@@ -116,6 +117,22 @@ def test_documents(census):
         '{"type": "action", "acting_order": 2, "target_order": 3, "maps": [[0, 1, 2], [0, 2, 1]]}'
     )
     assert action.maps == (bytes((0, 1, 2)), bytes((0, 2, 1)))
+
+
+def test_action_maps():
+    # make_action hands back byte rows, and semidirect builds one brace from
+    # tuple rows, list rows and an action document's rows
+    z2, z3 = (LeftBrace.trivial(make_group((n,))) for n in (2, 3))
+    negation = ((0, 1, 2), (0, 2, 1))
+    maps = make_action(z2, z3, negation)
+    assert type(maps) is tuple and all(type(row) is bytes for row in maps)
+    assert maps == (bytes((0, 1, 2)), bytes((0, 2, 1)))
+    doc = parse_action_document(
+        '{"type": "action", "acting_order": 2, "target_order": 3, "maps": [[0, 1, 2], [0, 2, 1]]}'
+    )
+    built = [semidirect(z3, z2, rows) for rows in (negation, [list(m) for m in negation], doc.maps)]
+    assert built[0] == built[1] == built[2] != semidirect(z3, z2)
+    assert_derived_brace_rows(built[0])
 
 
 def test_group_elements_stay_tuples(census):
